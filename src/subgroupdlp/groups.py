@@ -7,8 +7,9 @@ Three interchangeable backends share one element/group protocol:
   solver result can be checked by inspection.
 * MultiplicativeGroup -- the order-p subgroup of (Z/rZ)* for a prime r
   with p | r-1, written additively ("add" is modular multiplication).
-* CurveGroup -- short-Weierstrass points over F_q in affine coordinates,
-  identity represented as the point at infinity.
+* CurveGroup -- short-Weierstrass points over F_q, stored in affine
+  coordinates (the identity is the point at infinity) and multiplied in
+  Jacobian coordinates.
 
 A group's `order` is always a verified (probable) prime p, so scalars live
 in the field Z/pZ and k*P depends only on k mod p.  Encodings are injective
@@ -79,9 +80,9 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement the raw hooks (_add, _neg, _encode, _decode,
-    _identity_data, _generator_data, _contains_data); this class supplies
-    validation, element wrapping, and generic double-and-add.
+    Subclasses implement scalar_mul and the raw hooks (_add, _neg, _encode,
+    _decode, _identity_data, _generator_data, _contains_data); this class
+    supplies validation and element wrapping.
     """
 
     kind = "abstract"
@@ -144,17 +145,8 @@ class CyclicGroup:
         return self._wrap(self._neg(e.data))
 
     def scalar_mul(self, k, e):
-        """k*P for any integer k; k is reduced mod the group order first."""
-        self._check(e)
-        k %= self.order
-        result = self._identity_data()
-        acc = e.data
-        while k:
-            if k & 1:
-                result = self._add(result, acc)
-            acc = self._add(acc, acc)
-            k >>= 1
-        return self._wrap(result)
+        """k*P for any integer k; k acts through its residue mod the order."""
+        raise NotImplementedError
 
     # -- encodings -------------------------------------------------------------
 
@@ -341,9 +333,11 @@ def load_curve_file(path):
 class CurveGroup(CyclicGroup):
     """The prime-order subgroup generated by the base point of `params`.
 
-    Affine arithmetic; the identity is the point at infinity, held as None.
-    Construction validates the parameters: q and order prime, nonzero
-    discriminant, base point on curve, order * base = identity.
+    Elements are stored as affine (x, y) tuples, the identity (the point at
+    infinity) as None, and `add` is the affine group law; scalar_mul runs
+    in Jacobian coordinates.  Construction validates the parameters: q and
+    order prime, nonzero discriminant, base point on curve, order * base =
+    identity.
     """
 
     kind = "curve"
@@ -362,7 +356,7 @@ class CurveGroup(CyclicGroup):
         if not self._on_curve(base):
             raise ValueError("base point is not on the curve")
         self._base = base
-        if self._unreduced_mul(params.order, base) is not None:
+        if self._mul(params.order, base) is not None:
             raise ValueError("base point order does not divide %d" % params.order)
 
     def _key(self):
@@ -379,18 +373,62 @@ class CurveGroup(CyclicGroup):
     def _generator_data(self):
         return self._base
 
-    def _unreduced_mul(self, k, data):
-        # Double-and-add that does NOT reduce k mod self.order.  scalar_mul's
-        # reduction is correct for elements of the group, but here the whole
-        # point is to test whether k kills the point.
-        result = None
-        acc = data
-        while k:
-            if k & 1:
-                result = self._add(result, acc)
-            acc = self._add(acc, acc)
-            k >>= 1
-        return result
+    def _mul(self, k, data):
+        """k*P for an affine point P and k >= 0, without reducing k.
+
+        Construction and the cofactor membership check need k unreduced:
+        there the point is to test whether k kills the point.  Left-to-right
+        double-and-add on Jacobian (X, Y, Z), which stands for the affine
+        (X/Z^2, Y/Z^3) and for the identity when Z = 0.  P joins by mixed
+        addition (Cohen, Miyaji and Ono 1998), and one inversion at the end
+        returns to affine.
+        """
+        if data is None or k == 0:
+            return None
+        q, a = self.q, self.params.a
+        px, py = data
+
+        def double(X, Y, Z):
+            if not (Y and Z):  # the identity and order-2 points double to O
+                return 0, 1, 0
+            YY = Y * Y % q
+            S = 4 * X * YY % q
+            ZZ = Z * Z % q
+            M = (3 * X * X + a * ZZ * ZZ) % q
+            X3 = (M * M - 2 * S) % q
+            return X3, (M * (S - X3) - 8 * YY * YY) % q, 2 * Y * Z % q
+
+        X, Y, Z = px, py, 1
+        for bit in bin(k)[3:]:
+            X, Y, Z = double(X, Y, Z)
+            if bit == "0":
+                continue
+            if not Z:
+                X, Y, Z = px, py, 1
+                continue
+            ZZ = Z * Z % q
+            H = (px * ZZ - X) % q
+            r = (py * ZZ * Z - Y) % q
+            if H:
+                HH = H * H % q
+                HHH = H * HH % q
+                V = X * HH % q
+                X = (r * r - HHH - 2 * V) % q
+                Y = (r * (V - X) - Y * HHH) % q
+                Z = Z * H % q
+            elif r:  # the accumulator is -P
+                X, Y, Z = 0, 1, 0
+            else:  # the accumulator is P
+                X, Y, Z = double(X, Y, Z)
+        if not Z:
+            return None
+        zi = pow(Z, -1, q)
+        zi2 = zi * zi % q
+        return (X * zi2 % q, Y * zi2 * zi % q)
+
+    def scalar_mul(self, k, e):
+        self._check(e)
+        return self._wrap(self._mul(k % self.order, e.data))
 
     def _contains_data(self, data):
         if data is None:
@@ -402,7 +440,7 @@ class CurveGroup(CyclicGroup):
             return False
         if self.params.cofactor != 1:
             # point must land in the prime-order subgroup, not just on the curve
-            return self._unreduced_mul(self.order, data) is None
+            return self._mul(self.order, data) is None
         return True
 
     def _add(self, p1, p2):

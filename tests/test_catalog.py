@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from subgroupdlp.factoring import (FactoredInteger, factor,
 from subgroupdlp.field import parse_int
 from subgroupdlp.groups import CurveGroup, CurveParams, desk_curve
 from subgroupdlp.probability import int_log2
+from test_groups import P256
 
 ALL_NAMES = ("P-192", "P-224", "P-256", "P-384", "P-521")
 
@@ -212,6 +214,27 @@ def test_audit_point_form_matches_scalar_form():
             [e.status for e in scalar.entries]
         assert all(e.mechanism == "point" for e in point.entries)
         assert all(e.mechanism == "scalar" for e in scalar.entries)
+
+
+def test_audit_point_form_on_p256_matches_scalar_form():
+    rec = dataclasses.replace(load_builtin("P-256"), params=P256)
+    group = CurveGroup(P256)
+    rng = random.Random(256)
+    for d in (3, 16, 48, 71):
+        zeta = subgroup_generator(rec.p, d, factored=rec.factors).zeta.value
+        member = pow(zeta, rng.randrange(1, d), rec.p)
+        non_member = rng.randrange(2, rec.p)
+        assert pow(non_member, d, rec.p) != 1
+        for x, status in ((member, "member"), (non_member, "non-member")):
+            scalar = audit_key(rec, x=x, subgroups=(d,))
+            point = audit_key(rec, point=group.scalar_mul(x, group.generator),
+                              subgroups=(d,))
+            (s,), (p,) = scalar.entries, point.entries
+            assert (p.mechanism, s.mechanism) == ("point", "scalar")
+            assert p.status == s.status == status, (d, x)
+            assert p.steps == s.steps, (d, x)
+            if status == "non-member":
+                assert p.steps == theorem_budget(d)
 
 
 def test_audit_default_pair_on_p256_is_inconclusive():

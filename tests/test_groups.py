@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from subgroupdlp.catalog import load_builtin
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, CurveParams, MultiplicativeGroup,
                                 desk_curve, find_small_curve,
@@ -125,6 +126,81 @@ def test_doubling_point_with_zero_y():
     group = CurveGroup(params)
     P = group.generator
     assert P + P == group.identity
+
+
+# NIST P-256 (FIPS 186-4, D.1.2.3), as in bench/data/p256.curve.
+P256 = CurveParams(
+    q=int("11579208921035624876269744694940757353008614341529031419553363"
+          "1308867097853951"),
+    a=-3,
+    b=int("41058363725152142129326129780047268409114441015993725554835256"
+          "314039467401291"),
+    gx=int("4843956129390645175905258525279791420276294952604174799584408"
+           "0717082404635286"),
+    gy=int("3613425095674979579858512791958788195661110667298501507187719"
+           "8253568414405109"),
+    order=int("1157920892103562487626974469494075735299969552241357603424"
+              "22259061068512044369"),
+    cofactor=1, name="P-256")
+
+
+def reference_mul(group, k, P):
+    """k*P by double-and-add over the affine group law `add` alone."""
+    k %= group.order
+    result = group.identity
+    while k:
+        if k & 1:
+            result = group.add(result, P)
+        P = group.add(P, P)
+        k >>= 1
+    return result
+
+
+def test_scalar_mul_matches_affine_reference_on_desk_curve():
+    group = CurveGroup(DESK)
+    G = group.generator
+    n = group.order
+    for k in range(-n, 2 * n + 1):
+        assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
+    # the unreduced multiply behind construction and cofactor membership;
+    # k = n and k = n+2 reach the mixed additions R + P with R = -P and R = P
+    for k in range(3 * n + 1):
+        assert group._mul(k, G.data) == reference_mul(group, k, G).data, k
+    O = group.identity
+    assert group.scalar_mul(0, G) == O
+    assert group.scalar_mul(n, G) == O
+    assert group.scalar_mul(5, O) == O
+
+
+def test_scalar_mul_matches_affine_reference_on_p256():
+    rec = load_builtin("P-256")
+    assert (P256.order, P256.q) == (rec.p, rec.q)
+    group = CurveGroup(P256)
+    G = group.generator
+    rng = random.Random(256)
+    for _ in range(20):
+        k = rng.getrandbits(256)
+        assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
+    O = group.identity
+    assert group.scalar_mul(0, G) == O
+    assert group.scalar_mul(group.order, G) == O
+    assert group.scalar_mul(rng.getrandbits(256), O) == O
+    assert group.scalar_mul(group.order - 1, G) == -G
+
+
+def test_cofactor_membership_is_the_prime_order_subgroup():
+    # y^2 = x^3 + x over F_11 has 12 points; with order 2 and cofactor 6
+    # the subgroup is {O, (0, 0)}, and every other point must be refused
+    params = CurveParams(q=11, a=1, b=0, gx=0, gy=0, order=2, cofactor=6,
+                         name="order-2")
+    group = CurveGroup(params)
+    points = [(x, y) for x in range(11) for y in range(11)
+              if group._on_curve((x, y))]
+    assert len(points) == 11
+    members = [pt for pt in points if group._contains_data(pt)]
+    assert members == [(0, 0)]
+    with pytest.raises(ValueError):
+        group.element(points[-1])
 
 
 def test_encodings_injective_and_identity_distinguished():
