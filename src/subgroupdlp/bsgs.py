@@ -88,6 +88,26 @@ def theorem_budget(d):
     return 2 * (isqrt(d) + 2)
 
 
+class _Stopped(Exception):
+    """A sweep was cut short by cancellation or by the step cap."""
+
+
+def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
+    """Encodings of ratio^i * base for i = 0..n, one scalar multiply each.
+
+    Before each multiply it polls `should_stop` and then checks that fewer
+    than `cap` multiplies are done; either stop raises _Stopped.
+    """
+    t = 1
+    for i in range(n + 1):
+        if should_stop is not None and should_stop():
+            raise _Stopped
+        if cap is not None and i >= cap:
+            raise _Stopped
+        yield group.encode(group.scalar_mul(t, base))
+        t = t * ratio % p
+
+
 def giant_encodings(group, P, H):
     """Encodings of (zeta^n)^a * P for a = 0..n, plus the step count.
 
@@ -95,14 +115,7 @@ def giant_encodings(group, P, H):
     against re-randomized Q's can compute it once and share it.
     """
     n = isqrt(H.d) + 1
-    p = H.p
-    step = pow(H.zeta.value, n, p)
-    out = []
-    t = 1
-    for _ in range(n + 1):
-        out.append(group.encode(group.scalar_mul(t, P)))
-        t = t * step % p
-    return out, n + 1
+    return list(_sweep(group, P, pow(H.zeta.value, n, H.p), n, H.p)), n + 1
 
 
 def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
@@ -113,7 +126,8 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     number of scalar multiplications (the final verification multiply is
     not charged); `should_stop` is polled between steps for cooperative
     cancellation; `shared_giant` supplies precomputed giant encodings whose
-    cost was paid elsewhere.
+    cost was paid elsewhere, so only `should_stop` is polled while they
+    are scanned.
     """
     if H.p != instance.p:
         raise ValueError("subgroup lives mod %d, instance mod %d"
@@ -126,54 +140,34 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     d = H.d
     n = isqrt(d) + 1
     steps = 0
+    try:
+        # baby steps: zeta^b * Q, keyed by encoding, first b wins
+        table = {}
+        for b, key in enumerate(_sweep(group, instance.Q, zeta, n, p,
+                                       should_stop, step_cap)):
+            table.setdefault(key, b)
+            steps += 1
 
-    # baby steps: zeta^b * Q, keyed by encoding, first b wins
-    table = {}
-    s = 1
-    for b in range(n + 1):
-        if should_stop is not None and should_stop():
-            return Undecided(steps)
-        if step_cap is not None and steps >= step_cap:
-            return Undecided(steps)
-        table.setdefault(group.encode(group.scalar_mul(s, instance.Q)), b)
-        steps += 1
-        s = s * zeta % p
-
-    def attempt(a, b):
-        k = (a * n - b) % d
-        x = Residue(pow(zeta, k, p), p)
-        # soundness gate: accept only a re-verified exponent
-        if group.scalar_mul(x.value, instance.P) == instance.Q:
-            return Found(x=x, a=a, b=b, steps=steps)
-        return None
-
-    if shared_giant is not None:
-        for a, key in enumerate(shared_giant):
-            if should_stop is not None and should_stop():
+        # giant steps: (zeta^n)^a * P, scanned in increasing a
+        if shared_giant is None:
+            giant = _sweep(group, instance.P, pow(zeta, n, p), n, p,
+                           should_stop,
+                           None if step_cap is None else step_cap - steps)
+        else:
+            giant = shared_giant
+        for a, key in enumerate(giant):
+            if shared_giant is None:
+                steps += 1
+            elif should_stop is not None and should_stop():
                 return Undecided(steps)
             b = table.get(key)
             if b is not None:
-                hit = attempt(a, b)
-                if hit is not None:
-                    return hit
-        return NotInSubgroup(steps)
-
-    # giant steps: (zeta^n)^a * P, scanned in increasing a
-    zn = pow(zeta, n, p)
-    t = 1
-    for a in range(n + 1):
-        if should_stop is not None and should_stop():
-            return Undecided(steps)
-        if step_cap is not None and steps >= step_cap:
-            return Undecided(steps)
-        key = group.encode(group.scalar_mul(t, instance.P))
-        steps += 1
-        b = table.get(key)
-        if b is not None:
-            hit = attempt(a, b)
-            if hit is not None:
-                return hit
-        t = t * zn % p
+                x = pow(zeta, (a * n - b) % d, p)
+                # soundness gate: accept only a re-verified exponent
+                if group.scalar_mul(x, instance.P) == instance.Q:
+                    return Found(x=Residue(x, p), a=a, b=b, steps=steps)
+    except _Stopped:
+        return Undecided(steps)
     return NotInSubgroup(steps)
 
 

@@ -141,76 +141,58 @@ def cmd_solve(args):
 
     started = time.perf_counter()
     if args.m is None:
+        m = 1
         verdict = solve_in_subgroup(instance, H, step_cap=cap)
         elapsed = time.perf_counter() - started
         found = isinstance(verdict, Found)
-        est = estimate(p, H.d, 1)
-        if args.format == "csv":
-            _csv_row(
-                ["outcome", "x", "a", "b", "index", "steps", "d", "m", "p",
-                 "lower_bound", "exact"],
-                [type(verdict).__name__,
-                 verdict.x.value if found else None,
-                 verdict.a if found else None,
-                 verdict.b if found else None, None,
-                 verdict.steps, H.d, 1, p,
-                 repr(est.lower_bound), repr(est.exact)])
-        else:
-            print("group: %s (order %d)" % (group.kind, p))
-            print("subgroup: d = %d (log2 %.2f), zeta = %d"
-                  % (H.d, int_log2(H.d), H.zeta.value))
-            if found:
-                print("outcome: Found x = %d  (a = %d, b = %d)"
-                      % (verdict.x.value, verdict.a, verdict.b))
-            else:
-                print("outcome: %s" % type(verdict).__name__)
-            print("steps: %d scalar multiplications (budget %d)"
-                  % (verdict.steps, theorem_budget(H.d)))
-            print("single-draw success model: lower %.6g, exact %.6g"
-                  % (est.lower_bound, est.exact))
-            if args.count_ops:
-                print("measured ops: %d scalar_mul, %d add"
-                      % (group.scalar_muls, group.adds))
-            print("elapsed: %.3f s" % elapsed)
-        return 0 if found else 1
-
-    m = parse_int(args.m)
-    config = CampaignConfig(m=m, workers=args.workers, seed=args.seed,
-                            step_cap=cap)
-    result = randomized_solve(instance, H, config)
-    elapsed = time.perf_counter() - started
+        outcome, steps = type(verdict).__name__, verdict.steps
+        witness = ([verdict.x.value, verdict.a, verdict.b, None] if found
+                   else [None] * 4)
+        report = [
+            "outcome: Found x = %d  (a = %d, b = %d)"
+            % (verdict.x.value, verdict.a, verdict.b) if found
+            else "outcome: %s" % outcome,
+            "steps: %d scalar multiplications (budget %d)"
+            % (steps, theorem_budget(H.d))]
+        model = "single-draw success model: lower %.6g, exact %.6g"
+    else:
+        m = parse_int(args.m)
+        config = CampaignConfig(m=m, workers=args.workers, seed=args.seed,
+                                step_cap=cap)
+        result = randomized_solve(instance, H, config)
+        elapsed = time.perf_counter() - started
+        found, win = result.found, result.success
+        outcome = "Found" if found else "Failed"
+        steps = result.total_steps
+        witness = ([win.x.value, None, None, win.index] if found
+                   else [None] * 4)
+        report = [
+            "campaign: m = %d, workers = %d, seed = %d"
+            % (m, args.workers, args.seed),
+            "outcome: Found x = %d on thread %d (y = %d, z = %d)"
+            % (win.x.value, win.index, win.y.value, win.z.value) if found
+            else "outcome: Failed (no thread landed in the subgroup)",
+            "steps: %d total over %d threads (per-thread budget %d)"
+            % (steps, result.threads_run, theorem_budget(H.d))]
+        model = "predicted success: lower %.5f, exact %.5f"
     est = estimate(p, H.d, m)
     if args.format == "csv":
         _csv_row(
             ["outcome", "x", "a", "b", "index", "steps", "d", "m", "p",
              "lower_bound", "exact"],
-            ["Found" if result.found else "Failed",
-             result.success.x.value if result.found else None, None, None,
-             result.success.index if result.found else None,
-             result.total_steps, H.d, m, p,
-             repr(est.lower_bound), repr(est.exact)])
+            [outcome] + witness + [steps, H.d, m, p,
+                                   repr(est.lower_bound), repr(est.exact)])
     else:
         print("group: %s (order %d)" % (group.kind, p))
         print("subgroup: d = %d (log2 %.2f), zeta = %d"
               % (H.d, int_log2(H.d), H.zeta.value))
-        print("campaign: m = %d, workers = %d, seed = %d"
-              % (m, args.workers, args.seed))
-        if result.found:
-            s = result.success
-            print("outcome: Found x = %d on thread %d (y = %d, z = %d)"
-                  % (s.x.value, s.index, s.y.value, s.z.value))
-        else:
-            print("outcome: Failed (no thread landed in the subgroup)")
-        print("steps: %d total over %d threads (per-thread budget %d)"
-              % (result.total_steps, result.threads_run,
-                 theorem_budget(H.d)))
-        print("predicted success: lower %.5f, exact %.5f"
-              % (est.lower_bound, est.exact))
+        print("\n".join(report))
+        print(model % (est.lower_bound, est.exact))
         if args.count_ops:
             print("measured ops: %d scalar_mul, %d add"
                   % (group.scalar_muls, group.adds))
         print("elapsed: %.3f s" % elapsed)
-    return 0 if result.found else 1
+    return 0 if found else 1
 
 
 def cmd_prob_table(args):

@@ -111,7 +111,9 @@ class CyclicGroup:
         return GroupElement(self, data)
 
     def _check(self, element):
-        if not isinstance(element, GroupElement) or element.group != self:
+        # identity first: the structural != builds _key() tuples
+        if not isinstance(element, GroupElement) or (
+                element.group is not self and element.group != self):
             raise ValueError("element does not belong to this group")
 
     @property
@@ -130,7 +132,7 @@ class CyclicGroup:
 
     def contains(self, element):
         return (isinstance(element, GroupElement)
-                and element.group == self
+                and (element.group is self or element.group == self)
                 and self._contains_data(element.data))
 
     # -- group law ------------------------------------------------------------

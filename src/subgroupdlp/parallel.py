@@ -7,9 +7,11 @@ H yields x = z_i * y_i^{-1} mod p.  Per-thread work never exceeds the
 single-search budget, and the campaign succeeds as soon as some x * y_i
 falls in H -- which is what the probability model prices.
 
-Worker count is an execution detail: workers=1 replays the same campaign
-bit-for-bit (same multipliers, same step counts) for a fixed seed, while
-workers>1 shares a stop flag so the first verified hit cancels the rest.
+Worker count is an execution detail.  Threads are accounted in index
+order and the lowest-index verified hit wins; once it is taken, a shared
+stop flag cancels the threads above it, which are left out of the
+accounting.  So a fixed seed gives the same winner, x, threads_run,
+total_steps and per_thread_steps at any worker count.
 """
 
 import random
@@ -31,13 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs for one campaign: m threads, OS-level parallelism, seeding."""
+    """One campaign: m threads, OS-level parallelism, seeding, step cap.
+
+    `workers` sets how many threads run at once and nothing else; the
+    result does not depend on it.  `step_cap` bounds each thread's search.
+    """
 
     m: int
     workers: int = 1
     seed: int = 0
     step_cap: int = None
-    share_giant: bool = True
 
     def __post_init__(self):
         if self.m < 1:
@@ -60,11 +65,13 @@ class CampaignSuccess:
 class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
-    total_steps counts constrained-search scalar multiplications (baby and
-    giant steps, including a shared giant precomputation); it respects
-    total_steps <= m * theorem_budget(d).  The m re-randomization multiplies
-    Q_i = y_i*Q and the final verification are tallied in overhead_muls.
-    per_thread_steps has one entry per thread actually run.
+    total_steps counts constrained-search scalar multiplications: the
+    giant sweep, computed once and shared by every thread, plus each
+    accounted thread's baby steps; it respects
+    total_steps <= m * theorem_budget(d).  The re-randomization multiplies
+    Q_i = y_i*Q of the accounted threads and the final verification are
+    tallied in overhead_muls.  Threads 0..winner (all m on a failed
+    campaign) are accounted, and per_thread_steps has one entry for each.
     """
 
     success: object = None
@@ -96,12 +103,13 @@ def _recover(instance, y, z):
 
 
 def randomized_solve(instance, H, config, progress=None):
-    """Run an m-thread campaign; first verified hit wins.
+    """Run an m-thread campaign; the lowest-index verified hit wins.
 
     Returns a CampaignResult whose success is None when every thread
-    reported NotInSubgroup (or hit its step cap).  `progress`, if given,
-    is called as progress(threads_finished, steps_so_far) after each
-    thread completes.
+    reported NotInSubgroup (or hit its step cap).  Verdicts are taken in
+    thread-index order, so the result is the same at any worker count.
+    `progress`, if given, is called as progress(threads_finished,
+    steps_so_far) after each thread is accounted.
     """
     if H.p != instance.p:
         raise ValueError("subgroup lives mod %d, instance mod %d"
@@ -110,66 +118,46 @@ def randomized_solve(instance, H, config, progress=None):
         raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
     group = instance.group
     ys = draw_multipliers(instance.p, config.m, config.seed)
-    result = CampaignResult()
+    shared, setup_steps = giant_encodings(group, instance.P, H)
+    result = CampaignResult(total_steps=setup_steps)
+    stop = threading.Event()
 
-    shared = None
-    if config.share_giant:
-        shared, setup_steps = giant_encodings(group, instance.P, H)
-        result.total_steps += setup_steps
-
-    def run_thread(i, should_stop=None):
+    def run_thread(i):
         Q_i = group.scalar_mul(ys[i], instance.Q)
         sub = DlpInstance(group=group, P=instance.P, Q=Q_i, p=instance.p)
-        verdict = solve_in_subgroup(sub, H, step_cap=config.step_cap,
-                                    should_stop=should_stop,
-                                    shared_giant=shared)
-        return verdict
+        return solve_in_subgroup(sub, H, step_cap=config.step_cap,
+                                 should_stop=stop.is_set,
+                                 shared_giant=shared)
 
-    if config.workers == 1:
-        for i in range(config.m):
-            verdict = run_thread(i)
-            result.threads_run += 1
-            result.overhead_muls += 1  # forming Q_i
-            result.total_steps += verdict.steps
-            result.per_thread_steps.append(verdict.steps)
-            if progress is not None:
-                progress(result.threads_run, result.total_steps)
-            if isinstance(verdict, Found):
-                result.overhead_muls += 1  # final verification
-                result.success = CampaignSuccess(
-                    x=_recover(instance, ys[i], verdict.x),
-                    index=i, y=Residue(ys[i], instance.p), z=verdict.x)
-                break
-        return result
-
-    stop = threading.Event()
-    lock = threading.Lock()
-    winner = [None]
-
-    def worker(i):
-        if stop.is_set():
-            return None
-        verdict = run_thread(i, should_stop=stop.is_set)
-        with lock:
-            result.threads_run += 1
-            result.overhead_muls += 1
-            result.total_steps += verdict.steps
-            result.per_thread_steps.append(verdict.steps)
-            if isinstance(verdict, Found) and winner[0] is None:
-                winner[0] = (i, verdict)
-                stop.set()
-            if progress is not None:
-                progress(result.threads_run, result.total_steps)
-        return None
-
+    # Threads i+1 .. i+workers-1 run ahead in the pool while thread i is
+    # taken: from the pool if it was handed there, else run right here.  So
+    # at most `workers` threads are in flight, workers=1 never leaves the
+    # calling thread, and a hit at index i cancels only threads above i,
+    # which are never accounted.
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        list(pool.map(worker, range(config.m)))
-    if winner[0] is not None:
-        i, verdict = winner[0]
-        result.overhead_muls += 1
-        result.success = CampaignSuccess(
-            x=_recover(instance, ys[i], verdict.x),
-            index=i, y=Residue(ys[i], instance.p), z=verdict.x)
+        ahead, started = {}, 0
+        try:
+            for i in range(config.m):
+                started = max(started, i + 1)
+                while started < min(i + config.workers, config.m):
+                    ahead[started] = pool.submit(run_thread, started)
+                    started += 1
+                future = ahead.pop(i, None)
+                verdict = run_thread(i) if future is None else future.result()
+                result.threads_run += 1
+                result.overhead_muls += 1  # forming Q_i
+                result.total_steps += verdict.steps
+                result.per_thread_steps.append(verdict.steps)
+                if progress is not None:
+                    progress(result.threads_run, result.total_steps)
+                if isinstance(verdict, Found):
+                    result.overhead_muls += 1  # final verification
+                    result.success = CampaignSuccess(
+                        x=_recover(instance, ys[i], verdict.x),
+                        index=i, y=Residue(ys[i], instance.p), z=verdict.x)
+                    break
+        finally:
+            stop.set()  # threads still in flight give up at their next poll
     return result
 
 

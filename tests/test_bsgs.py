@@ -112,6 +112,56 @@ def test_backends_agree_on_verdicts():
                 assert (r1.x, r1.a, r1.b) == (r2.x, r2.a, r2.b)
 
 
+def _backends_of_order_1999():
+    # the desk curve has order 1999, and 1999 | 19991 - 1
+    return (AdditiveOracleGroup(1999),
+            MultiplicativeGroup.subgroup_of_units(19991, 1999),
+            CurveGroup(desk_curve()))
+
+
+def test_backends_agree_on_every_subgroup_of_order_1999():
+    """Same (d, x, cap) gives the same verdict dataclass on all backends."""
+    p = 1999  # p - 1 = 2 * 3^3 * 37: sixteen subgroups
+    groups = _backends_of_order_1999()
+    f = factor(p - 1)
+    rng = random.Random(1999)
+    for d in divisors(f):
+        H = subgroup_generator(p, d, factored=f)
+        members = H.elements()
+        planted = [pow(H.zeta.value, rng.randrange(d), p) for _ in range(6)]
+        outside = [x for x in (rng.randrange(2, p - 1) for _ in range(30))
+                   if x not in members][:6]
+        for x in [1, p - 1] + planted + outside:
+            instances = [DlpInstance.from_secret(g, x) for g in groups]
+            for cap in (None, 0, 3):
+                oracle, mult, curve = (solve_in_subgroup(i, H, step_cap=cap)
+                                       for i in instances)
+                assert oracle == mult == curve, (d, x, cap)
+                if cap is None:
+                    assert isinstance(oracle, Found) == (x in members)
+
+
+def test_backends_agree_at_the_edges():
+    p = 1999
+    f = factor(p - 1)
+    trivial = subgroup_generator(p, 1, factored=f)
+    everything = subgroup_generator(p, p - 1, factored=f)
+    for group in _backends_of_order_1999():
+        one, minus_one = _instance(group, 1), _instance(group, p - 1)
+        assert solve_in_subgroup(one, trivial) == Found(
+            x=Residue(1, p), a=0, b=0, steps=4)
+        assert solve_in_subgroup(minus_one, trivial) == NotInSubgroup(
+            steps=theorem_budget(1))
+        found = solve_in_subgroup(minus_one, everything)
+        assert isinstance(found, Found) and found.x == Residue(p - 1, p)
+        assert found.steps <= theorem_budget(p - 1)
+        for H in (trivial, everything):
+            assert solve_in_subgroup(one, H, should_stop=lambda: True) == \
+                Undecided(steps=0)
+            assert solve_in_subgroup(minus_one, H, step_cap=0) == \
+                Undecided(steps=0)
+
+
 def test_curve_group_membership():
     group = CurveGroup(desk_curve())
     p = group.order  # 1999; p-1 = 2 * 3^3 * 37
@@ -160,6 +210,14 @@ def test_should_stop_cancellation():
                                should_stop=stop_after_six)
     assert isinstance(result, Undecided)
     assert result.steps == 6
+    # shared giant keys are polled too, but neither charged nor capped
+    keys, _ = giant_encodings(G31, G31.generator, H5)
+    polls[0] = 0
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=keys,
+                             should_stop=stop_after_six) == Undecided(steps=4)
+    assert polls[0] == 7
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=keys,
+                             step_cap=4) == NotInSubgroup(steps=4)
 
 
 def test_shared_giant_encodings():

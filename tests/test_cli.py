@@ -129,9 +129,16 @@ def test_solve_campaign_outcomes(run):
 def test_solve_campaign_workers_same_result(run):
     base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
             "--m", "8", "--seed", "3")
-    code1 = run(*base)[0]
-    code2 = run(*base, "--workers", "4")[0]
+    code1, out1, _ = run(*base)
+    code2, out2, _ = run(*base, "--workers", "4")
     assert code1 == code2
+
+    def report(out):  # only the campaign: and elapsed: lines may differ
+        return [line for line in out.splitlines()
+                if not line.startswith(("campaign:", "elapsed:"))]
+
+    assert report(out1) == report(out2)
+    assert "workers = 4" in out2
 
 
 def test_solve_degenerate_exponent(run):

@@ -63,6 +63,18 @@ def test_multiplicative_group_wraps_exponentiation():
     assert g.contains(x) and not g.contains(AdditiveOracleGroup(113).element(5))
 
 
+def test_elements_of_an_equal_group_object_are_accepted():
+    g, twin, other = (AdditiveOracleGroup(113), AdditiveOracleGroup(113),
+                      AdditiveOracleGroup(109))
+    x = twin.element(5)
+    assert twin is not g and twin == g
+    assert g.contains(x) and g.add(x, g.generator) == g.element(6)
+    assert g.encode(x) == twin.encode(x)
+    assert not g.contains(other.element(5))
+    with pytest.raises(ValueError):
+        g.add(other.element(5), g.generator)
+
+
 def test_multiplicative_group_validation():
     with pytest.raises(ValueError):
         MultiplicativeGroup(227, 4, 109)       # 109 does not divide 226
