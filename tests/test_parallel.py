@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from subgroupdlp.bsgs import DegenerateKeyError, DlpInstance, theorem_budget
+from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
+                              NotInSubgroup, solve_in_subgroup,
+                              theorem_budget)
 from subgroupdlp.factoring import SubgroupSpec, subgroup_generator
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
@@ -72,6 +74,36 @@ def test_failed_campaign_work_accounting():
     assert result.total_steps == 3 * n_plus_1
     assert result.total_steps <= 2 * theorem_budget(256)
     assert result.overhead_muls == 2  # only the two Q_i formations
+
+
+def test_share_giant_does_not_change_verdicts():
+    # a campaign shares one giant sweep; each thread solved on its own, with
+    # its giant sweep computed, must reach the same verdicts
+    p = 65537
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 999)
+    H = subgroup_generator(p, 4096)
+    half = theorem_budget(4096) // 2  # n + 1 multiplies per sweep
+    for seed in (0, 1, 2, 3, 11):  # seeds 0 and 11 find x
+        shared = randomized_solve(instance, H, CampaignConfig(m=4, seed=seed))
+        alone = []
+        for y in draw_multipliers(p, 4, seed):
+            Q_i = instance.group.scalar_mul(y, instance.Q)
+            alone.append(solve_in_subgroup(
+                DlpInstance(group=instance.group, P=instance.P, Q=Q_i, p=p),
+                H))
+        hits = [i for i, v in enumerate(alone) if isinstance(v, Found)]
+        assert shared.found == bool(hits)
+        assert shared.threads_run == (hits[0] + 1 if hits else 4)
+        if hits:
+            assert shared.success.index == hits[0]
+            assert shared.success.z == alone[hits[0]].x
+        for verdict, steps in zip(alone, shared.per_thread_steps):
+            assert steps == half  # the baby sweep only
+            if isinstance(verdict, NotInSubgroup):
+                assert verdict.steps == steps + half
+        budget = shared.threads_run * theorem_budget(4096)
+        assert shared.total_steps <= budget
+        assert all(v.steps <= theorem_budget(4096) for v in alone)
 
 
 def test_multi_worker_agrees_with_sequential():
