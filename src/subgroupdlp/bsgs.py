@@ -95,9 +95,12 @@ class _Stopped(Exception):
 def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
     """Encodings of ratio^i * base for i = 0..n, one scalar multiply each.
 
-    Before each multiply it polls `should_stop` and then checks that fewer
-    than `cap` multiplies are done; either stop raises _Stopped.
+    Every multiply is by the same point, so the group prepares it once
+    (`fixed_base`).  Before each multiply it polls `should_stop` and then
+    checks that fewer than `cap` multiplies are done; either stop raises
+    _Stopped.
     """
+    base = group.fixed_base(base)
     t = 1
     for i in range(n + 1):
         if should_stop is not None and should_stop():

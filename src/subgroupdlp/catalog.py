@@ -15,11 +15,16 @@ Only P-256's field prime q is on record; none of the records carry
 Weierstrass coefficients, so point-form audits of real keys need an
 external curve file, while scalar-form audits (x supplied directly) work
 from the record alone.
+
+A record derives its validated curve group and the primitive root of
+(Z/pZ)* once, on first use, so repeated audits against one record pay for
+neither again.
 """
 
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
@@ -45,7 +50,9 @@ class CurveRecord:
     """Audit-relevant constants for one curve.
 
     q is the field prime when known (None otherwise); params is an optional
-    CurveParams for point arithmetic, never set on built-ins.
+    CurveParams for point arithmetic, never set on built-ins.  `group` and
+    `primitive_root` are derived on first use and kept for the life of the
+    record; `dataclasses.replace` gives a record that derives them anew.
     """
 
     name: str
@@ -55,6 +62,16 @@ class CurveRecord:
     d2: int
     q: int = None
     params: object = None
+
+    @cached_property
+    def group(self):
+        """The validated CurveGroup of `params` (ValueError if invalid)."""
+        return CurveGroup(self.params)
+
+    @cached_property
+    def primitive_root(self):
+        """A generator of (Z/pZ)*, from the listed factors of p-1."""
+        return find_primitive_root(self.p, self.factors)
 
 
 def _fi(p, factors):
@@ -219,7 +236,7 @@ def verify_record(rec):
         check("field prime q is prime", is_probable_prime(rec.q))
     if rec.params is not None:
         try:
-            ok = (rec.params.order == rec.p) and bool(CurveGroup(rec.params))
+            ok = (rec.params.order == rec.p) and bool(rec.group)
             check("curve params match record", ok)
         except ValueError as e:
             check("curve params match record", False, str(e))
@@ -290,7 +307,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
             raise ValueError(
                 "record %s has no curve parameters; point-form audit needs "
                 "a curve file" % rec.name)
-        group = CurveGroup(rec.params)
+        group = rec.group
         instance = DlpInstance(group=group, P=group.generator, Q=point,
                                p=rec.p)
         mechanism = "point"
@@ -302,7 +319,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                                Q=group.element(x % rec.p), p=rec.p)
         mechanism = "scalar"
 
-    root = find_primitive_root(rec.p, rec.factors)
+    root = rec.primitive_root
     entries = []
     member_seen = False
     ran_any = False

@@ -291,8 +291,7 @@ def cmd_keycheck(args):
     else:
         if record.params is None:
             raise CommandError("point-form keycheck needs --group-file")
-        group = CurveGroup(record.params)
-        point = _parse_element(group, args.q)
+        point = _parse_element(record.group, args.q)
         report = audit_key(record, point=point, subgroups=subgroups,
                            budget=budget)
     if args.format == "csv":

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from subgroupdlp import catalog
 from subgroupdlp.bsgs import DegenerateKeyError, theorem_budget
 from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
                                  CurveRecord, audit_key, builtin_names,
@@ -15,7 +16,8 @@ from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
 from subgroupdlp.factoring import (FactoredInteger, factor,
                                    find_primitive_root, subgroup_generator)
 from subgroupdlp.field import parse_int
-from subgroupdlp.groups import CurveGroup, CurveParams, desk_curve
+from subgroupdlp.groups import (CountingGroup, CurveGroup, CurveParams,
+                                desk_curve)
 from subgroupdlp.probability import int_log2
 from test_groups import P256
 
@@ -235,6 +237,45 @@ def test_audit_point_form_on_p256_matches_scalar_form():
             assert p.steps == s.steps, (d, x)
             if status == "non-member":
                 assert p.steps == theorem_budget(d)
+
+
+def test_point_audits_derive_group_and_root_once_per_record(monkeypatch):
+    params = desk_curve()
+    rec = record_from_params(params, factor(params.order - 1))
+    group = CurveGroup(params)
+    zeta = subgroup_generator(rec.p, 37, factored=rec.factors).zeta.value
+    points = [group.scalar_mul(x, group.generator)
+              for x in (pow(zeta, 11, rec.p), 5, 1998, pow(zeta, 2, rec.p))]
+    built, roots = [], []
+
+    def counted_group(curve):
+        built.append(curve)
+        return CountingGroup(CurveGroup(curve))
+
+    def counted_root(p, factors):
+        roots.append(p)
+        return find_primitive_root(p, factors)
+
+    monkeypatch.setattr(catalog, "CurveGroup", counted_group)
+    monkeypatch.setattr(catalog, "find_primitive_root", counted_root)
+    charged = 0
+    for point in points:
+        report = audit_key(rec, point=point)
+        # every sweep step is one counted multiply, plus the re-verification
+        # of each hit; building comb tables is not counted
+        charged += sum(e.steps + (e.status == "member")
+                       for e in report.entries)
+    assert verify_record(rec).passed
+    assert (len(built), len(roots)) == (1, 1)
+    assert rec.group.scalar_muls == charged > 0
+    # a replaced record derives (and validates) both again
+    fresh = dataclasses.replace(rec)
+    assert audit_key(fresh, point=points[0]) == audit_key(rec, point=points[0])
+    assert (len(built), len(roots)) == (2, 2)
+    assert fresh.group is not rec.group
+    bad = dataclasses.replace(rec, params=dataclasses.replace(params, gy=1))
+    with pytest.raises(ValueError):
+        audit_key(bad, point=points[0])
 
 
 def test_audit_default_pair_on_p256_is_inconclusive():

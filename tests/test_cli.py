@@ -294,6 +294,24 @@ def test_keycheck_point_form(run, tmp_path):
     assert "[point]" in out
 
 
+def test_keycheck_point_form_builds_one_group(run, tmp_path, monkeypatch):
+    params = desk_curve()
+    path = tmp_path / "desk.curve"
+    path.write_text(format_curve_params(params))
+    built = []
+    real_init = CurveGroup.__init__
+
+    def counting_init(self, curve):
+        built.append(curve)
+        real_init(self, curve)
+
+    monkeypatch.setattr(CurveGroup, "__init__", counting_init)
+    code, out, _ = run("keycheck", "--group-file", str(path),
+                       "--q", "%d,%d" % (params.gx, params.gy))
+    assert code == 0 and "recommendation: discard" in out  # x = 1
+    assert built == [params]
+
+
 def test_keycheck_csv(run):
     code, out, _ = run("keycheck", "--curve", "P-256", "--x", "1",
                        "--d", "16", "--format", "csv")

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from subgroupdlp.catalog import load_builtin
-from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
-                                CurveGroup, CurveParams, MultiplicativeGroup,
-                                desk_curve, find_small_curve,
-                                format_curve_params, implicit_equal,
-                                load_curve_file, parse_curve_params)
+from subgroupdlp.groups import (COMB_TEETH, AdditiveOracleGroup,
+                                CountingGroup, CurveGroup, CurveParams,
+                                MultiplicativeGroup, desk_curve,
+                                find_small_curve, format_curve_params,
+                                implicit_equal, load_curve_file,
+                                parse_curve_params)
 
 
 def test_oracle_group_is_transparent():
@@ -198,6 +199,79 @@ def test_scalar_mul_matches_affine_reference_on_p256():
     assert group.scalar_mul(group.order, G) == O
     assert group.scalar_mul(rng.getrandbits(256), O) == O
     assert group.scalar_mul(group.order - 1, G) == -G
+
+
+def comb_agrees_with_plain_multiply(group, base, scalars):
+    """The comb table of `base` against the plain multiply `_mul`."""
+    comb = group.fixed_base(base)
+    assert comb == base and hash(comb) == hash(base)
+    assert len(comb.table) == 1 << COMB_TEETH
+    for k in scalars:
+        assert group.scalar_mul(k, comb).data == \
+            group._mul(k % group.order, base.data), k
+    return comb
+
+
+def test_comb_matches_plain_multiply_on_desk_curve():
+    group = CurveGroup(DESK)
+    G = group.generator
+    rng = random.Random(5)
+    bases = [G, -G] + [group.scalar_mul(rng.randrange(2, group.order), G)
+                       for _ in range(4)]
+    for base in bases:
+        comb_agrees_with_plain_multiply(
+            group, base, range(-3, group.order + 3))
+
+
+# Points of prime order 2..13 on curves over F_11: (a, b, x, y, order,
+# cofactor).  The comb's table holds (sum of 2^(i*w) over the bits of j)
+# times the base, so for orders this small its sums wrap: entries repeat
+# and some are the identity, which reaches the doubling and identity
+# branches of the table's additions.
+SMALL_ORDER_POINTS = (
+    (1, 0, 0, 0, 2, 6), (1, 0, 5, 3, 3, 4), (2, 5, 8, 4, 5, 2),
+    (1, 1, 0, 1, 7, 2), (1, 5, 0, 4, 11, 1), (3, 2, 2, 4, 13, 1),
+)
+
+
+@pytest.mark.parametrize("a,b,x,y,order,cofactor", SMALL_ORDER_POINTS)
+def test_comb_matches_plain_multiply_when_table_sums_collide(
+        a, b, x, y, order, cofactor):
+    params = CurveParams(q=11, a=a, b=b, gx=x, gy=y, order=order,
+                         cofactor=cofactor, name="order-%d" % order)
+    group = CurveGroup(params)
+    comb = comb_agrees_with_plain_multiply(
+        group, group.generator, range(-2 * order, 3 * order))
+    entries = comb.table[1:]
+    assert None in entries or len(set(entries)) < len(entries)
+
+
+def test_comb_matches_plain_multiply_on_p256():
+    group = CurveGroup(P256)
+    G = group.generator
+    rng = random.Random(2560)
+    base = group.scalar_mul(rng.getrandbits(256), G)
+    for point in (G, base):
+        comb_agrees_with_plain_multiply(
+            group, point, [rng.getrandbits(256) for _ in range(20)]
+            + [0, 1, group.order - 1, group.order])
+
+
+def test_fixed_base_of_the_identity_and_other_backends():
+    group = CurveGroup(DESK)
+    O = group.identity
+    assert group.fixed_base(O) is O
+    assert group.scalar_mul(7, group.fixed_base(O)) == O
+    for other in (AdditiveOracleGroup(31), MultiplicativeGroup(23, 2, 11)):
+        e = other.generator
+        assert other.fixed_base(e) is e
+    with pytest.raises(ValueError):
+        group.fixed_base(AdditiveOracleGroup(31).generator)
+    counter = CountingGroup(group)
+    comb = counter.fixed_base(group.generator)
+    assert counter.scalar_muls == 0 and len(comb.table) == 1 << COMB_TEETH
+    assert counter.scalar_mul(5, comb) == group.scalar_mul(5, group.generator)
+    assert counter.scalar_muls == 1
 
 
 def test_cofactor_membership_is_the_prime_order_subgroup():
