@@ -3,15 +3,19 @@
 Setting: Q = x*P in a group of prime order p, and H is the order-d
 subgroup of (Z/pZ)* generated by zeta, for some divisor d | p-1.  Writing
 n = isqrt(d) + 1, any x = zeta^k in H satisfies k = a*n - b with
-0 <= a, b <= n, so
+0 <= a <= n and 0 <= b <= n-1, so
 
-    zeta^b * Q  ==  (zeta^n)^a * P     for some a, b in [0, n].
+    zeta^b * Q  ==  (zeta^n)^a * P     for some such a, b.
 
-The solver tabulates the left side (baby steps), sweeps the right side
-(giant steps), and on a table hit recovers x = zeta^(a*n-b mod d).  Both
-phases cost at most n+1 scalar multiplications each, i.e. about 2*sqrt(d)
-group operations to decide x in H -- with a certificate when it is, and a
-sound "no" when it is not.  Membership of x in H never requires knowing x.
+The solver tabulates the right side (giant steps, keyed by encoding) and
+streams the left side (baby steps) against it; on a table hit it recovers
+x = zeta^(a*n-b mod d) and accepts it only after re-verifying x*P == Q.
+The giant table costs n+1 scalar multiplications and depends only on
+(group, P, H), so campaigns and repeated audits build it once and share
+it; each baby sweep then needs O(1) memory and at most n+1 multiplies.
+In all, about 2*sqrt(d) group operations decide x in H -- with a
+certificate when it is, and a sound "no" when it is not.  Membership of x
+in H never requires knowing x.
 """
 
 from dataclasses import dataclass
@@ -89,7 +93,10 @@ def theorem_budget(d):
 
 
 class _Stopped(Exception):
-    """A sweep was cut short by cancellation or by the step cap."""
+    """A sweep was cut short by cancellation or by the step cap.
+
+    args[0] is the number of multiplies that sweep had done.
+    """
 
 
 def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
@@ -98,39 +105,56 @@ def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
     Every multiply is by the same point, so the group prepares it once
     (`fixed_base`).  Before each multiply it polls `should_stop` and then
     checks that fewer than `cap` multiplies are done; either stop raises
-    _Stopped.
+    _Stopped(i).
     """
     base = group.fixed_base(base)
     t = 1
     for i in range(n + 1):
         if should_stop is not None and should_stop():
-            raise _Stopped
+            raise _Stopped(i)
         if cap is not None and i >= cap:
-            raise _Stopped
+            raise _Stopped(i)
         yield group.encode(group.scalar_mul(t, base))
         t = t * ratio % p
 
 
-def giant_encodings(group, P, H):
-    """Encodings of (zeta^n)^a * P for a = 0..n, plus the step count.
+def giant_encodings(group, P, H, should_stop=None, cap=None):
+    """The giant table of (group, P, H) and the n+1 multiplies it cost.
 
-    The giant sweep depends only on (group, P, H), so parallel campaigns
-    against re-randomized Q's can compute it once and share it.
+    The table maps the encoding of (zeta^n)^a * P to a, for a = 0..n.  A
+    key met again (zeta^n has order <= n, or a spec's zeta does not have
+    the order it claims) keeps every a, as a tuple in increasing order, so
+    a candidate that fails verification does not hide the next one.  The
+    table depends only on (group, P, H), so campaigns against
+    re-randomized Q's and repeated audits of one record build it once and
+    pass it to `solve_in_subgroup` as `shared_giant`.  `should_stop` and
+    `cap` stop the build as in `_sweep`.
     """
     n = isqrt(H.d) + 1
-    return list(_sweep(group, P, pow(H.zeta.value, n, H.p), n, H.p)), n + 1
+    table = {}
+    for a, key in enumerate(_sweep(group, P, pow(H.zeta.value, n, H.p), n,
+                                   H.p, should_stop, cap)):
+        if table.setdefault(key, a) != a:
+            first = table[key]
+            table[key] = (first if type(first) is tuple else (first,)) + (a,)
+    return table, n + 1
 
 
 def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
                       shared_giant=None):
     """Decide whether the hidden exponent lies in H, recovering it if so.
 
+    Builds the giant table (n+1 multiplies), then streams the baby steps
+    zeta^b * Q for b = 0, 1, ... against it and stops at the first hit
+    that verifies.  A member's first verified hit has b <= n-1, so the
+    search plus its verify multiply stays within theorem_budget(d).
+
     Returns Found / NotInSubgroup / Undecided.  `step_cap` bounds the
-    number of scalar multiplications (the final verification multiply is
-    not charged); `should_stop` is polled between steps for cooperative
-    cancellation; `shared_giant` supplies precomputed giant encodings whose
-    cost was paid elsewhere, so only `should_stop` is polled while they
-    are scanned.
+    number of scalar multiplications (the verification multiplies are not
+    charged); `should_stop` is polled before every multiply for
+    cooperative cancellation.  `shared_giant` is a table from
+    `giant_encodings` whose cost was paid elsewhere: the solve then runs
+    only the baby sweep, and `steps` and `step_cap` count baby steps only.
     """
     if H.p != instance.p:
         raise ValueError("subgroup lives mod %d, instance mod %d"
@@ -138,40 +162,29 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     if instance.Q.is_identity():
         raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
     group = instance.group
-    p = instance.p
+    P, Q, p = instance.P, instance.Q, instance.p
     zeta = H.zeta.value
     d = H.d
     n = isqrt(d) + 1
-    steps = 0
+    table, giant_steps = shared_giant, 0
     try:
-        # baby steps: zeta^b * Q, keyed by encoding, first b wins
-        table = {}
-        for b, key in enumerate(_sweep(group, instance.Q, zeta, n, p,
-                                       should_stop, step_cap)):
-            table.setdefault(key, b)
-            steps += 1
-
-        # giant steps: (zeta^n)^a * P, scanned in increasing a
-        if shared_giant is None:
-            giant = _sweep(group, instance.P, pow(zeta, n, p), n, p,
-                           should_stop,
-                           None if step_cap is None else step_cap - steps)
-        else:
-            giant = shared_giant
-        for a, key in enumerate(giant):
-            if shared_giant is None:
-                steps += 1
-            elif should_stop is not None and should_stop():
-                return Undecided(steps)
-            b = table.get(key)
-            if b is not None:
-                x = pow(zeta, (a * n - b) % d, p)
-                # soundness gate: accept only a re-verified exponent
-                if group.scalar_mul(x, instance.P) == instance.Q:
-                    return Found(x=Residue(x, p), a=a, b=b, steps=steps)
-    except _Stopped:
-        return Undecided(steps)
-    return NotInSubgroup(steps)
+        if table is None:
+            table, giant_steps = giant_encodings(group, P, H, should_stop,
+                                                 step_cap)
+        cap = None if step_cap is None else step_cap - giant_steps
+        for b, key in enumerate(_sweep(group, Q, zeta, n, p,
+                                       should_stop, cap)):
+            hit = table.get(key)
+            if hit is not None:
+                for a in hit if type(hit) is tuple else (hit,):
+                    x = pow(zeta, (a * n - b) % d, p)
+                    # soundness gate: accept only a re-verified exponent
+                    if group.scalar_mul(x, P) == Q:
+                        return Found(x=Residue(x, p), a=a, b=b,
+                                     steps=giant_steps + b + 1)
+    except _Stopped as stopped:
+        return Undecided(giant_steps + stopped.args[0])
+    return NotInSubgroup(giant_steps + n + 1)
 
 
 def membership_only(instance, H):

@@ -16,9 +16,10 @@ Weierstrass coefficients, so point-form audits of real keys need an
 external curve file, while scalar-form audits (x supplied directly) work
 from the record alone.
 
-A record derives its validated curve group and the primitive root of
-(Z/pZ)* once, on first use, so repeated audits against one record pay for
-neither again.
+A record derives its validated curve group, its oracle group for
+scalar-form audits, the primitive root of (Z/pZ)* and the giant table of
+each audited subgroup once, on first use, so repeated audits against one
+record pay for none of them again.
 """
 
 import csv
@@ -28,7 +29,7 @@ from functools import cached_property
 from math import gcd
 
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
-                   solve_in_subgroup, theorem_budget)
+                   giant_encodings, solve_in_subgroup, theorem_budget)
 from .factoring import (FactoredInteger, find_primitive_root,
                         subgroup_generator)
 from .field import is_probable_prime
@@ -50,9 +51,10 @@ class CurveRecord:
     """Audit-relevant constants for one curve.
 
     q is the field prime when known (None otherwise); params is an optional
-    CurveParams for point arithmetic, never set on built-ins.  `group` and
-    `primitive_root` are derived on first use and kept for the life of the
-    record; `dataclasses.replace` gives a record that derives them anew.
+    CurveParams for point arithmetic, never set on built-ins.  `group`,
+    `oracle_group`, `primitive_root` and the giant tables (`giant_table`)
+    are derived on first use and kept for the life of the record;
+    `dataclasses.replace` gives a record that derives them anew.
     """
 
     name: str
@@ -69,9 +71,32 @@ class CurveRecord:
         return CurveGroup(self.params)
 
     @cached_property
+    def oracle_group(self):
+        """The AdditiveOracleGroup mod p in which scalar-form audits search."""
+        return AdditiveOracleGroup(self.p)
+
+    @cached_property
     def primitive_root(self):
         """A generator of (Z/pZ)*, from the listed factors of p-1."""
         return find_primitive_root(self.p, self.factors)
+
+    @cached_property
+    def _giant_tables(self):
+        return {}
+
+    def giant_table(self, mechanism, H):
+        """(table, cost) from `giant_encodings` for `mechanism`'s group and H.
+
+        `mechanism` is "point" (the curve group) or "scalar" (the oracle
+        group); H must come from `primitive_root`, so (mechanism, H.d)
+        names the table.  Built on the first audit of that pair.
+        """
+        key = (mechanism, H.d)
+        if key not in self._giant_tables:
+            group = self.group if mechanism == "point" else self.oracle_group
+            self._giant_tables[key] = giant_encodings(group, group.generator,
+                                                      H)
+        return self._giant_tables[key]
 
 
 def _fi(p, factors):
@@ -245,7 +270,13 @@ def verify_record(rec):
 
 @dataclass(frozen=True)
 class SubgroupCheck:
-    """Membership verdict for one subgroup order d."""
+    """Membership verdict for one subgroup order d.
+
+    `steps` is the search's logical cost: the giant table's n+1
+    multiplies plus the baby steps taken, so a non-member reads
+    theorem_budget(d).  The table is built once per record and d and
+    shared by later audits, which do only the baby steps.
+    """
 
     d: int
     log2_d: float
@@ -314,7 +345,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
     else:
         if x % rec.p == 0:
             raise DegenerateKeyError("x = 0 mod p has no unit representative")
-        group = AdditiveOracleGroup(rec.p)
+        group = rec.oracle_group
         instance = DlpInstance(group=group, P=group.generator,
                                Q=group.element(x % rec.p), p=rec.p)
         mechanism = "scalar"
@@ -332,7 +363,9 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                 mechanism=mechanism))
             continue
         H = subgroup_generator(rec.p, d, generator=root)
-        verdict = solve_in_subgroup(instance, H, step_cap=budget)
+        giant, giant_steps = rec.giant_table(mechanism, H)
+        verdict = solve_in_subgroup(instance, H, step_cap=budget - giant_steps,
+                                    shared_giant=giant)
         if isinstance(verdict, Found):
             status = "member"
             member_seen = True
@@ -343,7 +376,8 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         ran_any = True
         entries.append(SubgroupCheck(
             d=d, log2_d=int_log2(d), required_steps=required, feasible=True,
-            status=status, steps=verdict.steps, mechanism=mechanism))
+            status=status, steps=giant_steps + verdict.steps,
+            mechanism=mechanism))
     if member_seen:
         recommendation = "discard"
     elif ran_any:

@@ -3,7 +3,10 @@
 One thread decides x in H at cost ~2*sqrt(d).  The campaign runs m threads
 against independently re-randomized targets Q_i = y_i * Q for uniform units
 y_i: thread i solves for z_i = x * y_i mod p, and any thread that lands in
-H yields x = z_i * y_i^{-1} mod p.  Per-thread work never exceeds the
+H yields x = z_i * y_i^{-1} mod p.  The giant table depends only on
+(group, P, H), so it is built once; each thread streams its own baby sweep
+against it (the independent-thread collision search of van Oorschot and
+Wiener, J. Cryptology 1999).  Per-thread work never exceeds the
 single-search budget, and the campaign succeeds as soon as some x * y_i
 falls in H -- which is what the probability model prices.
 
@@ -66,9 +69,11 @@ class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
     total_steps counts constrained-search scalar multiplications: the
-    giant sweep, computed once and shared by every thread, plus each
-    accounted thread's baby steps; it respects
-    total_steps <= m * theorem_budget(d).  The re-randomization multiplies
+    giant table, built once and shared by every thread, plus each
+    accounted thread's baby steps (n+1 for a thread that finds nothing,
+    b+1 for the winner); it respects total_steps <= m * theorem_budget(d).
+    Threads stream their baby sweeps against the shared table, so each
+    needs O(1) memory beyond it.  The re-randomization multiplies
     Q_i = y_i*Q of the accounted threads and the final verification are
     tallied in overhead_muls.  Threads 0..winner (all m on a failed
     campaign) are accounted, and per_thread_steps has one entry for each.

@@ -1,6 +1,8 @@
 """Subgroup-constrained baby-step giant-step solver."""
 
+import dataclasses
 import random
+from math import isqrt
 
 import pytest
 
@@ -23,8 +25,10 @@ def _instance(group, x):
 
 
 def test_worked_example_member():
+    # n = 3, zeta^n = 8: the giant table is {1: 0, 8: 1, 2: 2, 16: 3}, and
+    # the first baby step zeta^0 * Q = 8 hits a = 1, so x = zeta^3 = 8
     result = solve_in_subgroup(_instance(G31, 8), H5)
-    assert result == Found(x=Residue(8, 31), a=0, b=2, steps=5)
+    assert result == Found(x=Residue(8, 31), a=1, b=0, steps=5)
 
 
 def test_worked_example_non_member():
@@ -79,6 +83,34 @@ def test_collision_witness_is_consistent():
             assert 0 <= result.a <= n and 0 <= result.b <= n
             assert result.x.value == pow(H.zeta.value,
                                          (result.a * n - result.b) % d, p)
+
+
+def _first_hit_b(x, H):
+    """Least b with zeta^b * x = (zeta^n)^a for some a in [0, n]."""
+    n = isqrt(H.d) + 1
+    k = next(k for k in range(H.d) if pow(H.zeta.value, k, H.p) == x)
+    giant = {n * a % H.d for a in range(n + 1)}
+    return next(b for b in range(n + 1) if (k + b) % H.d in giant)
+
+
+@pytest.mark.parametrize("p", [211, 1999])
+def test_every_member_is_found_within_the_theorem_budget(p):
+    """Every member of every subgroup: the first verified b is at most n-1,
+    and the counted multiplies, verification included, stay in budget."""
+    counter = CountingGroup(AdditiveOracleGroup(p))
+    f = factor(p - 1)
+    for d in divisors(f):
+        H = subgroup_generator(p, d, factored=f)
+        n = isqrt(d) + 1
+        for x in H.elements():
+            instance = DlpInstance.from_secret(counter, x)
+            counter.reset()
+            result = solve_in_subgroup(instance, H)
+            assert isinstance(result, Found) and result.x.value == x, (d, x)
+            assert result.b == _first_hit_b(x, H) <= n - 1, (d, x)
+            assert result.steps == (n + 1) + (result.b + 1), (d, x)
+            assert counter.scalar_muls == result.steps + 1
+            assert counter.scalar_muls <= theorem_budget(d), (d, x)
 
 
 def test_step_counts_match_counting_group():
@@ -189,8 +221,9 @@ def test_curve_group_membership():
 def test_step_cap_returns_undecided():
     non_member = _instance(G31, 3)
     assert solve_in_subgroup(non_member, H5, step_cap=0) == Undecided(steps=0)
+    # cap inside the giant sweep, which runs first (n + 1 = 4 multiplies)
     assert solve_in_subgroup(non_member, H5, step_cap=3) == Undecided(steps=3)
-    # cap inside the giant sweep
+    # cap inside the baby sweep
     assert solve_in_subgroup(non_member, H5, step_cap=5) == Undecided(steps=5)
     # cap exactly at the theorem budget never triggers
     assert solve_in_subgroup(non_member, H5,
@@ -206,18 +239,31 @@ def test_should_stop_cancellation():
         polls[0] += 1
         return polls[0] > 6
 
+    # four giant multiplies, then the seventh poll stops the baby sweep
     result = solve_in_subgroup(_instance(G31, 3), H5,
                                should_stop=stop_after_six)
     assert isinstance(result, Undecided)
     assert result.steps == 6
-    # shared giant keys are polled too, but neither charged nor capped
-    keys, _ = giant_encodings(G31, G31.generator, H5)
+    # with a shared table only the baby sweep runs: it is polled before
+    # every multiply, and both steps and the cap count baby steps alone
+    table, _ = giant_encodings(G31, G31.generator, H5)
+
+    def stop_after_two():
+        polls[0] += 1
+        return polls[0] > 2
+
     polls[0] = 0
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=keys,
-                             should_stop=stop_after_six) == Undecided(steps=4)
-    assert polls[0] == 7
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=keys,
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
+                             should_stop=stop_after_two) == Undecided(steps=2)
+    assert polls[0] == 3
+    polls[0] = 0
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
+                             should_stop=stop_after_six) == NotInSubgroup(4)
+    assert polls[0] == 4
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
                              step_cap=4) == NotInSubgroup(steps=4)
+    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
+                             step_cap=3) == Undecided(steps=3)
 
 
 def test_shared_giant_encodings():
@@ -226,27 +272,34 @@ def test_shared_giant_encodings():
     group = AdditiveOracleGroup(p)
     for d in (5, 30, 210):
         H = subgroup_generator(p, d, factored=f)
-        keys, cost = giant_encodings(group, group.generator, H)
-        n_plus_1 = len(keys)
-        assert cost == n_plus_1
+        table, cost = giant_encodings(group, group.generator, H)
+        n = isqrt(d) + 1
+        assert cost == n + 1
+        zeta_n = pow(H.zeta.value, n, p)
+        for a in range(n + 1):  # the oracle group encodes k*1 as k
+            key = group.encode(group.element(pow(zeta_n, a, p)))
+            hit = table[key]
+            assert a in (hit if isinstance(hit, tuple) else (hit,))
         for x in (1, 17, 100, 207):
             instance = _instance(group, x)
             plain = solve_in_subgroup(instance, H)
-            shared = solve_in_subgroup(instance, H, shared_giant=keys)
-            assert type(plain) is type(shared)
-            if isinstance(plain, Found):
-                assert shared.x == plain.x
-            else:
-                # shared run charges only the baby sweep
-                assert shared.steps == n_plus_1
-                assert plain.steps == shared.steps + cost
+            shared = solve_in_subgroup(instance, H, shared_giant=table)
+            # same baby sweep against the same table: the shared run
+            # reaches the same verdict and charges only its baby steps
+            assert plain == dataclasses.replace(shared,
+                                                steps=shared.steps + cost)
+            if not isinstance(plain, Found):
+                assert shared.steps == n + 1
 
 
-def test_duplicate_baby_keys_keep_first():
-    # zeta = -1 has order 2 < n+1, so the baby sequence wraps and re-inserts
+def test_duplicate_giant_keys_keep_every_a():
+    # zeta = -1 and n = 2, so zeta^n = 1 and all three giant keys are P
     H2 = SubgroupSpec(d=2, zeta=Residue(30, 31), p=31)
+    table, _ = giant_encodings(G31, G31.generator, H2)
+    assert list(table.values()) == [(0, 1, 2)]
+    # b = 0 misses (Q = 30), b = 1 hits (zeta * Q = 1) and a = 0 verifies
     result = solve_in_subgroup(_instance(G31, 30), H2)
-    assert result == Found(x=Residue(30, 31), a=0, b=1, steps=4)
+    assert result == Found(x=Residue(30, 31), a=0, b=1, steps=5)
     assert solve_in_subgroup(_instance(G31, 2), H2) == NotInSubgroup(
         steps=theorem_budget(2))
 

@@ -16,8 +16,8 @@ from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
 from subgroupdlp.factoring import (FactoredInteger, factor,
                                    find_primitive_root, subgroup_generator)
 from subgroupdlp.field import parse_int
-from subgroupdlp.groups import (CountingGroup, CurveGroup, CurveParams,
-                                desk_curve)
+from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
+                                CurveGroup, CurveParams, desk_curve)
 from subgroupdlp.probability import int_log2
 from test_groups import P256
 
@@ -239,14 +239,28 @@ def test_audit_point_form_on_p256_matches_scalar_form():
                 assert p.steps == theorem_budget(d)
 
 
+def _multiplies(reports):
+    """Counted multiplies behind `reports`, all from one record.
+
+    Each entry's steps are the giant table's n+1 plus its baby steps; the
+    table is built once per d, and each hit costs one re-verification.
+    Building comb tables is not counted.
+    """
+    tables = {e.d: theorem_budget(e.d) // 2
+              for r in reports for e in r.entries}
+    return sum(tables.values()) + sum(
+        e.steps - tables[e.d] + (e.status == "member")
+        for r in reports for e in r.entries)
+
+
 def test_point_audits_derive_group_and_root_once_per_record(monkeypatch):
     params = desk_curve()
     rec = record_from_params(params, factor(params.order - 1))
     group = CurveGroup(params)
     zeta = subgroup_generator(rec.p, 37, factored=rec.factors).zeta.value
-    points = [group.scalar_mul(x, group.generator)
-              for x in (pow(zeta, 11, rec.p), 5, 1998, pow(zeta, 2, rec.p))]
-    built, roots = [], []
+    keys = (pow(zeta, 11, rec.p), 5, 1998, pow(zeta, 2, rec.p))
+    points = [group.scalar_mul(x, group.generator) for x in keys]
+    built, roots, oracles = [], [], []
 
     def counted_group(curve):
         built.append(curve)
@@ -256,23 +270,29 @@ def test_point_audits_derive_group_and_root_once_per_record(monkeypatch):
         roots.append(p)
         return find_primitive_root(p, factors)
 
+    def counted_oracle(p):
+        oracles.append(p)
+        return CountingGroup(AdditiveOracleGroup(p))
+
     monkeypatch.setattr(catalog, "CurveGroup", counted_group)
     monkeypatch.setattr(catalog, "find_primitive_root", counted_root)
-    charged = 0
-    for point in points:
-        report = audit_key(rec, point=point)
-        # every sweep step is one counted multiply, plus the re-verification
-        # of each hit; building comb tables is not counted
-        charged += sum(e.steps + (e.status == "member")
-                       for e in report.entries)
+    monkeypatch.setattr(catalog, "AdditiveOracleGroup", counted_oracle)
+    point_reports = [audit_key(rec, point=point) for point in points]
+    scalar_reports = [audit_key(rec, x=x) for x in keys]
     assert verify_record(rec).passed
-    assert (len(built), len(roots)) == (1, 1)
-    assert rec.group.scalar_muls == charged > 0
-    # a replaced record derives (and validates) both again
+    assert (len(built), len(roots), len(oracles)) == (1, 1, 1)
+    assert rec.group.scalar_muls == _multiplies(point_reports) > 0
+    assert rec.oracle_group.scalar_muls == _multiplies(scalar_reports) > 0
+    assert [[e.steps for e in r.entries] for r in point_reports] == \
+        [[e.steps for e in r.entries] for r in scalar_reports]
+    # a replaced record derives (and validates) everything again, giant
+    # tables included
     fresh = dataclasses.replace(rec)
-    assert audit_key(fresh, point=points[0]) == audit_key(rec, point=points[0])
+    report = audit_key(fresh, point=points[0])
+    assert report == point_reports[0]
     assert (len(built), len(roots)) == (2, 2)
     assert fresh.group is not rec.group
+    assert fresh.group.scalar_muls == _multiplies([report])
     bad = dataclasses.replace(rec, params=dataclasses.replace(params, gy=1))
     with pytest.raises(ValueError):
         audit_key(bad, point=points[0])

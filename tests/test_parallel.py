@@ -42,7 +42,10 @@ def test_worked_example_rerandomization():
         x=Residue(3, 31), index=0, y=Residue(11, 31), z=Residue(2, 31))
     assert result.threads_run == 1
     assert result.overhead_muls == 2       # forming Q_0 plus final check
-    assert result.total_steps == 8         # shared giant 4 + thread baby 4
+    # the giant table is {1: 0, 8: 1, 2: 2, 16: 3}; the thread's first baby
+    # step Q_0 = 2 hits a = 2, so it charges b + 1 = 1 on top of the table
+    assert result.per_thread_steps == [1]
+    assert result.total_steps == 5         # shared giant 4 + thread baby 1
 
 
 def test_single_worker_campaign_is_reproducible():
@@ -98,9 +101,13 @@ def test_share_giant_does_not_change_verdicts():
             assert shared.success.index == hits[0]
             assert shared.success.z == alone[hits[0]].x
         for verdict, steps in zip(alone, shared.per_thread_steps):
-            assert steps == half  # the baby sweep only
+            # the same baby sweep, without the giant table a lone solve
+            # builds for itself: n + 1 for a miss, b + 1 for the winner
+            assert verdict.steps == steps + half
             if isinstance(verdict, NotInSubgroup):
-                assert verdict.steps == steps + half
+                assert steps == half
+            else:
+                assert steps == verdict.b + 1
         budget = shared.threads_run * theorem_budget(4096)
         assert shared.total_steps <= budget
         assert all(v.steps <= theorem_budget(4096) for v in alone)
