@@ -17,9 +17,8 @@ from .factoring import (FactoredInteger, SubgroupSpec, divisors,
                         divisors_near, factor, find_primitive_root,
                         pollard_rho_brent, search_prime_with_divisor,
                         subgroup_generator)
-from .field import (MILLER_RABIN_ROUNDS, NonInvertibleError, Residue,
-                    derive_seed, is_probable_prime, mod_exp, mod_inverse,
-                    mod_mul, parse_int, random_unit, xgcd)
+from .field import (MILLER_RABIN_ROUNDS, Residue, derive_seed,
+                    is_probable_prime, parse_int)
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      CurveParams, CyclicGroup, GroupElement,
                      MultiplicativeGroup, desk_curve, find_small_curve,

@@ -188,11 +188,14 @@ def factor(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET,
 
 
 def find_primitive_root(p, factored, start=2):
-    """Smallest generator of (Z/pZ)* at or above `start`.
+    """Smallest generator of (Z/pZ)* at or above `start`, as a Residue mod p.
 
-    Requires the complete factorization of p-1: g is primitive iff
-    g^((p-1)/q) != 1 for every prime q | p-1.
+    p must be prime (checked here, once per call) and `factored` the
+    complete factorization of p-1: g is primitive iff g^((p-1)/q) != 1 for
+    every prime q | p-1.
     """
+    if not is_probable_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
     if not factored.complete or factored.n != p - 1:
         raise ValueError("need the complete factorization of p-1")
     if p == 2:
@@ -241,8 +244,9 @@ class SubgroupSpec:
 def subgroup_generator(p, d, generator=None, factored=None):
     """SubgroupSpec for the order-d subgroup of (Z/pZ)*, d | p-1.
 
-    `generator` is a primitive root mod p (found via `factored`, the
-    factorization of p-1, when omitted -- desk scale only for the latter).
+    `generator` is a primitive root mod p, as `find_primitive_root` returns
+    it (found via `factored`, the factorization of p-1, when omitted --
+    desk scale only for the latter).
     """
     if d < 1 or (p - 1) % d:
         raise ValueError("d = %d does not divide p-1 = %d" % (d, p - 1))
@@ -250,6 +254,9 @@ def subgroup_generator(p, d, generator=None, factored=None):
         if factored is None:
             factored = factor(p - 1)
         generator = find_primitive_root(p, factored)
+    elif generator.modulus != p:
+        raise ValueError("generator lives mod %d, not mod %d"
+                         % (generator.modulus, p))
     z = pow(generator.value, (p - 1) // d, p)
     return SubgroupSpec(d=d, zeta=Residue(z, p), p=p)
 

@@ -1,26 +1,19 @@
-"""Arbitrary-precision modular arithmetic over a prime modulus.
+"""Integer parsing, primality, seed derivation and the Residue record.
 
-Everything downstream (group scalars, subgroup generators, multiplier
-sampling) funnels through the handful of primitives here: residues mod an
-odd prime, products, square-and-multiply powers, extended-Euclid inverses,
-uniform unit sampling, and a Miller-Rabin primality check used to validate
-every modulus on first sight.
+The exponent arithmetic itself is Python's built-in `pow(x, e, p)` and
+`pow(y, -1, p)`; this module supplies what the built-ins do not: a
+Miller-Rabin test for the moduli that enter the package, a parser for
+decimal or hex input, stable sub-seeds, and `Residue`, the (value,
+modulus) record that results carry.
 """
 
 import hashlib
 import random
+from dataclasses import dataclass
 
 MILLER_RABIN_ROUNDS = 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# Moduli that have already passed the primality check; Residue construction
-# consults this so repeated wrapping costs one set lookup, not 40 MR rounds.
-_verified_primes = set()
-
-
-class NonInvertibleError(ArithmeticError):
-    """Raised when asked for the inverse of 0 modulo p."""
 
 
 def parse_int(text):
@@ -70,114 +63,17 @@ def is_probable_prime(n, rounds=MILLER_RABIN_ROUNDS):
     return True
 
 
-def _require_odd_prime(modulus):
-    if modulus not in _verified_primes:
-        if modulus < 3 or not is_probable_prime(modulus):
-            raise ValueError("modulus %d is not an odd prime" % modulus)
-        _verified_primes.add(modulus)
-
-
+@dataclass(frozen=True)
 class Residue:
-    """A value in [0, p) for an odd prime p, with multiplicative operators.
+    """An exponent mod p, as computed by its producer: a bare record.
 
-    The constructor reduces its argument mod p and validates the modulus
-    (cached after the first check), so instances always satisfy
-    0 <= value < modulus with modulus prime.
+    It neither reduces `value` nor checks `modulus`; the code that builds
+    one already holds both in range and validates p where it enters
+    (group construction, `find_primitive_root`, `subgroup_generator`).
     """
 
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        _require_odd_prime(modulus)
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def __repr__(self):
-        return "Residue(%d mod %d)" % (self.value, self.modulus)
-
-    def __int__(self):
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __mul__(self, other):
-        if isinstance(other, Residue):
-            return mod_mul(self, other)
-        if isinstance(other, int):
-            return Residue(self.value * other, self.modulus)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return mod_exp(self, exponent)
-
-    def inverse(self):
-        return mod_inverse(self)
-
-
-def _require_same_modulus(a, b):
-    if a.modulus != b.modulus:
-        raise ValueError(
-            "mixed moduli: %d vs %d" % (a.modulus, b.modulus))
-
-
-def mod_mul(a, b):
-    """Product of two residues sharing a modulus."""
-    _require_same_modulus(a, b)
-    return Residue(a.value * b.value, a.modulus)
-
-
-def mod_exp(base, exponent):
-    """base**exponent by square-and-multiply; exponent must be >= 0."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative, got %d" % exponent)
-    p = base.modulus
-    result = 1
-    acc = base.value
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * acc % p
-        acc = acc * acc % p
-        e >>= 1
-    return Residue(result, p)
-
-
-def xgcd(a, b):
-    """Extended Euclid: returns (g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
-def mod_inverse(a):
-    """Multiplicative inverse of a nonzero residue, via extended Euclid."""
-    if a.value == 0:
-        raise NonInvertibleError("0 has no inverse mod %d" % a.modulus)
-    g, s, _ = xgcd(a.value, a.modulus)
-    if g != 1:  # cannot happen for a prime modulus and nonzero value
-        raise NonInvertibleError(
-            "gcd(%d, %d) = %d != 1" % (a.value, a.modulus, g))
-    return Residue(s, a.modulus)
-
-
-def random_unit(p, rng):
-    """Uniform residue in [1, p-1] drawn from the supplied random.Random."""
-    return Residue(rng.randrange(1, p), p)
+    value: int
+    modulus: int
 
 
 def derive_seed(*parts):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, giant_encodings,
                    solve_in_subgroup)
 from .factoring import factor, find_primitive_root, subgroup_generator
-from .field import Residue, derive_seed, mod_inverse
+from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup
 
 __all__ = [
@@ -101,7 +101,8 @@ def draw_multipliers(p, m, seed):
 
 
 def _recover(instance, y, z):
-    x = mod_inverse(Residue(y, instance.p)) * z
+    p = instance.p
+    x = Residue(pow(y, -1, p) * z.value % p, p)
     if instance.group.scalar_mul(x.value, instance.P) != instance.Q:
         raise AssertionError("verified thread result failed final check")
     return x

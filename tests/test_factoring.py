@@ -117,7 +117,7 @@ def test_divisor_count():
 
 def test_find_primitive_root_small_primes():
     # brute-force the least primitive root by computing element orders
-    for p in (3, 7, 11, 13, 31, 227, 65537):
+    for p in (2, 3, 7, 11, 13, 31, 227, 65537):
         f = factor(p - 1)
         g = find_primitive_root(p, f)
         assert isinstance(g, Residue) and g.modulus == p
@@ -135,6 +135,8 @@ def test_find_primitive_root_requires_complete_factorization():
         find_primitive_root(31, partial)
     with pytest.raises(ValueError):
         find_primitive_root(31, factor(28))  # factorization of the wrong n
+    with pytest.raises(ValueError):
+        find_primitive_root(15, factor(14))  # composite modulus
 
 
 def test_subgroup_generator_orders():
@@ -151,6 +153,10 @@ def test_subgroup_generator_orders():
         subgroup_generator(31, 7)   # 7 does not divide 30
     with pytest.raises(ValueError):
         subgroup_generator(31, 0)
+    with pytest.raises(ValueError):
+        subgroup_generator(15, 2)   # composite modulus
+    with pytest.raises(ValueError):
+        subgroup_generator(31, 5, generator=Residue(3, 37))  # wrong modulus
 
 
 def test_subgroup_spec_verify_rejects_wrong_order():

@@ -1,13 +1,13 @@
-"""Modular-arithmetic primitives against stdlib oracles."""
+"""Parsing, primality, seed derivation and the Residue record."""
 
-import random
+import dataclasses
 
 import pytest
 
-from subgroupdlp.field import (MILLER_RABIN_ROUNDS, NonInvertibleError,
-                               Residue, derive_seed, is_probable_prime,
-                               mod_exp, mod_inverse, mod_mul, parse_int,
-                               random_unit, xgcd)
+import subgroupdlp
+from subgroupdlp import field
+from subgroupdlp.field import (MILLER_RABIN_ROUNDS, Residue, derive_seed,
+                               is_probable_prime, parse_int)
 
 P256_ORDER = 115792089210356248762697446949407573529996955224135760342422259061068512044369
 
@@ -55,85 +55,29 @@ def test_primality_known_large_values():
     assert MILLER_RABIN_ROUNDS >= 40
 
 
-def test_residue_reduces_and_validates_modulus():
-    r = Residue(35, 31)
-    assert r.value == 4 and r.modulus == 31
-    assert Residue(-1, 31).value == 30
-    with pytest.raises(ValueError):
-        Residue(3, 30)          # composite
-    with pytest.raises(ValueError):
-        Residue(3, 2)           # even
-
-
 def test_residue_equality_and_hash():
-    assert Residue(4, 31) == Residue(35, 31)
-    assert Residue(4, 31) == 35
+    assert Residue(4, 31) == Residue(4, 31)
     assert Residue(4, 31) != Residue(4, 37)
-    assert hash(Residue(4, 31)) == hash(Residue(35, 31))
-    assert len({Residue(4, 31), Residue(35, 31), Residue(5, 31)}) == 2
+    assert Residue(4, 31) != Residue(5, 31)
+    assert Residue(4, 31) != 4
+    assert hash(Residue(4, 31)) == hash(Residue(4, 31))
+    assert len({Residue(4, 31), Residue(4, 31), Residue(5, 31)}) == 2
+    r = Residue(4, 31)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 7
 
 
-def test_mod_mul_matches_int_arithmetic():
-    rng = random.Random(101)
-    for _ in range(200):
-        a, b = rng.randrange(31), rng.randrange(31)
-        assert mod_mul(Residue(a, 31), Residue(b, 31)).value == a * b % 31
-    with pytest.raises(ValueError):
-        mod_mul(Residue(2, 31), Residue(2, 37))
-
-
-def test_residue_operators():
-    assert (Residue(6, 31) * Residue(7, 31)).value == 11
-    assert (Residue(6, 31) * 7).value == 11
-    assert (7 * Residue(6, 31)).value == 11
-    assert (Residue(3, 31) ** 5).value == pow(3, 5, 31)
-
-
-def test_mod_exp_against_builtin_pow():
-    rng = random.Random(202)
-    for p in (31, 65537, P256_ORDER):
-        for _ in range(50):
-            base = rng.randrange(p)
-            e = rng.randrange(1 << 64)
-            assert mod_exp(Residue(base, p), e).value == pow(base, e, p)
-
-
-def test_mod_exp_edges():
-    assert mod_exp(Residue(0, 31), 0).value == 1  # 0^0 convention of pow()
-    assert mod_exp(Residue(5, 31), 0).value == 1
-    with pytest.raises(ValueError):
-        mod_exp(Residue(5, 31), -2)
-
-
-def test_xgcd_bezout_identity():
-    rng = random.Random(303)
-    for _ in range(300):
-        a = rng.randrange(1, 1 << 80)
-        b = rng.randrange(1, 1 << 80)
-        g, s, t = xgcd(a, b)
-        assert a * s + b * t == g
-        assert a % g == 0 and b % g == 0
-
-
-def test_mod_inverse():
-    rng = random.Random(404)
-    for p in (31, 65537, P256_ORDER):
-        for _ in range(40):
-            a = Residue(rng.randrange(1, p), p)
-            assert (a * mod_inverse(a)).value == 1
-            assert a.inverse() == mod_inverse(a)
-    with pytest.raises(NonInvertibleError):
-        mod_inverse(Residue(0, 31))
-
-
-def test_random_unit_range_and_determinism():
-    rng = random.Random(9)
-    values = [random_unit(31, rng).value for _ in range(300)]
-    assert all(1 <= v <= 30 for v in values)
-    assert set(values) == set(range(1, 31))  # 300 draws cover 30 units whp
-    rng = random.Random(9)
-    again = [random_unit(31, rng).value for _ in range(300)]
-    assert values == again
+def test_field_keeps_only_what_the_builtins_lack():
+    # exponent arithmetic is the built-in pow(x, e, p) and pow(y, -1, p)
+    kept = {"Residue", "derive_seed", "is_probable_prime", "parse_int"}
+    for namespace in (field, subgroupdlp):
+        from_field = {n for n in dir(namespace)
+                      if getattr(getattr(namespace, n), "__module__", None)
+                      == field.__name__}
+        assert from_field == kept, namespace
+    private = {n for n in vars(field)
+               if n.startswith("_") and not n.startswith("__")}
+    assert private == {"_SMALL_PRIMES"}
 
 
 def test_derive_seed_stable_and_contextual():
