@@ -39,18 +39,19 @@ class DegenerateKeyError(ValueError):
 class DlpInstance:
     """One discrete-log problem: find/classify x with Q = x*P.
 
-    p is the (prime) group order; it is carried explicitly because every
-    exponent statement is mod p.
+    `p` reads the group's (prime) order, the modulus of every exponent
+    statement; it is not stored, so it cannot disagree with the group.
     """
 
     group: object
     P: GroupElement
     Q: GroupElement
-    p: int
+
+    @property
+    def p(self):
+        return self.group.order
 
     def __post_init__(self):
-        if self.p != self.group.order:
-            raise ValueError("instance p != group order")
         if not self.group.contains(self.P) or not self.group.contains(self.Q):
             raise ValueError("P and Q must be members of the group")
         if self.P.is_identity():
@@ -60,7 +61,7 @@ class DlpInstance:
     def from_secret(cls, group, x, base=None):
         """Build an instance with a known exponent (testing/demo helper)."""
         P = base if base is not None else group.generator
-        return cls(group=group, P=P, Q=group.scalar_mul(x, P), p=group.order)
+        return cls(group=group, P=P, Q=group.scalar_mul(x, P))
 
 
 @dataclass(frozen=True)

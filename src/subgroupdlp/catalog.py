@@ -260,11 +260,15 @@ def verify_record(rec):
     if rec.q is not None:
         check("field prime q is prime", is_probable_prime(rec.q))
     if rec.params is not None:
+        detail = ""
         try:
             ok = (rec.params.order == rec.p) and bool(rec.group)
-            check("curve params match record", ok)
         except ValueError as e:
-            check("curve params match record", False, str(e))
+            ok, detail = False, str(e)
+        if rec.q is not None and rec.params.q != rec.q:
+            ok, detail = False, ("params q = %d, record q = %d"
+                                 % (rec.params.q, rec.q))
+        check("curve params match record", ok, detail)
     return ConsistencyReport(curve=rec.name, checks=tuple(checks))
 
 
@@ -339,15 +343,14 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                 "record %s has no curve parameters; point-form audit needs "
                 "a curve file" % rec.name)
         group = rec.group
-        instance = DlpInstance(group=group, P=group.generator, Q=point,
-                               p=rec.p)
+        instance = DlpInstance(group=group, P=group.generator, Q=point)
         mechanism = "point"
     else:
         if x % rec.p == 0:
             raise DegenerateKeyError("x = 0 mod p has no unit representative")
         group = rec.oracle_group
         instance = DlpInstance(group=group, P=group.generator,
-                               Q=group.element(x % rec.p), p=rec.p)
+                               Q=group.element(x % rec.p))
         mechanism = "scalar"
 
     root = rec.primitive_root

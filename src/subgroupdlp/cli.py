@@ -23,8 +23,8 @@ from .bsgs import DlpInstance, Found, NotInSubgroup, solve_in_subgroup, theorem_
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
-from .factoring import (divisors_near, factor, search_prime_with_divisor,
-                        subgroup_generator)
+from .factoring import (DEFAULT_RHO_BUDGET, divisors_near, factor,
+                        search_prime_with_divisor, subgroup_generator)
 from .field import derive_seed, parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      desk_curve, load_curve_file)
@@ -136,7 +136,7 @@ def cmd_solve(args):
         instance = DlpInstance.from_secret(group, parse_int(args.x))
     else:
         instance = DlpInstance(group=group, P=group.generator,
-                               Q=_parse_element(base_group, args.q), p=p)
+                               Q=_parse_element(base_group, args.q))
     cap = parse_int(args.budget) if args.budget else None
 
     started = time.perf_counter()
@@ -240,8 +240,7 @@ def cmd_prob_table(args):
     return 0
 
 
-def _record_for(args, budget=None):
-    name_or_path = args.target
+def _record_for(name_or_path):
     if name_or_path.upper() in builtin_names():
         return load_builtin(name_or_path)
     path = _resolve_path(name_or_path)
@@ -250,8 +249,7 @@ def _record_for(args, budget=None):
             "%r is neither a built-in curve (%s) nor a readable file"
             % (name_or_path, ", ".join(builtin_names())))
     params = load_curve_file(path)
-    factored = factor(params.order - 1,
-                      rho_budget=budget or (1 << 24))
+    factored = factor(params.order - 1)
     if not factored.complete:
         raise CommandError("cannot completely factor order-1 within budget; "
                            "record would be unauditable")
@@ -259,7 +257,7 @@ def _record_for(args, budget=None):
 
 
 def cmd_audit(args):
-    record = _record_for(args)
+    record = _record_for(args.target)
     report = verify_record(record)
     if args.format == "csv":
         sys.stdout.write(report.render_csv())
@@ -269,16 +267,9 @@ def cmd_audit(args):
 
 
 def cmd_keycheck(args):
-    if args.group_file:
-        params = load_curve_file(_resolve_path(args.group_file))
-        factored = factor(params.order - 1)
-        if not factored.complete:
-            raise CommandError("cannot factor order-1 for this curve file")
-        record = record_from_params(params, factored)
-    elif args.curve:
-        record = load_builtin(args.curve)
-    else:
+    if not (args.group_file or args.curve):
         raise CommandError("pick one of --curve, --group-file")
+    record = _record_for(args.group_file or args.curve)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x, --q")
     subgroups = None
@@ -303,7 +294,7 @@ def cmd_keycheck(args):
 
 def cmd_factor(args):
     n = parse_int(args.n)
-    budget = parse_int(args.budget) if args.budget else 1 << 24
+    budget = parse_int(args.budget) if args.budget else DEFAULT_RHO_BUDGET
     result = factor(n, rho_budget=budget)
     print(result.format())
     if not result.complete:
@@ -321,8 +312,7 @@ def cmd_bench(args):
     top = max(exponents)
     p = search_prime_with_divisor(1 << top, top + 26, rng)
     factored = factor(p - 1)
-    base_group = AdditiveOracleGroup(p)
-    group = CountingGroup(base_group)
+    group = AdditiveOracleGroup(p)
     rows = []
     for k in exponents:
         d = 1 << k
@@ -330,7 +320,6 @@ def cmd_bench(args):
         while True:
             x = rng.randrange(1, p)
             instance = DlpInstance.from_secret(group, x)
-            group.reset()
             started = time.perf_counter()
             verdict = solve_in_subgroup(instance, H)
             elapsed = time.perf_counter() - started
@@ -435,10 +424,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as e:
+    except (CommandError, ValueError, OSError, RuntimeError,
+            ArithmeticError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

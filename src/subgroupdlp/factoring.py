@@ -8,6 +8,7 @@ Brent's cycle finding, under an explicit iteration budget: results carry a
 `complete` flag and a composite residual instead of pretending to finish.
 """
 
+import functools
 import heapq
 import math
 import random
@@ -16,21 +17,20 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .field import Residue, is_probable_prime
 
-DEFAULT_TRIAL_BOUND = 10 ** 6
+TRIAL_BOUND = 10 ** 6
 DEFAULT_RHO_BUDGET = 1 << 24
+_PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
 
-_sieve_cache = {}
 
-
-def _primes_below(bound):
-    if bound not in _sieve_cache:
-        flags = bytearray([1]) * bound
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(bound - 1) + 1):
-            if flags[i]:
-                flags[i * i::i] = bytearray(len(flags[i * i::i]))
-        _sieve_cache[bound] = [i for i in range(bound) if flags[i]]
-    return _sieve_cache[bound]
+@functools.cache
+def _trial_primes():
+    """The primes below TRIAL_BOUND, sieved on first use."""
+    flags = bytearray([1]) * TRIAL_BOUND
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(flags[i * i::i]))
+    return [i for i in range(TRIAL_BOUND) if flags[i]]
 
 
 @dataclass
@@ -145,21 +145,20 @@ def pollard_rho_brent(n, rng, max_iters=1 << 22):
     return None
 
 
-def factor(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET,
-           rng=None):
+def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Factor n >= 1 within a work budget.
 
-    Trial division strips all primes below `trial_bound`; Pollard rho (with
-    at most `rho_budget` squarings in total) handles the rest.  A residual
-    the budget cannot split is reported honestly via complete=False.
+    Trial division strips all primes below TRIAL_BOUND; Pollard rho (with
+    at most `rho_budget` squarings in total, its polynomials drawn from a
+    generator seeded by n) handles the rest.  A residual the budget cannot
+    split is reported honestly via complete=False.
     """
     if n < 1:
         raise ValueError("can only factor positive integers, got %d" % n)
-    if rng is None:
-        rng = random.Random(n & 0xFFFFFFFF)
+    rng = random.Random(n & 0xFFFFFFFF)
     counts = {}
     m = n
-    for p in _primes_below(trial_bound):
+    for p in _trial_primes():
         if p * p > m:
             break
         while m % p == 0:
@@ -171,7 +170,7 @@ def factor(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET,
         budget = [rho_budget]
         while pending:
             chunk = pending.pop()
-            if chunk < trial_bound * trial_bound or is_probable_prime(chunk):
+            if chunk < TRIAL_BOUND * TRIAL_BOUND or is_probable_prime(chunk):
                 # below the trial bound squared, anything unsplit is prime
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
@@ -187,8 +186,8 @@ def factor(n, trial_bound=DEFAULT_TRIAL_BOUND, rho_budget=DEFAULT_RHO_BUDGET,
                            complete=residual == 1, residual=residual)
 
 
-def find_primitive_root(p, factored, start=2):
-    """Smallest generator of (Z/pZ)* at or above `start`, as a Residue mod p.
+def find_primitive_root(p, factored):
+    """Smallest generator of (Z/pZ)*, as a Residue mod p.
 
     p must be prime (checked here, once per call) and `factored` the
     complete factorization of p-1: g is primitive iff g^((p-1)/q) != 1 for
@@ -201,7 +200,7 @@ def find_primitive_root(p, factored, start=2):
     if p == 2:
         return Residue(1, 2)
     exponents = [(p - 1) // q for q, _ in factored.factors]
-    g = start
+    g = 2
     while g < p:
         if all(pow(g, e, p) != 1 for e in exponents):
             return Residue(g, p)
@@ -327,30 +326,21 @@ def divisors_near(factored, target_bits, count=5, half_limit=1 << 20):
     return [v for _, v in ordered]
 
 
-def search_prime_with_divisor(d, bits, rng, max_tries=100000):
+def search_prime_with_divisor(d, bits, rng):
     """A prime p with exactly `bits` bits and d | p-1.
 
-    Draws even cofactors c and tests p = c*d + 1; used to mint desk-scale
-    moduli whose unit group has a planted subgroup of known order.
+    Draws cofactors c, even when d is odd so that p is odd, and tests
+    p = c*d + 1; used to mint desk-scale moduli whose unit group has a
+    planted subgroup of known order.
     """
-    if d % 2 == 0:
-        lo = (1 << bits - 1) // d + 1
-        hi = ((1 << bits) - 2) // d
-        if lo > hi:
-            raise ValueError("no %d-bit prime can satisfy d | p-1" % bits)
-        for _ in range(max_tries):
-            c = rng.randrange(lo, hi + 1)
-            p = c * d + 1
-            if p.bit_length() == bits and is_probable_prime(p):
-                return p
-    else:
-        lo = ((1 << bits - 1) // d + 2) // 2
-        hi = (((1 << bits) - 2) // d) // 2
-        if lo > hi:
-            raise ValueError("no %d-bit prime can satisfy d | p-1" % bits)
-        for _ in range(max_tries):
-            c = 2 * rng.randrange(lo, hi + 1)
-            p = c * d + 1
-            if p.bit_length() == bits and is_probable_prime(p):
-                return p
-    raise RuntimeError("no prime found in %d tries" % max_tries)
+    step = 1 if d % 2 == 0 else 2
+    lo = (1 << bits - 1) // d + 1
+    lo += lo % step
+    hi = ((1 << bits) - 2) // d
+    if lo > hi:
+        raise ValueError("no %d-bit prime can satisfy d | p-1" % bits)
+    for _ in range(_PRIME_TRIES):
+        p = rng.randrange(lo, hi + 1, step) * d + 1
+        if p.bit_length() == bits and is_probable_prime(p):
+            return p
+    raise RuntimeError("no prime found in %d tries" % _PRIME_TRIES)

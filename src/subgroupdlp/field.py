@@ -32,8 +32,8 @@ def parse_int(text):
     return -value if negative else value
 
 
-def is_probable_prime(n, rounds=MILLER_RABIN_ROUNDS):
-    """Miller-Rabin with `rounds` pseudo-random bases (error < 4^-rounds).
+def is_probable_prime(n):
+    """Miller-Rabin with MILLER_RABIN_ROUNDS random bases (error < 4^-rounds).
 
     Bases are drawn from a generator seeded by n itself, so the answer for a
     given n is stable across runs and threads.
@@ -49,7 +49,7 @@ def is_probable_prime(n, rounds=MILLER_RABIN_ROUNDS):
         d //= 2
         s += 1
     rng = random.Random(n)
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

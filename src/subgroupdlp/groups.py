@@ -21,10 +21,14 @@ both BSGS sweeps do.  It returns an element equal to P that stands in for
 it: the oracle and multiplicative groups return P itself, and CurveGroup
 attaches a Lim-Lee comb table that makes each multiply ~3x cheaper on
 P-256.
+
+`CountingGroup` is a counting layer over any of them: it counts `add` and
+`scalar_mul` and passes everything else through to the group it wraps.
 """
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .field import is_probable_prime, parse_int
 
@@ -86,9 +90,10 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement scalar_mul and the raw hooks (_add, _neg, _encode,
-    _decode, _identity_data, _generator_data, _contains_data); this class
-    supplies validation and element wrapping.
+    Subclasses implement scalar_mul and the raw hooks (_add, _neg,
+    _identity_data, _generator_data, _contains_data); this class supplies
+    validation, element wrapping and the default encoding of integer data
+    as `_width` big-endian bytes, which each integer backend sizes.
     """
 
     kind = "abstract"
@@ -177,6 +182,14 @@ class CyclicGroup:
             raise ValueError("decoded bytes are not a group member")
         return self._wrap(data)
 
+    def _encode(self, data):
+        return data.to_bytes(self._width, "big")
+
+    def _decode(self, blob):
+        if len(blob) != self._width:
+            raise ValueError("expected %d bytes" % self._width)
+        return int.from_bytes(blob, "big")
+
     def __repr__(self):
         return "%s(order=%d)" % (type(self).__name__, self.order)
 
@@ -217,14 +230,6 @@ class AdditiveOracleGroup(CyclicGroup):
         self._check(e)
         return self._wrap(k % self.order * e.data % self.order)
 
-    def _encode(self, data):
-        return data.to_bytes(self._width, "big")
-
-    def _decode(self, blob):
-        if len(blob) != self._width:
-            raise ValueError("expected %d bytes" % self._width)
-        return int.from_bytes(blob, "big")
-
 
 class MultiplicativeGroup(CyclicGroup):
     """The order-p subgroup of (Z/rZ)*, written additively.
@@ -249,10 +254,9 @@ class MultiplicativeGroup(CyclicGroup):
         self._width = (r - 1).bit_length() + 7 >> 3
 
     @classmethod
-    def subgroup_of_units(cls, r, p, rng=None):
+    def subgroup_of_units(cls, r, p):
         """Find a generator of the order-p subgroup of (Z/rZ)* and build it."""
-        if rng is None:
-            rng = random.Random(r)
+        rng = random.Random(r)
         cofactor = (r - 1) // p
         while True:
             h = rng.randrange(2, r - 1)
@@ -282,14 +286,6 @@ class MultiplicativeGroup(CyclicGroup):
     def scalar_mul(self, k, e):
         self._check(e)
         return self._wrap(pow(e.data, k % self.order, self.modulus))
-
-    def _encode(self, data):
-        return data.to_bytes(self._width, "big")
-
-    def _decode(self, blob):
-        if len(blob) != self._width:
-            raise ValueError("expected %d bytes" % self._width)
-        return int.from_bytes(blob, "big")
 
 
 @dataclass(frozen=True)
@@ -578,10 +574,11 @@ class CurveGroup(CyclicGroup):
 
 
 class CountingGroup:
-    """Wraps a group and counts add/scalar_mul calls made through it.
+    """A counting layer: counts add and scalar_mul calls made through it.
 
     Solvers drive every group operation through the group object, so
-    wrapping one lets tests audit step counts independently.
+    wrapping one lets tests audit step counts independently.  Everything
+    else, fixed_base preparation included, passes through uncounted.
     """
 
     def __init__(self, inner):
@@ -589,48 +586,23 @@ class CountingGroup:
         self.scalar_muls = 0
         self.adds = 0
 
-    @property
-    def order(self):
-        return self.inner.order
-
-    @property
-    def kind(self):
-        return self.inner.kind
-
-    @property
-    def identity(self):
-        return self.inner.identity
-
-    @property
-    def generator(self):
-        return self.inner.generator
-
-    def element(self, data):
-        return self.inner.element(data)
-
-    def contains(self, element):
-        return self.inner.contains(element)
+    def __getattr__(self, name):
+        # Only reached for names the layer lacks.  copy and pickle build the
+        # object without running __init__, so `inner` may be missing too.
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
 
     def add(self, e1, e2):
         self.adds += 1
         return self.inner.add(e1, e2)
 
-    def negate(self, e):
-        return self.inner.negate(e)
-
     def scalar_mul(self, k, e):
         self.scalar_muls += 1
         return self.inner.scalar_mul(k, e)
 
-    def fixed_base(self, e):
-        # preparation, not a counted operation
-        return self.inner.fixed_base(e)
-
-    def encode(self, e):
+    def encode(self, e):  # spelled out so subclasses can extend it via super()
         return self.inner.encode(e)
-
-    def decode(self, blob):
-        return self.inner.decode(blob)
 
     def reset(self):
         self.scalar_muls = 0
@@ -681,14 +653,17 @@ def _smooth_part_ok(n, bound):
     return n == 1
 
 
-def find_small_curve(q_min, q_max, rng, smooth_bound=64, max_tries=20000):
+_CURVE_TRIES = 20000  # find_small_curve's draw limit
+
+
+def find_small_curve(q_min, q_max, rng):
     """Search for a prime-order curve over a small F_q with smooth order-1.
 
     Returns CurveParams with cofactor 1.  Restricting to q = 3 mod 4 keeps
-    square roots cheap when picking the base point.  `smooth_bound` caps the
-    largest prime factor of order-1 so the group has test-sized subgroups.
+    square roots cheap when picking the base point.  Every prime factor of
+    order-1 is at most 64, so the group has test-sized subgroups.
     """
-    for _ in range(max_tries):
+    for _ in range(_CURVE_TRIES):
         q = rng.randrange(q_min | 3, q_max, 4)
         if not is_probable_prime(q):
             continue
@@ -699,7 +674,7 @@ def find_small_curve(q_min, q_max, rng, smooth_bound=64, max_tries=20000):
         n = _count_points(q, a, b)
         if not is_probable_prime(n) or n == q:
             continue
-        if not _smooth_part_ok(n - 1, smooth_bound):
+        if not _smooth_part_ok(n - 1, 64):
             continue
         for x in range(q):
             rhs = (x * x * x + a * x + b) % q
@@ -709,18 +684,11 @@ def find_small_curve(q_min, q_max, rng, smooth_bound=64, max_tries=20000):
                                      cofactor=1, name="desk-%d-%d" % (q, n))
                 CurveGroup(params)  # construction re-validates everything
                 return params
-    raise RuntimeError("no suitable curve found in %d tries" % max_tries)
+    raise RuntimeError("no suitable curve found in %d tries" % _CURVE_TRIES)
 
 
-_DESK_CURVE = None
-
-
+@functools.cache
 def desk_curve():
     """A fixed prime-order demo curve (deterministic seeded search, cached)."""
-    global _DESK_CURVE
-    if _DESK_CURVE is None:
-        params = find_small_curve(1500, 5000, random.Random(0x5eed))
-        _DESK_CURVE = CurveParams(
-            q=params.q, a=params.a, b=params.b, gx=params.gx, gy=params.gy,
-            order=params.order, cofactor=params.cofactor, name="desk")
-    return _DESK_CURVE
+    params = find_small_curve(1500, 5000, random.Random(0x5eed))
+    return replace(params, name="desk")

@@ -130,7 +130,7 @@ def randomized_solve(instance, H, config, progress=None):
 
     def run_thread(i):
         Q_i = group.scalar_mul(ys[i], instance.Q)
-        sub = DlpInstance(group=group, P=instance.P, Q=Q_i, p=instance.p)
+        sub = DlpInstance(group=group, P=instance.P, Q=Q_i)
         return solve_in_subgroup(sub, H, step_cap=config.step_cap,
                                  should_stop=stop.is_set,
                                  shared_giant=shared)

@@ -325,7 +325,7 @@ def test_verification_gate_rejects_bogus_collisions():
 def test_degenerate_key_raises():
     group = G31
     instance = DlpInstance(group=group, P=group.generator,
-                           Q=group.identity, p=31)
+                           Q=group.identity)
     with pytest.raises(DegenerateKeyError):
         solve_in_subgroup(instance, H5)
 
@@ -337,9 +337,18 @@ def test_subgroup_modulus_mismatch():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        DlpInstance(group=G31, P=G31.generator, Q=G31.element(3), p=37)
-    with pytest.raises(ValueError):
-        DlpInstance(group=G31, P=G31.identity, Q=G31.element(3), p=31)
+        DlpInstance(group=G31, P=G31.identity, Q=G31.element(3))
     other = AdditiveOracleGroup(37)
     with pytest.raises(ValueError):
-        DlpInstance(group=G31, P=G31.generator, Q=other.element(3), p=31)
+        DlpInstance(group=G31, P=G31.generator, Q=other.element(3))
+
+
+def test_instance_p_is_read_from_its_group():
+    for group in (G31, CountingGroup(G31), CurveGroup(desk_curve())):
+        instance = DlpInstance(group=group, P=group.generator,
+                               Q=group.scalar_mul(3, group.generator))
+        assert instance.p == group.order
+    assert [f.name for f in dataclasses.fields(DlpInstance)] == \
+        ["group", "P", "Q"]
+    with pytest.raises(TypeError):
+        DlpInstance(group=G31, P=G31.generator, Q=G31.element(3), p=31)

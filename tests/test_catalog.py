@@ -153,6 +153,18 @@ def test_verify_record_with_params():
     assert bad == {"curve params match record"}
 
 
+def test_verify_record_catches_a_field_prime_the_params_do_not_have():
+    params = desk_curve()
+    rec = record_from_params(params, factor(1998))
+    match = next(c for c in verify_record(rec).checks
+                 if c.name == "curve params match record")
+    assert match.passed and match.detail == ""
+    report = verify_record(dataclasses.replace(rec, q=7919))
+    bad = [c for c in report.checks if not c.passed]
+    assert [c.name for c in bad] == ["curve params match record"]
+    assert bad[0].detail == "params q = %d, record q = 7919" % params.q
+
+
 def test_consistency_report_csv():
     report = verify_record(load_builtin("P-192"))
     text = report.render_csv()

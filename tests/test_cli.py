@@ -141,6 +141,25 @@ def test_solve_campaign_workers_same_result(run):
     assert "workers = 4" in out2
 
 
+def test_solve_campaign_count_ops_across_workers(run):
+    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
+            "--m", "8", "--seed", "1", "--count-ops")
+    outs = [run(*base, "--workers", w)[1].splitlines() for w in ("1", "2")]
+
+    def steady(out):  # pool threads that ran ahead add measured ops
+        return [line for line in out
+                if not line.startswith(("campaign:", "elapsed:",
+                                        "measured ops:"))]
+
+    assert steady(outs[0]) == steady(outs[1])
+    lines = {line.split(":")[0]: line.split() for line in outs[0]}
+    total_steps, threads_run = int(lines["steps"][1]), int(lines["steps"][4])
+    measured = int(lines["measured ops"][2])
+    # forming Q from --x, every counted search step, forming each Q_i, the
+    # winner's re-verification and the campaign's final check
+    assert measured == 1 + total_steps + threads_run + 2 == 512
+
+
 def test_solve_degenerate_exponent(run):
     code, _, err = run("solve", "--oracle-p", "31", "--d", "5", "--x", "0")
     assert code == 2 and "error:" in err

@@ -1,5 +1,7 @@
 """Group backends: oracle, multiplicative, curve; encodings; curve files."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -377,7 +379,7 @@ def test_curve_file_missing_field():
 
 def test_find_small_curve_properties():
     rng = random.Random(2024)
-    params = find_small_curve(500, 3000, rng, smooth_bound=64)
+    params = find_small_curve(500, 3000, rng)
     group = CurveGroup(params)
     assert 500 <= params.q <= 3000
     assert group.scalar_mul(params.order, group.generator) == group.identity
@@ -385,7 +387,7 @@ def test_find_small_curve_properties():
     for f in range(2, 65):
         while n % f == 0:
             n //= f
-    assert n == 1  # order-1 is 64-smooth as requested
+    assert n == 1  # order-1 is 64-smooth
 
 
 def test_counting_group_counts():
@@ -399,3 +401,48 @@ def test_counting_group_counts():
     assert counter.scalar_muls == 0 and counter.adds == 0
     assert counter.order == 31
     assert counter == AdditiveOracleGroup(31)
+
+
+BACKENDS = {
+    "oracle": lambda: AdditiveOracleGroup(113),
+    "multiplicative": lambda: MultiplicativeGroup.subgroup_of_units(227, 113),
+    "curve": lambda: CurveGroup(DESK),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_counting_layer_passes_the_protocol_through(backend):
+    g = BACKENDS[backend]()
+    counter = CountingGroup(g)
+    e = g.scalar_mul(5, g.generator)
+    for name in ("order", "kind", "identity", "generator"):
+        assert getattr(counter, name) == getattr(g, name)
+    assert counter.element(e.data) == g.element(e.data)
+    assert counter.contains(e) and not counter.contains(
+        AdditiveOracleGroup(109).generator)
+    assert counter.negate(e) == g.negate(e)
+    assert counter.fixed_base(e) == g.fixed_base(e)
+    assert counter.encode(e) == g.encode(e)
+    assert counter.decode(g.encode(e)) == g.decode(g.encode(e))
+    assert counter == g and hash(counter) == hash(g)
+    assert (counter.scalar_muls, counter.adds) == (0, 0)  # none of the above
+    assert counter.scalar_mul(7, e) == g.scalar_mul(7, e)
+    assert counter.add(e, e) == g.add(e, e)
+    assert (counter.scalar_muls, counter.adds) == (1, 1)
+    for clone in (copy.copy(counter), pickle.loads(pickle.dumps(counter))):
+        assert (clone.scalar_muls, clone.adds) == (1, 1)
+        assert clone == g and clone.order == g.order
+        assert clone.scalar_mul(2, e) == g.scalar_mul(2, e)
+        assert clone.scalar_muls == 2
+    assert counter.scalar_muls == 1
+
+
+def test_group_layer_is_written_once():
+    own = {name for name, value in vars(CountingGroup).items()
+           if callable(value)}
+    assert own == {"__init__", "__getattr__", "add", "scalar_mul", "encode",
+                   "reset", "__eq__", "__hash__", "__repr__"}
+    for cls in (AdditiveOracleGroup, MultiplicativeGroup):
+        assert "_encode" not in vars(cls) and "_decode" not in vars(cls)
+    with pytest.raises(AttributeError):
+        CountingGroup(AdditiveOracleGroup(31)).no_such_attribute

@@ -92,7 +92,7 @@ def test_share_giant_does_not_change_verdicts():
         for y in draw_multipliers(p, 4, seed):
             Q_i = instance.group.scalar_mul(y, instance.Q)
             alone.append(solve_in_subgroup(
-                DlpInstance(group=instance.group, P=instance.P, Q=Q_i, p=p),
+                DlpInstance(group=instance.group, P=instance.P, Q=Q_i),
                 H))
         hits = [i for i, v in enumerate(alone) if isinstance(v, Found)]
         assert shared.found == bool(hits)
