@@ -18,9 +18,11 @@ keys for collision search.
 
 `fixed_base(P)` prepares a point that many scalar_mul calls will share, as
 both BSGS sweeps do.  It returns an element equal to P that stands in for
-it: the oracle and multiplicative groups return P itself, and CurveGroup
-attaches a Lim-Lee comb table that makes each multiply ~3x cheaper on
-P-256.
+it: the oracle group returns P itself, MultiplicativeGroup attaches rows of
+powers that turn each exponentiation into a few modular multiplies, and
+CurveGroup attaches a Lim-Lee comb table that makes each multiply ~3x
+cheaper on P-256.  Multiplies of a plain element, such as a solver's
+re-verification of its answer, never read a table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul` and passes everything else through to the group it wraps.
@@ -165,7 +167,8 @@ class CyclicGroup:
         """e prepared for many scalar_mul calls with e as the point.
 
         The result is equal to e and stands in for it in scalar_mul.  This
-        default returns e itself; CurveGroup attaches a precomputed table.
+        default returns e itself; MultiplicativeGroup and CurveGroup attach a
+        precomputed table (a _Prepared element).
         """
         return e
 
@@ -192,6 +195,21 @@ class CyclicGroup:
 
     def __repr__(self):
         return "%s(order=%d)" % (type(self).__name__, self.order)
+
+
+class _Prepared(GroupElement):
+    """An element carrying the table its group's fixed_base built for it.
+
+    It equals and hashes like the plain element; only its own group's
+    scalar_mul reads `table` and `width`.
+    """
+
+    __slots__ = ("table", "width")
+
+    def __init__(self, group, data, table, width):
+        super().__init__(group, data)
+        self.table = table
+        self.width = width
 
 
 class AdditiveOracleGroup(CyclicGroup):
@@ -231,11 +249,23 @@ class AdditiveOracleGroup(CyclicGroup):
         return self._wrap(k % self.order * e.data % self.order)
 
 
+# Digit bits of a multiplicative fixed-base table.  On the campaign
+# benchmark's group (129-bit r, 24-bit p; 2-vCPU Xeon, Python 3.11) a plain
+# pow takes ~15 us; at 4, 6 and 8 bits a table takes ~60, ~150 and ~350 us
+# to build and ~4.4, ~2.4 and ~2.1 us per multiply.  6 and 8 tie on the
+# campaign benchmark (17.9 and 17.8 campaigns/s, medians of 5 alternating
+# runs), so 6 keeps the smaller table.
+POWER_WINDOW = 6
+
+
 class MultiplicativeGroup(CyclicGroup):
     """The order-p subgroup of (Z/rZ)*, written additively.
 
     `add` is multiplication mod r and `scalar_mul` is exponentiation, so a
-    Schnorr-style subgroup plugs into the same solvers as a curve does.
+    Schnorr-style subgroup plugs into the same solvers as a curve does.  A
+    plain element is raised by the built-in pow; one from `fixed_base` is
+    raised by a product of its power rows (Brickell, Gordon, McCurley and
+    Wilson 1992).
     """
 
     kind = "multiplicative"
@@ -283,9 +313,39 @@ class MultiplicativeGroup(CyclicGroup):
     def _neg(self, a):
         return pow(a, -1, self.modulus)
 
+    def fixed_base(self, e):
+        """e carrying radix-2^POWER_WINDOW power rows.
+
+        Row c holds e^(j * 2^(w*c)) mod r for j = 0 .. 2^w - 1, with
+        w = POWER_WINDOW and ceil(bits(order) / w) rows, so for a reduced k
+        the product over c of row c's entry at digit c of k is k*e: that
+        is one fewer modular multiply than there are rows.
+        """
+        self._check(e)
+        r, w = self.modulus, POWER_WINDOW
+        rows = []
+        base = e.data
+        for _ in range(-(-self.order.bit_length() // w)):
+            row = [1]
+            for _ in range((1 << w) - 1):
+                row.append(row[-1] * base % r)
+            rows.append(row)
+            base = row[-1] * base % r
+        return _Prepared(self, e.data, rows, w)
+
     def scalar_mul(self, k, e):
         self._check(e)
-        return self._wrap(pow(e.data, k % self.order, self.modulus))
+        k %= self.order
+        if not isinstance(e, _Prepared):
+            return self._wrap(pow(e.data, k, self.modulus))
+        r, w = self.modulus, e.width
+        mask = (1 << w) - 1
+        rows = iter(e.table)
+        acc = next(rows)[k & mask]
+        for row in rows:
+            k >>= w
+            acc = acc * row[k & mask] % r
+        return self._wrap(acc)
 
 
 @dataclass(frozen=True)
@@ -346,17 +406,6 @@ def load_curve_file(path):
 # P-256 audit times (2-vCPU Xeon, Python 3.11): 10.7, 9.6, 9.4 and 9.7 ms for
 # 3, 4, 5 and 6 rows, so 4 keeps the smaller table at no cost.
 COMB_TEETH = 4
-
-
-class _CombPoint(GroupElement):
-    """A curve point with its fixed-base comb table (CurveGroup.fixed_base)."""
-
-    __slots__ = ("table", "width")
-
-    def __init__(self, group, data, table, width):
-        super().__init__(group, data)
-        self.table = table
-        self.width = width
 
 
 # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and for the
@@ -487,7 +536,7 @@ class CurveGroup(CyclicGroup):
         for j in range(1, 1 << COMB_TEETH):
             top = j.bit_length() - 1
             table.append(self._add(table[j ^ (1 << top)], teeth[top]))
-        return _CombPoint(self, e.data, table, w)
+        return _Prepared(self, e.data, table, w)
 
     def _comb_mul(self, k, comb):
         """k*P for 0 <= k < order from P's comb table (see fixed_base).
@@ -513,7 +562,7 @@ class CurveGroup(CyclicGroup):
 
     def scalar_mul(self, k, e):
         self._check(e)
-        if isinstance(e, _CombPoint):
+        if isinstance(e, _Prepared):
             return self._wrap(self._comb_mul(k % self.order, e))
         return self._wrap(self._mul(k % self.order, e.data))
 

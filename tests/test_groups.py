@@ -7,12 +7,13 @@ import random
 import pytest
 
 from subgroupdlp.catalog import load_builtin
-from subgroupdlp.groups import (COMB_TEETH, AdditiveOracleGroup,
-                                CountingGroup, CurveGroup, CurveParams,
-                                MultiplicativeGroup, desk_curve,
-                                find_small_curve, format_curve_params,
-                                implicit_equal, load_curve_file,
-                                parse_curve_params)
+from subgroupdlp.field import is_probable_prime
+from subgroupdlp.groups import (COMB_TEETH, POWER_WINDOW,
+                                AdditiveOracleGroup, CountingGroup,
+                                CurveGroup, CurveParams, MultiplicativeGroup,
+                                desk_curve, find_small_curve,
+                                format_curve_params, implicit_equal,
+                                load_curve_file, parse_curve_params)
 
 
 def test_oracle_group_is_transparent():
@@ -264,9 +265,11 @@ def test_fixed_base_of_the_identity_and_other_backends():
     O = group.identity
     assert group.fixed_base(O) is O
     assert group.scalar_mul(7, group.fixed_base(O)) == O
-    for other in (AdditiveOracleGroup(31), MultiplicativeGroup(23, 2, 11)):
-        e = other.generator
-        assert other.fixed_base(e) is e
+    e = AdditiveOracleGroup(31).generator
+    assert e.group.fixed_base(e) is e
+    e = MultiplicativeGroup(23, 2, 11).generator
+    prepared = e.group.fixed_base(e)
+    assert prepared == e and hash(prepared) == hash(e)
     with pytest.raises(ValueError):
         group.fixed_base(AdditiveOracleGroup(31).generator)
     counter = CountingGroup(group)
@@ -274,6 +277,61 @@ def test_fixed_base_of_the_identity_and_other_backends():
     assert counter.scalar_muls == 0 and len(comb.table) == 1 << COMB_TEETH
     assert counter.scalar_mul(5, comb) == group.scalar_mul(5, group.generator)
     assert counter.scalar_muls == 1
+
+
+def power_table_agrees_with_pow(group, base, scalars):
+    """The power rows of `base` against the built-in pow."""
+    prepared = group.fixed_base(base)
+    assert prepared == base and hash(prepared) == hash(base)
+    rows = -(-group.order.bit_length() // POWER_WINDOW)
+    assert [len(row) for row in prepared.table] == [1 << POWER_WINDOW] * rows
+    for k in scalars:
+        assert group.scalar_mul(k, prepared).data == \
+            pow(base.data, k % group.order, group.modulus), k
+
+
+@pytest.mark.parametrize("group", [
+    MultiplicativeGroup.subgroup_of_units(227, 113),
+    MultiplicativeGroup(23, 2, 11),
+    MultiplicativeGroup(7, 6, 2),   # order 2: one row, no multiplies
+    MultiplicativeGroup(7, 2, 3),   # order 3
+], ids=lambda g: "r%d-p%d" % (g.modulus, g.order))
+def test_power_table_matches_pow_for_every_scalar(group):
+    G = group.generator
+    for base in (G, -G, group.scalar_mul(group.order // 2 + 1, G),
+                 group.identity):
+        power_table_agrees_with_pow(group, base, range(-3, group.order + 3))
+
+
+def test_power_table_matches_pow_on_a_128_bit_modulus():
+    # shaped like the campaign benchmark's group: a 24-bit p and a
+    # ~128-bit prime r = 2cp + 1
+    rng = random.Random(128)
+    p = 39 * (1 << 18) + 1
+    r = 4
+    while not is_probable_prime(r):
+        r = 2 * p * rng.randrange(1 << 103, 1 << 104) + 1
+    group = MultiplicativeGroup.subgroup_of_units(r, p)
+    assert r.bit_length() in (128, 129) and p.bit_length() == 24
+    base = group.scalar_mul(rng.randrange(2, p), group.generator)
+    power_table_agrees_with_pow(
+        group, base, [rng.randrange(-p, 2 * p) for _ in range(20)]
+        + [0, 1, p - 1, p])
+
+
+def test_power_table_rejects_foreign_elements_and_is_not_counted():
+    group = MultiplicativeGroup(23, 2, 11)
+    for foreign in (AdditiveOracleGroup(11).generator,
+                    MultiplicativeGroup(7, 2, 3).generator):
+        with pytest.raises(ValueError):
+            group.fixed_base(foreign)
+    counter = CountingGroup(group)
+    prepared = counter.fixed_base(group.generator)
+    assert counter.scalar_muls == 0
+    for k in range(1, 6):
+        assert counter.scalar_mul(k, prepared) == \
+            group.scalar_mul(k, group.generator)
+        assert counter.scalar_muls == k
 
 
 def test_cofactor_membership_is_the_prime_order_subgroup():

@@ -6,12 +6,12 @@ import sys
 import pytest
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
-                              NotInSubgroup, solve_in_subgroup,
+                              NotInSubgroup, Undecided, solve_in_subgroup,
                               theorem_budget)
 from subgroupdlp.factoring import SubgroupSpec, subgroup_generator
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
-                                CurveGroup, desk_curve)
+                                CurveGroup, MultiplicativeGroup, desk_curve)
 from subgroupdlp.parallel import (CampaignConfig, CampaignResult,
                                   CampaignSuccess, draw_multipliers,
                                   empirical_success_rate, randomized_solve)
@@ -256,3 +256,62 @@ def test_campaign_on_curve_group():
             assert group.scalar_mul(result.success.x.value,
                                     instance.P) == instance.Q
     assert found >= 1  # per-campaign odds ~0.10; seeds are fixed
+
+
+def _constant(group, base, rows):
+    for row in rows:
+        row[:] = [group.generator.data] * len(row)
+
+
+def _off_by_one(group, base, rows):  # row 0 gives base^(j+1): k*e is (k+1)*e
+    rows[0][:] = [v * base.data % group.modulus for v in rows[0]]
+
+
+def _shuffled(group, base, rows):
+    rng = random.Random(base.data)
+    for row in rows:
+        rng.shuffle(row)
+
+
+class CorruptPowerTables(MultiplicativeGroup):
+    """A multiplicative group whose fixed_base tables are wrong on purpose."""
+
+    def __init__(self, corrupt):
+        super().__init__(227, 4, 113)  # 4 = 2^2 has order 113 mod 227
+        self.corrupt = corrupt
+
+    def fixed_base(self, e):
+        prepared = super().fixed_base(e)
+        self.corrupt(self, e, prepared.table)
+        return prepared
+
+
+@pytest.mark.parametrize("corrupt", [_constant, _off_by_one, _shuffled],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_corrupt_power_table_never_yields_a_wrong_answer(corrupt):
+    # Both sweeps multiply through the corrupt tables, so their collisions
+    # are wrong; every answer is re-verified by the plain multiply of the
+    # unprepared P, so none of them may be accepted.
+    group = CorruptPowerTables(corrupt)
+    P = group.generator
+    prepared = group.fixed_base(P)
+    assert [group.scalar_mul(k, prepared) == group.scalar_mul(k, P)
+            for k in range(1, 113)].count(False) > 50
+
+    def correct(x, Q):
+        return pow(P.data, x.value, 227) == Q.data
+
+    for d in (7, 16, 56):
+        H = subgroup_generator(113, d)
+        for x in range(1, 113):
+            instance = DlpInstance.from_secret(group, x)
+            verdict = solve_in_subgroup(instance, H)
+            assert isinstance(verdict, (Found, NotInSubgroup, Undecided))
+            if isinstance(verdict, Found):
+                assert correct(verdict.x, instance.Q), (d, x)
+        for seed in range(4):
+            instance = DlpInstance.from_secret(group, 5 + 17 * seed)
+            result = randomized_solve(instance, H,
+                                      CampaignConfig(m=4, seed=seed))
+            assert result.success is None or correct(result.success.x,
+                                                     instance.Q)
