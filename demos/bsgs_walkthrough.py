@@ -17,7 +17,7 @@ p = 31
 group = CountingGroup(AdditiveOracleGroup(p))
 
 # The subgroup of order 5, generated by zeta = 2 (2^5 = 32 = 1 mod 31).
-H = SubgroupSpec(d=5, zeta=Residue(2, p), p=p)
+H = SubgroupSpec(d=5, zeta=Residue(2, p))
 H.verify()
 print("subgroup H of order %d mod %d: %s" % (H.d, p, sorted(H.elements())))
 print("worst-case budget: %d scalar multiplications" % theorem_budget(H.d))

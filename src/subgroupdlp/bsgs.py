@@ -141,6 +141,15 @@ def giant_encodings(group, P, H, should_stop=None, cap=None):
     return table, n + 1
 
 
+def _check_solvable(instance, H):
+    """The entry checks shared by a single solve and a campaign."""
+    if H.p != instance.p:
+        raise ValueError("subgroup lives mod %d, instance mod %d"
+                         % (H.p, instance.p))
+    if instance.Q.is_identity():
+        raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
+
+
 def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
                       shared_giant=None):
     """Decide whether the hidden exponent lies in H, recovering it if so.
@@ -157,11 +166,7 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     `giant_encodings` whose cost was paid elsewhere: the solve then runs
     only the baby sweep, and `steps` and `step_cap` count baby steps only.
     """
-    if H.p != instance.p:
-        raise ValueError("subgroup lives mod %d, instance mod %d"
-                         % (H.p, instance.p))
-    if instance.Q.is_identity():
-        raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
+    _check_solvable(instance, H)
     group = instance.group
     P, Q, p = instance.P, instance.Q, instance.p
     zeta = H.zeta.value

@@ -267,6 +267,8 @@ def cmd_audit(args):
 
 
 def cmd_keycheck(args):
+    if args.group_file and args.curve:
+        raise CommandError("pick exactly one of --curve, --group-file")
     if not (args.group_file or args.curve):
         raise CommandError("pick one of --curve, --group-file")
     record = _record_for(args.group_file or args.curve)

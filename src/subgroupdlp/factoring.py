@@ -167,19 +167,19 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     residual = 1
     if m > 1:
         pending = [m]
-        budget = [rho_budget]
+        budget = rho_budget
         while pending:
             chunk = pending.pop()
             if chunk < TRIAL_BOUND * TRIAL_BOUND or is_probable_prime(chunk):
                 # below the trial bound squared, anything unsplit is prime
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
-            split = pollard_rho_brent(chunk, rng, max_iters=budget[0]) \
-                if budget[0] > 0 else None
+            split = pollard_rho_brent(chunk, rng, max_iters=budget) \
+                if budget > 0 else None
             if split is None:
                 residual *= chunk
                 continue
-            budget[0] >>= 1  # geometric split of the remaining budget
+            budget >>= 1  # geometric split of the remaining budget
             pending.append(split)
             pending.append(chunk // split)
     return FactoredInteger(n=n, factors=sorted(counts.items()),
@@ -189,9 +189,9 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
 def find_primitive_root(p, factored):
     """Smallest generator of (Z/pZ)*, as a Residue mod p.
 
-    p must be prime (checked here, once per call) and `factored` the
-    complete factorization of p-1: g is primitive iff g^((p-1)/q) != 1 for
-    every prime q | p-1.
+    p must be prime (checked here) and `factored` the complete
+    factorization of p-1: g is primitive iff g^((p-1)/q) != 1 for every
+    prime q | p-1.
     """
     if not is_probable_prime(p):
         raise ValueError("modulus %d is not prime" % p)
@@ -210,11 +210,17 @@ def find_primitive_root(p, factored):
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """The unique order-d subgroup of (Z/pZ)*, carried by a generator zeta."""
+    """The unique order-d subgroup of (Z/pZ)*, carried by a generator zeta.
+
+    p is read from zeta's modulus, so the two cannot disagree.
+    """
 
     d: int
     zeta: Residue
-    p: int
+
+    @property
+    def p(self):
+        return self.zeta.modulus
 
     def verify(self, factored_d=None):
         """zeta has order exactly d: zeta^d = 1 and zeta^(d/q) != 1 for q | d."""
@@ -257,7 +263,7 @@ def subgroup_generator(p, d, generator=None, factored=None):
         raise ValueError("generator lives mod %d, not mod %d"
                          % (generator.modulus, p))
     z = pow(generator.value, (p - 1) // d, p)
-    return SubgroupSpec(d=d, zeta=Residue(z, p), p=p)
+    return SubgroupSpec(d=d, zeta=Residue(z, p))
 
 
 def divisors(factored, limit=1 << 20):

@@ -5,8 +5,13 @@ The exponent arithmetic itself is Python's built-in `pow(x, e, p)` and
 Miller-Rabin test for the moduli that enter the package, a parser for
 decimal or hex input, stable sub-seeds, and `Residue`, the (value,
 modulus) record that results carry.
+
+The Miller-Rabin test is memoised (a bounded LRU cache), so every caller
+can prove every modulus it is handed: a catalog constant such as the
+P-256 order costs 40 rounds the first time and a lookup afterwards.
 """
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -32,11 +37,14 @@ def parse_int(text):
     return -value if negative else value
 
 
+# bounded: prime searches test many random candidates that never recur
+@functools.lru_cache(maxsize=1024)
 def is_probable_prime(n):
     """Miller-Rabin with MILLER_RABIN_ROUNDS random bases (error < 4^-rounds).
 
     Bases are drawn from a generator seeded by n itself, so the answer for a
-    given n is stable across runs and threads.
+    given n is stable across runs and threads, and a cached answer is the
+    same proof.
     """
     if n < 2:
         return False

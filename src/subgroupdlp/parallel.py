@@ -22,7 +22,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
-from .bsgs import (DegenerateKeyError, DlpInstance, Found, giant_encodings,
+from .bsgs import (DlpInstance, Found, _check_solvable, giant_encodings,
                    solve_in_subgroup)
 from .factoring import factor, find_primitive_root, subgroup_generator
 from .field import Residue, derive_seed
@@ -117,11 +117,7 @@ def randomized_solve(instance, H, config, progress=None):
     `progress`, if given, is called as progress(threads_finished,
     steps_so_far) after each thread is accounted.
     """
-    if H.p != instance.p:
-        raise ValueError("subgroup lives mod %d, instance mod %d"
-                         % (H.p, instance.p))
-    if instance.Q.is_identity():
-        raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
+    _check_solvable(instance, H)
     group = instance.group
     ys = draw_multipliers(instance.p, config.m, config.seed)
     shared, setup_steps = giant_encodings(group, instance.P, H)

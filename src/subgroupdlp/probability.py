@@ -11,9 +11,8 @@ The bound depends on d and m only through the product d*m, which is the
 whole trade-off story: at a fixed success target, doubling the subgroup
 halves the threads.
 
-Proving p prime (Miller-Rabin) costs far more than evaluating a cell, so
-each public function checks p once per call: a table or a threshold
-search validates p up front and then works through unchecked helpers.
+Every public function checks its own inputs; proving p prime is a cache
+lookup after the first call (see `field.is_probable_prime`).
 """
 
 import csv
@@ -45,21 +44,13 @@ def int_log2(n):
     return shift + math.log2(n >> shift)
 
 
-def _check_prime(p):
+def _check(d, m, p):
     if not is_probable_prime(p):
         raise ValueError("p must be prime")
-
-
-def _check_args(d, m, p):
     if not 1 <= d <= p - 1:
         raise ValueError("need 1 <= d <= p-1")
     if m < 0:
         raise ValueError("thread count must be >= 0")
-
-
-def _check_inputs(d, m, p):
-    _check_prime(p)
-    _check_args(d, m, p)
 
 
 def success_lower_bound(d, m, p):
@@ -68,11 +59,7 @@ def success_lower_bound(d, m, p):
     A function of the product d*m alone (given p), so it is exactly
     invariant under the doubling/halving trade-off.
     """
-    _check_inputs(d, m, p)
-    return _lower_bound(d, m, p)
-
-
-def _lower_bound(d, m, p):
+    _check(d, m, p)
     if m == 0:
         return 0.0
     t = Fraction(d * m, p - 1)
@@ -83,11 +70,7 @@ def _lower_bound(d, m, p):
 
 def success_exact(d, m, p):
     """1 - (1 - d/(p-1))^m: the exact probability of at least one hit."""
-    _check_inputs(d, m, p)
-    return _exact(d, m, p)
-
-
-def _exact(d, m, p):
+    _check(d, m, p)
     if m == 0:
         return 0.0
     r = float(Fraction(d, p - 1))
@@ -109,16 +92,16 @@ def threads_for_probability(d, p, target):
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must lie strictly in (0, 1)")
-    _check_inputs(d, 1, p)
+    _check(d, 1, p)
     rate = Fraction(-math.log1p(-target))
     guess = (rate * (p - 1) + d - 1) // d
     hi = max(int(guess), 1)
-    while _lower_bound(d, hi, p) < target:
+    while success_lower_bound(d, hi, p) < target:
         hi *= 2
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _lower_bound(d, mid, p) >= target:
+        if success_lower_bound(d, mid, p) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -141,18 +124,12 @@ class AttackEstimate:
 
 
 def estimate(p, d, m):
-    _check_prime(p)
-    return _estimate(p, d, m)
-
-
-def _estimate(p, d, m):
-    """estimate() for a p already known to be prime."""
-    _check_args(d, m, p)
+    _check(d, m, p)
     log2_d = int_log2(d)
     return AttackEstimate(
         p=p, d=d, m=m,
-        lower_bound=_lower_bound(d, m, p),
-        exact=_exact(d, m, p),
+        lower_bound=success_lower_bound(d, m, p),
+        exact=success_exact(d, m, p),
         steps_per_thread=2.0 ** (log2_d / 2.0),
         log2_d=log2_d,
         log2_m=int_log2(m) if m else float("-inf"),
@@ -207,9 +184,9 @@ class ProbabilityTable:
 
 def build_table(p, divisors, thread_exponents):
     """AttackEstimate grid over divisors x 2^exponents (either may be empty)."""
-    _check_prime(p)
+    _check(1, 0, p)  # p alone, since an empty grid has no cell to check it
     rows = tuple(
-        tuple(_estimate(p, d, 1 << e) for d in divisors)
+        tuple(estimate(p, d, 1 << e) for d in divisors)
         for e in thread_exponents)
     return ProbabilityTable(p=p, divisors=tuple(divisors),
                             thread_exponents=tuple(thread_exponents),

@@ -17,7 +17,7 @@ from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
 
 G31 = AdditiveOracleGroup(31)
-H5 = SubgroupSpec(d=5, zeta=Residue(2, 31), p=31)  # <2> = {1,2,4,8,16}
+H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
 
 
 def _instance(group, x):
@@ -294,7 +294,7 @@ def test_shared_giant_encodings():
 
 def test_duplicate_giant_keys_keep_every_a():
     # zeta = -1 and n = 2, so zeta^n = 1 and all three giant keys are P
-    H2 = SubgroupSpec(d=2, zeta=Residue(30, 31), p=31)
+    H2 = SubgroupSpec(d=2, zeta=Residue(30, 31))
     table, _ = giant_encodings(G31, G31.generator, H2)
     assert list(table.values()) == [(0, 1, 2)]
     # b = 0 misses (Q = 30), b = 1 hits (zeta * Q = 1) and a = 0 verifies
@@ -305,7 +305,7 @@ def test_duplicate_giant_keys_keep_every_a():
 
 
 def test_trivial_subgroup():
-    H1 = SubgroupSpec(d=1, zeta=Residue(1, 31), p=31)
+    H1 = SubgroupSpec(d=1, zeta=Residue(1, 31))
     found = solve_in_subgroup(_instance(G31, 1), H1)
     assert isinstance(found, Found) and found.x == Residue(1, 31)
     out = solve_in_subgroup(_instance(G31, 2), H1)
@@ -316,7 +316,7 @@ def test_verification_gate_rejects_bogus_collisions():
     # zeta = 25 has true order 3 mod 31; claiming d = 4 makes the first
     # collision recover zeta^3 = 1 instead of the real exponent.  The
     # re-verification multiply must reject it and let the sweep continue.
-    H_lying = SubgroupSpec(d=4, zeta=Residue(25, 31), p=31)
+    H_lying = SubgroupSpec(d=4, zeta=Residue(25, 31))
     assert pow(25, 3, 31) == 1
     result = solve_in_subgroup(_instance(G31, 5), H_lying)
     assert result == Found(x=Residue(5, 31), a=1, b=1, steps=6)

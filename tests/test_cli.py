@@ -341,11 +341,16 @@ def test_keycheck_csv(run):
     assert lines[1].startswith("P-256,16,")
 
 
-def test_keycheck_usage_errors(run):
+def test_keycheck_usage_errors(run, tmp_path):
     assert run("keycheck", "--x", "1")[0] == 2          # no record source
     assert run("keycheck", "--curve", "P-256")[0] == 2  # no key
     code, _, err = run("keycheck", "--curve", "P-256", "--q", "1,2")
     assert code == 2 and "point-form" in err
+    path = tmp_path / "desk.curve"
+    path.write_text(format_curve_params(desk_curve()))
+    code, _, err = run("keycheck", "--curve", "P-256", "--group-file",
+                       str(path), "--x", "1")
+    assert code == 2 and "pick exactly one of --curve, --group-file" in err
 
 
 def test_factor_command(run):

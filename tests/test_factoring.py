@@ -1,5 +1,6 @@
 """Factorization, subgroup generators, divisor search."""
 
+import dataclasses
 import math
 import random
 
@@ -162,11 +163,19 @@ def test_subgroup_generator_orders():
 def test_subgroup_spec_verify_rejects_wrong_order():
     # element of order 5 presented as an order-10 generator
     bad = subgroup_generator(31, 5)
-    lying = type(bad)(d=10, zeta=bad.zeta, p=31)
+    lying = type(bad)(d=10, zeta=bad.zeta)
     assert not lying.verify()
     # element whose power is not even 1
-    lying2 = type(bad)(d=7, zeta=bad.zeta, p=31)
+    lying2 = type(bad)(d=7, zeta=bad.zeta)
     assert not lying2.verify()
+
+
+def test_subgroup_spec_p_is_read_from_zeta():
+    spec = subgroup_generator(31, 5)
+    assert spec.p == spec.zeta.modulus == 31
+    assert [f.name for f in dataclasses.fields(spec)] == ["d", "zeta"]
+    with pytest.raises(TypeError):
+        type(spec)(d=5, zeta=spec.zeta, p=37)
 
 
 def test_subgroup_elements_refuses_huge_enumeration():

@@ -55,6 +55,19 @@ def test_primality_known_large_values():
     assert MILLER_RABIN_ROUNDS >= 40
 
 
+def test_primality_is_memoised_in_a_bounded_cache():
+    assert is_probable_prime.cache_info().maxsize is not None
+    assert is_probable_prime(P256_ORDER)
+    before = is_probable_prime.cache_info()
+    assert is_probable_prime(P256_ORDER)  # no Miller-Rabin round runs
+    after = is_probable_prime.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # composites, Carmichael numbers among them, stay composite when cached
+    for n in (561, 1105, 1729, 3215031751, P256_ORDER - 1, 2 ** 127 - 3):
+        assert not is_probable_prime(n)
+        assert not is_probable_prime(n)
+
+
 def test_residue_equality_and_hash():
     assert Residue(4, 31) == Residue(4, 31)
     assert Residue(4, 31) != Residue(4, 37)

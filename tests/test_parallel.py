@@ -17,7 +17,7 @@ from subgroupdlp.parallel import (CampaignConfig, CampaignResult,
                                   empirical_success_rate, randomized_solve)
 
 G31 = AdditiveOracleGroup(31)
-H5 = SubgroupSpec(d=5, zeta=Residue(2, 31), p=31)
+H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))
 
 
 def test_draw_multipliers_deterministic_and_in_range():

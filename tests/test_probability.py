@@ -168,8 +168,8 @@ def test_input_validation():
         success_exact(5, -1, 31)
     with pytest.raises(ValueError):
         success_lower_bound(5, 1, 30)  # composite p
-    # estimate and build_table check p once per call, not once per cell;
-    # the check must still happen, even for a table with no rows
+    # estimate and build_table must reject a composite p, even for a
+    # table with no rows
     with pytest.raises(ValueError):
         estimate(30, 5, 1)
     with pytest.raises(ValueError):
