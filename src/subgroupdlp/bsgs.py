@@ -7,7 +7,8 @@ n = isqrt(d) + 1, any x = zeta^k in H satisfies k = a*n - b with
 
     zeta^b * Q  ==  (zeta^n)^a * P     for some such a, b.
 
-The solver tabulates the right side (giant steps, keyed by encoding) and
+Each side is a sweep of one fixed point, keyed by encoding through the
+group's `sweep_keys`.  The solver tabulates the right side (giant steps) and
 streams the left side (baby steps) against it; on a table hit it recovers
 x = zeta^(a*n-b mod d) and accepts it only after re-verifying x*P == Q.
 The giant table costs n+1 scalar multiplications and depends only on
@@ -103,19 +104,19 @@ class _Stopped(Exception):
 def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
     """Encodings of ratio^i * base for i = 0..n, one scalar multiply each.
 
-    Every multiply is by the same point, so the group prepares it once
-    (`fixed_base`).  Before each multiply it polls `should_stop` and then
-    checks that fewer than `cap` multiplies are done; either stop raises
-    _Stopped(i).
+    Every multiply is by the same point, so one `sweep_keys(base)` checks
+    it once and gives every key.  Before each multiply it polls
+    `should_stop` and then checks that fewer than `cap` multiplies are
+    done; either stop raises _Stopped(i).
     """
-    base = group.fixed_base(base)
+    key = group.sweep_keys(base)
     t = 1
     for i in range(n + 1):
         if should_stop is not None and should_stop():
             raise _Stopped(i)
         if cap is not None and i >= cap:
             raise _Stopped(i)
-        yield group.encode(group.scalar_mul(t, base))
+        yield key(t)
         t = t * ratio % p
 
 
@@ -159,14 +160,16 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     that verifies.  A member's first verified hit has b <= n-1, so the
     search plus its verify multiply stays within theorem_budget(d).
 
-    Returns Found / NotInSubgroup / Undecided.  `step_cap` bounds the
-    number of scalar multiplications (the verification multiplies are not
-    charged); `should_stop` is polled before every multiply for
+    Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
+    the number of scalar multiplications (the verification multiplies are
+    not charged); `should_stop` is polled before every multiply for
     cooperative cancellation.  `shared_giant` is a table from
     `giant_encodings` whose cost was paid elsewhere: the solve then runs
     only the baby sweep, and `steps` and `step_cap` count baby steps only.
     """
     _check_solvable(instance, H)
+    if step_cap is not None and step_cap < 0:
+        raise ValueError("step cap must be >= 0, got %d" % step_cap)
     group = instance.group
     P, Q, p = instance.P, instance.Q, instance.p
     zeta = H.zeta.value

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .field import Residue, is_probable_prime
 
-TRIAL_BOUND = 10 ** 6
+TRIAL_BOUND = 1 << 16
 DEFAULT_RHO_BUDGET = 1 << 24
 _PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
 

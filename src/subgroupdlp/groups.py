@@ -16,16 +16,16 @@ in the field Z/pZ and k*P depends only on k mod p.  Encodings are injective
 bytes with a distinguished identity encoding, giving hashable dictionary
 keys for collision search.
 
-`fixed_base(P)` prepares a point that many scalar_mul calls will share, as
-both BSGS sweeps do.  It returns an element equal to P that stands in for
-it: the oracle group returns P itself, MultiplicativeGroup attaches rows of
-powers that turn each exponentiation into a few modular multiplies, and
-CurveGroup attaches a Lim-Lee comb table that makes each multiply ~3x
-cheaper on P-256.  Multiplies of a plain element, such as a solver's
-re-verification of its answer, never read a table.
+`sweep_keys(P)` serves the BSGS sweeps, which multiply one fixed point
+many times and keep only the encodings.  It checks P once and returns the
+function k -> encode(k*P): the oracle group does one mulmod per key,
+MultiplicativeGroup builds rows of powers that turn each exponentiation
+into a few modular multiplies, and CurveGroup a Lim-Lee comb table that
+makes each multiply ~3x cheaper on P-256.  scalar_mul reads no table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
-`scalar_mul` and passes everything else through to the group it wraps.
+`scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
+and passes everything else through to the group it wraps.
 """
 
 import functools
@@ -92,10 +92,11 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement scalar_mul and the raw hooks (_add, _neg,
-    _identity_data, _generator_data, _contains_data); this class supplies
-    validation, element wrapping and the default encoding of integer data
-    as `_width` big-endian bytes, which each integer backend sizes.
+    Subclasses implement scalar_mul, sweep_keys and the raw hooks (_add,
+    _neg, _identity_data, _generator_data, _contains_data); this class
+    supplies validation, element wrapping and the default encoding of
+    integer data as `_width` big-endian bytes, which each integer backend
+    sizes.
     """
 
     kind = "abstract"
@@ -163,14 +164,9 @@ class CyclicGroup:
         """k*P for any integer k; k acts through its residue mod the order."""
         raise NotImplementedError
 
-    def fixed_base(self, e):
-        """e prepared for many scalar_mul calls with e as the point.
-
-        The result is equal to e and stands in for it in scalar_mul.  This
-        default returns e itself; MultiplicativeGroup and CurveGroup attach a
-        precomputed table (a _Prepared element).
-        """
-        return e
+    def sweep_keys(self, e):
+        """The function k -> encode(scalar_mul(k, e)); e is checked here."""
+        raise NotImplementedError
 
     # -- encodings -------------------------------------------------------------
 
@@ -195,21 +191,6 @@ class CyclicGroup:
 
     def __repr__(self):
         return "%s(order=%d)" % (type(self).__name__, self.order)
-
-
-class _Prepared(GroupElement):
-    """An element carrying the table its group's fixed_base built for it.
-
-    It equals and hashes like the plain element; only its own group's
-    scalar_mul reads `table` and `width`.
-    """
-
-    __slots__ = ("table", "width")
-
-    def __init__(self, group, data, table, width):
-        super().__init__(group, data)
-        self.table = table
-        self.width = width
 
 
 class AdditiveOracleGroup(CyclicGroup):
@@ -248,8 +229,13 @@ class AdditiveOracleGroup(CyclicGroup):
         self._check(e)
         return self._wrap(k % self.order * e.data % self.order)
 
+    def sweep_keys(self, e):
+        self._check(e)
+        p, v, width = self.order, e.data, self._width
+        return lambda k: (k * v % p).to_bytes(width, "big")
 
-# Digit bits of a multiplicative fixed-base table.  On the campaign
+
+# Digit bits of a multiplicative power table.  On the campaign
 # benchmark's group (129-bit r, 24-bit p; 2-vCPU Xeon, Python 3.11) a plain
 # pow takes ~15 us; at 4, 6 and 8 bits a table takes ~60, ~150 and ~350 us
 # to build and ~4.4, ~2.4 and ~2.1 us per multiply.  6 and 8 tie on the
@@ -262,10 +248,10 @@ class MultiplicativeGroup(CyclicGroup):
     """The order-p subgroup of (Z/rZ)*, written additively.
 
     `add` is multiplication mod r and `scalar_mul` is exponentiation, so a
-    Schnorr-style subgroup plugs into the same solvers as a curve does.  A
-    plain element is raised by the built-in pow; one from `fixed_base` is
-    raised by a product of its power rows (Brickell, Gordon, McCurley and
-    Wilson 1992).
+    Schnorr-style subgroup plugs into the same solvers as a curve does.
+    scalar_mul is the built-in pow; `sweep_keys` builds the point's power
+    rows once and raises it by a product of row entries (Brickell, Gordon,
+    McCurley and Wilson 1992).
     """
 
     kind = "multiplicative"
@@ -313,39 +299,43 @@ class MultiplicativeGroup(CyclicGroup):
     def _neg(self, a):
         return pow(a, -1, self.modulus)
 
-    def fixed_base(self, e):
-        """e carrying radix-2^POWER_WINDOW power rows.
+    def scalar_mul(self, k, e):
+        self._check(e)
+        return self._wrap(pow(e.data, k % self.order, self.modulus))
 
-        Row c holds e^(j * 2^(w*c)) mod r for j = 0 .. 2^w - 1, with
+    def _power_rows(self, base):
+        """Radix-2^POWER_WINDOW power rows of the raw element `base`.
+
+        Row c holds base^(j * 2^(w*c)) mod r for j = 0 .. 2^w - 1, with
         w = POWER_WINDOW and ceil(bits(order) / w) rows, so for a reduced k
-        the product over c of row c's entry at digit c of k is k*e: that
+        the product over c of row c's entry at digit c of k is base^k: that
         is one fewer modular multiply than there are rows.
         """
-        self._check(e)
         r, w = self.modulus, POWER_WINDOW
         rows = []
-        base = e.data
         for _ in range(-(-self.order.bit_length() // w)):
             row = [1]
             for _ in range((1 << w) - 1):
                 row.append(row[-1] * base % r)
             rows.append(row)
             base = row[-1] * base % r
-        return _Prepared(self, e.data, rows, w)
+        return rows
 
-    def scalar_mul(self, k, e):
+    def sweep_keys(self, e):
         self._check(e)
-        k %= self.order
-        if not isinstance(e, _Prepared):
-            return self._wrap(pow(e.data, k, self.modulus))
-        r, w = self.modulus, e.width
-        mask = (1 << w) - 1
-        rows = iter(e.table)
-        acc = next(rows)[k & mask]
-        for row in rows:
-            k >>= w
-            acc = acc * row[k & mask] % r
-        return self._wrap(acc)
+        r, w, order = self.modulus, POWER_WINDOW, self.order
+        mask, width = (1 << w) - 1, self._width
+        first, *rest = self._power_rows(e.data)
+
+        def key(k):
+            k %= order
+            acc = first[k & mask]
+            for row in rest:
+                k >>= w
+                acc = acc * row[k & mask] % r
+            return acc.to_bytes(width, "big")
+
+        return key
 
 
 @dataclass(frozen=True)
@@ -402,7 +392,7 @@ def load_curve_file(path):
         return parse_curve_params(fh.read())
 
 
-# Rows of a fixed-base comb; its table holds 2^COMB_TEETH - 1 points.  Mean
+# Rows of a comb; its table holds 2^COMB_TEETH - 1 points.  Mean
 # P-256 audit times (2-vCPU Xeon, Python 3.11): 10.7, 9.6, 9.4 and 9.7 ms for
 # 3, 4, 5 and 6 rows, so 4 keeps the smaller table at no cost.
 COMB_TEETH = 4
@@ -453,14 +443,13 @@ class CurveGroup(CyclicGroup):
     """The prime-order subgroup generated by the base point of `params`.
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
-    infinity) as None, and `add` is the affine group law; scalar_mul runs
-    in Jacobian coordinates, by double-and-add (`_mul`) or, for a point
-    from `fixed_base`, by its comb table (`_comb_mul`).  Both share one
+    infinity) as None, and `add` is the affine group law; multiplies run in
+    Jacobian coordinates.  scalar_mul is double-and-add (`_mul`), as are
+    construction and cofactor membership; `sweep_keys` builds the point's
+    comb table once and multiplies from it (`_comb_mul`).  Both share one
     doubling and one mixed addition.  Construction validates the
     parameters: q and order prime, nonzero discriminant, base point on
-    curve, order * base = identity; it and cofactor membership use `_mul`,
-    as does any multiply of a plain element, such as the re-verification of
-    a solver's answer.
+    curve, order * base = identity.
     """
 
     kind = "curve"
@@ -515,40 +504,36 @@ class CurveGroup(CyclicGroup):
                 X, Y, Z = _add_affine(X, Y, Z, px, py, a, q)
         return _to_affine(X, Y, Z, q)
 
-    def fixed_base(self, e):
-        """e carrying a fixed-base comb table (Lim and Lee 1994).
+    def _comb_table(self, data):
+        """The comb table of the affine point `data` (Lim and Lee 1994).
 
         With w = ceil(bits(order) / COMB_TEETH), entry j of the table is
-        the sum of 2^(i*w) * e over the set bits i of j, for j = 1 ..
-        2^COMB_TEETH - 1.  scalar_mul then reads k as COMB_TEETH rows of w
+        the sum of 2^(i*w) * P over the set bits i of j, for j = 1 ..
+        2^COMB_TEETH - 1.  `_comb_mul` then reads k as COMB_TEETH rows of w
         bits and does w doublings and at most w mixed additions, where the
-        plain multiply does bits(order) of each.  The identity is returned
-        as it is.
+        plain multiply does bits(order) of each.  Returns (table, w).
         """
-        self._check(e)
-        if e.data is None:
-            return e
         w = -(-self.order.bit_length() // COMB_TEETH)
-        teeth = [e.data]
+        teeth = [data]
         for _ in range(COMB_TEETH - 1):
             teeth.append(self._mul(1 << w, teeth[-1]))
         table = [None]
         for j in range(1, 1 << COMB_TEETH):
             top = j.bit_length() - 1
             table.append(self._add(table[j ^ (1 << top)], teeth[top]))
-        return _Prepared(self, e.data, table, w)
+        return table, w
 
-    def _comb_mul(self, k, comb):
-        """k*P for 0 <= k < order from P's comb table (see fixed_base).
+    def _comb_mul(self, k, table, w):
+        """k*P for any integer k from P's comb table (see _comb_table).
 
         Column c of the comb indexes the table with bit c of each of the
-        COMB_TEETH rows of k, the top row as the top index bit.  Because k
-        is reduced, each addend and the accumulator before it stand for
-        distinct nonzero multiples whose sum is below the order, so the
-        accumulator never meets the addend or its negative.
+        COMB_TEETH rows of k mod the order, the top row as the top index
+        bit.  Because k is reduced, each addend and the accumulator before
+        it stand for distinct nonzero multiples whose sum is below the
+        order, so the accumulator never meets the addend or its negative.
         """
         q, a = self.q, self.params.a
-        table, w = comb.table, comb.width
+        k %= self.order
         mask = (1 << w) - 1
         rows = [format(k >> (i * w) & mask, "0%db" % w)
                 for i in range(COMB_TEETH - 1, -1, -1)]
@@ -562,9 +547,14 @@ class CurveGroup(CyclicGroup):
 
     def scalar_mul(self, k, e):
         self._check(e)
-        if isinstance(e, _Prepared):
-            return self._wrap(self._comb_mul(k % self.order, e))
         return self._wrap(self._mul(k % self.order, e.data))
+
+    def sweep_keys(self, e):
+        self._check(e)
+        if e.data is None:  # the comb has nothing to add: every key is O's
+            return lambda k, key=self._encode(None): key
+        table, w = self._comb_table(e.data)
+        return lambda k: self._encode(self._comb_mul(k, table, w))
 
     def _contains_data(self, data):
         if data is None:
@@ -626,8 +616,9 @@ class CountingGroup:
     """A counting layer: counts add and scalar_mul calls made through it.
 
     Solvers drive every group operation through the group object, so
-    wrapping one lets tests audit step counts independently.  Everything
-    else, fixed_base preparation included, passes through uncounted.
+    wrapping one lets tests audit step counts independently.  A sweep key
+    is one counted scalar_mul and one encode, which subclasses may extend;
+    everything else passes through uncounted.
     """
 
     def __init__(self, inner):
@@ -652,6 +643,9 @@ class CountingGroup:
 
     def encode(self, e):  # spelled out so subclasses can extend it via super()
         return self.inner.encode(e)
+
+    def sweep_keys(self, e):
+        return lambda k: self.encode(self.scalar_mul(k, e))
 
     def reset(self):
         self.scalar_muls = 0

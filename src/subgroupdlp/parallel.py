@@ -52,6 +52,8 @@ class CampaignConfig:
             raise ValueError("a campaign needs at least one thread (m >= 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.step_cap is not None and self.step_cap < 0:
+            raise ValueError("step cap must be >= 0, got %d" % self.step_cap)
 
 
 @dataclass(frozen=True)

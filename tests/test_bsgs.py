@@ -228,6 +228,12 @@ def test_step_cap_returns_undecided():
     # cap exactly at the theorem budget never triggers
     assert solve_in_subgroup(non_member, H5,
                              step_cap=theorem_budget(5)) == NotInSubgroup(8)
+    # a negative cap is an error, with or without a shared table
+    table, _ = giant_encodings(G31, G31.generator, H5)
+    for shared in (None, table):
+        with pytest.raises(ValueError, match="step cap"):
+            solve_in_subgroup(non_member, H5, step_cap=-1,
+                              shared_giant=shared)
 
 
 def test_should_stop_cancellation():

@@ -64,6 +64,18 @@ def test_solve_usage_errors(run):
     assert run(*base[:3], "--x", "3")[0] == 2         # no --d/--target-bits
 
 
+def test_solve_rejects_a_negative_budget(run):
+    base = ("solve", "--oracle-p", "31", "--d", "5", "--x", "3")
+    for campaign in ((), ("--m", "4")):
+        code, out, err = run(*base, "--budget", "-3", *campaign)
+        assert code == 2 and out == "" and "step cap must be >= 0" in err
+    # a zero budget still runs: it stops before the first multiply
+    code, out, _ = run(*base, "--budget", "0")
+    assert code == 1 and "outcome: Undecided" in out and "steps: 0 " in out
+    code, out, _ = run(*base, "--budget", "0", "--m", "4")
+    assert code == 1 and "outcome: Failed" in out
+
+
 def test_solve_target_bits(run):
     code, out, _ = run("solve", "--oracle-p", "65537", "--target-bits", "8",
                        "--x", "3")

@@ -56,6 +56,42 @@ def test_factor_beyond_trial_division():
     assert got.complete
 
 
+def _trial_division(n):
+    """Reference factorization by dividing by every integer up to sqrt."""
+    counts, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            counts[f] = counts.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        counts[n] = counts.get(n, 0) + 1
+    return sorted(counts.items())
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        q = rng.randrange(lo, hi)
+        if is_probable_prime(q):
+            return q
+
+
+def test_factor_finds_primes_between_the_trial_bound_and_a_million():
+    # Factors in [2^16, 10^6) are left to rho: alone, squared, in pairs
+    # (products above 2^32, so the "unsplit means prime" shortcut must
+    # not apply) and next to a 27-bit prime or small-prime noise.
+    rng = random.Random(16)
+    for case in range(24):
+        a = _random_prime(rng, 1 << 16, 10 ** 6)
+        b = _random_prime(rng, 1 << 16, 10 ** 6)
+        other = (b, a, _random_prime(rng, 1 << 26, 1 << 27), 1)[case % 4]
+        n = (2 ** rng.randrange(0, 21) * rng.choice((1, 3, 15, 1009))
+             * a * other)
+        got = factor(n)
+        assert got.complete and got.verify(), n
+        assert got.factors == _trial_division(n), n
+
+
 def test_factor_reports_honest_residual():
     p, q = 1000000007, 1000000009
     got = factor(p * q, rho_budget=0)

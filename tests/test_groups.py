@@ -204,15 +204,20 @@ def test_scalar_mul_matches_affine_reference_on_p256():
     assert group.scalar_mul(group.order - 1, G) == -G
 
 
-def comb_agrees_with_plain_multiply(group, base, scalars):
-    """The comb table of `base` against the plain multiply `_mul`."""
-    comb = group.fixed_base(base)
-    assert comb == base and hash(comb) == hash(base)
-    assert len(comb.table) == 1 << COMB_TEETH
+def keys_agree_with_scalar_mul(group, base, scalars):
+    """sweep_keys(base)(k) against the encoded plain multiply, for each k."""
+    keys = group.sweep_keys(base)
     for k in scalars:
-        assert group.scalar_mul(k, comb).data == \
-            group._mul(k % group.order, base.data), k
-    return comb
+        assert keys(k) == group.encode(group.scalar_mul(k, base)), k
+
+
+def comb_agrees_with_plain_multiply(group, base, scalars):
+    """The comb keys of `base` against the plain multiply; returns the
+    comb table."""
+    table, _ = group._comb_table(base.data)
+    assert len(table) == 1 << COMB_TEETH
+    keys_agree_with_scalar_mul(group, base, scalars)
+    return table
 
 
 def test_comb_matches_plain_multiply_on_desk_curve():
@@ -243,9 +248,9 @@ def test_comb_matches_plain_multiply_when_table_sums_collide(
     params = CurveParams(q=11, a=a, b=b, gx=x, gy=y, order=order,
                          cofactor=cofactor, name="order-%d" % order)
     group = CurveGroup(params)
-    comb = comb_agrees_with_plain_multiply(
+    table = comb_agrees_with_plain_multiply(
         group, group.generator, range(-2 * order, 3 * order))
-    entries = comb.table[1:]
+    entries = table[1:]
     assert None in entries or len(set(entries)) < len(entries)
 
 
@@ -260,34 +265,39 @@ def test_comb_matches_plain_multiply_on_p256():
             + [0, 1, group.order - 1, group.order])
 
 
-def test_fixed_base_of_the_identity_and_other_backends():
+def test_sweep_keys_of_the_identity_and_other_backends():
     group = CurveGroup(DESK)
     O = group.identity
-    assert group.fixed_base(O) is O
-    assert group.scalar_mul(7, group.fixed_base(O)) == O
-    e = AdditiveOracleGroup(31).generator
-    assert e.group.fixed_base(e) is e
+    keys_agree_with_scalar_mul(group, O, range(-3, 10))
+    assert group.sweep_keys(O)(7) == group.encode(O) == b"\x00"
+    oracle = AdditiveOracleGroup(31)
+    for base in (oracle.generator, oracle.element(17), oracle.identity):
+        keys_agree_with_scalar_mul(oracle, base, range(-3, oracle.order + 3))
     e = MultiplicativeGroup(23, 2, 11).generator
-    prepared = e.group.fixed_base(e)
-    assert prepared == e and hash(prepared) == hash(e)
+    keys_agree_with_scalar_mul(e.group, e, range(-3, 14))
+    for foreign in (AdditiveOracleGroup(31).generator, e):
+        with pytest.raises(ValueError):
+            group.sweep_keys(foreign)
     with pytest.raises(ValueError):
-        group.fixed_base(AdditiveOracleGroup(31).generator)
+        oracle.sweep_keys(AdditiveOracleGroup(37).generator)
     counter = CountingGroup(group)
-    comb = counter.fixed_base(group.generator)
-    assert counter.scalar_muls == 0 and len(comb.table) == 1 << COMB_TEETH
-    assert counter.scalar_mul(5, comb) == group.scalar_mul(5, group.generator)
+    keys = counter.sweep_keys(group.generator)
+    assert counter.scalar_muls == 0
+    assert keys(5) == group.encode(group.scalar_mul(5, group.generator))
     assert counter.scalar_muls == 1
 
 
 def power_table_agrees_with_pow(group, base, scalars):
-    """The power rows of `base` against the built-in pow."""
-    prepared = group.fixed_base(base)
-    assert prepared == base and hash(prepared) == hash(base)
+    """The power-row keys of `base` against the built-in pow."""
     rows = -(-group.order.bit_length() // POWER_WINDOW)
-    assert [len(row) for row in prepared.table] == [1 << POWER_WINDOW] * rows
+    assert [len(row) for row in group._power_rows(base.data)] == \
+        [1 << POWER_WINDOW] * rows
+    keys = group.sweep_keys(base)
     for k in scalars:
-        assert group.scalar_mul(k, prepared).data == \
-            pow(base.data, k % group.order, group.modulus), k
+        reference = group.element(pow(base.data, k % group.order,
+                                      group.modulus))
+        assert keys(k) == group.encode(reference) == \
+            group.encode(group.scalar_mul(k, base)), k
 
 
 @pytest.mark.parametrize("group", [
@@ -319,19 +329,31 @@ def test_power_table_matches_pow_on_a_128_bit_modulus():
         + [0, 1, p - 1, p])
 
 
+class EncodeCountingGroup(CountingGroup):
+    """A counting layer that also counts encodes, as a tracing layer does."""
+
+    encodes = 0
+
+    def encode(self, e):
+        self.encodes += 1
+        return super().encode(e)
+
+
 def test_power_table_rejects_foreign_elements_and_is_not_counted():
     group = MultiplicativeGroup(23, 2, 11)
     for foreign in (AdditiveOracleGroup(11).generator,
                     MultiplicativeGroup(7, 2, 3).generator):
         with pytest.raises(ValueError):
-            group.fixed_base(foreign)
-    counter = CountingGroup(group)
-    prepared = counter.fixed_base(group.generator)
-    assert counter.scalar_muls == 0
+            group.sweep_keys(foreign)
+    # through the counting layer each key is one counted scalar_mul and
+    # one encode, and building the key function costs neither
+    counter = EncodeCountingGroup(group)
+    keys = counter.sweep_keys(group.generator)
+    assert (counter.scalar_muls, counter.encodes) == (0, 0)
     for k in range(1, 6):
-        assert counter.scalar_mul(k, prepared) == \
-            group.scalar_mul(k, group.generator)
-        assert counter.scalar_muls == k
+        assert keys(k) == group.sweep_keys(group.generator)(k) == \
+            group.encode(group.scalar_mul(k, group.generator))
+        assert (counter.scalar_muls, counter.encodes) == (k, k)
 
 
 def test_cofactor_membership_is_the_prime_order_subgroup():
@@ -479,7 +501,6 @@ def test_counting_layer_passes_the_protocol_through(backend):
     assert counter.contains(e) and not counter.contains(
         AdditiveOracleGroup(109).generator)
     assert counter.negate(e) == g.negate(e)
-    assert counter.fixed_base(e) == g.fixed_base(e)
     assert counter.encode(e) == g.encode(e)
     assert counter.decode(g.encode(e)) == g.decode(g.encode(e))
     assert counter == g and hash(counter) == hash(g)
@@ -493,13 +514,16 @@ def test_counting_layer_passes_the_protocol_through(backend):
         assert clone.scalar_mul(2, e) == g.scalar_mul(2, e)
         assert clone.scalar_muls == 2
     assert counter.scalar_muls == 1
+    assert counter.sweep_keys(e)(9) == g.sweep_keys(e)(9) == \
+        g.encode(g.scalar_mul(9, e))
+    assert (counter.scalar_muls, counter.adds) == (2, 1)
 
 
 def test_group_layer_is_written_once():
     own = {name for name, value in vars(CountingGroup).items()
            if callable(value)}
     assert own == {"__init__", "__getattr__", "add", "scalar_mul", "encode",
-                   "reset", "__eq__", "__hash__", "__repr__"}
+                   "sweep_keys", "reset", "__eq__", "__hash__", "__repr__"}
     for cls in (AdditiveOracleGroup, MultiplicativeGroup):
         assert "_encode" not in vars(cls) and "_decode" not in vars(cls)
     with pytest.raises(AttributeError):

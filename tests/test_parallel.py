@@ -225,6 +225,9 @@ def test_config_validation():
         CampaignConfig(m=0)
     with pytest.raises(ValueError):
         CampaignConfig(m=1, workers=0)
+    with pytest.raises(ValueError, match="step cap"):
+        CampaignConfig(m=1, step_cap=-1)
+    assert CampaignConfig(m=1, step_cap=0).step_cap == 0
 
 
 def test_degenerate_target_raises():
@@ -264,38 +267,38 @@ def _constant(group, base, rows):
 
 
 def _off_by_one(group, base, rows):  # row 0 gives base^(j+1): k*e is (k+1)*e
-    rows[0][:] = [v * base.data % group.modulus for v in rows[0]]
+    rows[0][:] = [v * base % group.modulus for v in rows[0]]
 
 
 def _shuffled(group, base, rows):
-    rng = random.Random(base.data)
+    rng = random.Random(base)
     for row in rows:
         rng.shuffle(row)
 
 
 class CorruptPowerTables(MultiplicativeGroup):
-    """A multiplicative group whose fixed_base tables are wrong on purpose."""
+    """A multiplicative group whose power rows are wrong on purpose."""
 
     def __init__(self, corrupt):
         super().__init__(227, 4, 113)  # 4 = 2^2 has order 113 mod 227
         self.corrupt = corrupt
 
-    def fixed_base(self, e):
-        prepared = super().fixed_base(e)
-        self.corrupt(self, e, prepared.table)
-        return prepared
+    def _power_rows(self, base):
+        rows = super()._power_rows(base)
+        self.corrupt(self, base, rows)
+        return rows
 
 
 @pytest.mark.parametrize("corrupt", [_constant, _off_by_one, _shuffled],
                          ids=lambda f: f.__name__.strip("_"))
 def test_a_corrupt_power_table_never_yields_a_wrong_answer(corrupt):
-    # Both sweeps multiply through the corrupt tables, so their collisions
-    # are wrong; every answer is re-verified by the plain multiply of the
-    # unprepared P, so none of them may be accepted.
+    # Both sweeps key through the corrupt tables, so their collisions are
+    # wrong; every answer is re-verified by the plain multiply, which reads
+    # no table, so none of them may be accepted.
     group = CorruptPowerTables(corrupt)
     P = group.generator
-    prepared = group.fixed_base(P)
-    assert [group.scalar_mul(k, prepared) == group.scalar_mul(k, P)
+    keys = group.sweep_keys(P)
+    assert [keys(k) == group.encode(group.scalar_mul(k, P))
             for k in range(1, 113)].count(False) > 50
 
     def correct(x, Q):
