@@ -9,8 +9,7 @@ keys on the NIST prime curves against their built-in subgroup structure.
 """
 
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
-                   Undecided, membership_only, solve_in_subgroup,
-                   theorem_budget)
+                   Undecided, solve_in_subgroup, theorem_budget)
 from .catalog import (CurveRecord, KeyAuditReport, audit_key, builtin_names,
                       load_builtin, record_from_params, verify_record)
 from .factoring import (FactoredInteger, SubgroupSpec, divisors,
@@ -21,9 +20,8 @@ from .field import (MILLER_RABIN_ROUNDS, Residue, derive_seed,
                     is_probable_prime, parse_int)
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      CurveParams, CyclicGroup, GroupElement,
-                     MultiplicativeGroup, desk_curve, find_small_curve,
-                     format_curve_params, implicit_equal, load_curve_file,
-                     parse_curve_params)
+                     MultiplicativeGroup, desk_curve, format_curve_params,
+                     implicit_equal, load_curve_file, parse_curve_params)
 from .parallel import (CampaignConfig, CampaignResult, CampaignSuccess,
                        draw_multipliers, empirical_success_rate,
                        randomized_solve)

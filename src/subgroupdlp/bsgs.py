@@ -27,8 +27,8 @@ from .groups import GroupElement
 
 __all__ = [
     "DlpInstance", "Found", "NotInSubgroup", "Undecided",
-    "DegenerateKeyError", "solve_in_subgroup", "membership_only",
-    "giant_encodings", "theorem_budget",
+    "DegenerateKeyError", "solve_in_subgroup", "giant_encodings",
+    "theorem_budget",
 ]
 
 
@@ -59,9 +59,9 @@ class DlpInstance:
             raise ValueError("P must generate the group, not be the identity")
 
     @classmethod
-    def from_secret(cls, group, x, base=None):
+    def from_secret(cls, group, x):
         """Build an instance with a known exponent (testing/demo helper)."""
-        P = base if base is not None else group.generator
+        P = group.generator
         return cls(group=group, P=P, Q=group.scalar_mul(x, P))
 
 
@@ -194,8 +194,3 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     except _Stopped as stopped:
         return Undecided(giant_steps + stopped.args[0])
     return NotInSubgroup(giant_steps + n + 1)
-
-
-def membership_only(instance, H):
-    """True iff the hidden exponent is in H (full-budget run, no cap)."""
-    return isinstance(solve_in_subgroup(instance, H), Found)

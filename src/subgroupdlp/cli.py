@@ -356,9 +356,11 @@ def build_parser():
         description="Constrained discrete-log search and subgroup key audits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed (sequential runs are reproducible)")
+
+    def add_format(p):
         p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("solve", help="run the constrained search")
@@ -374,7 +376,8 @@ def build_parser():
     p.add_argument("--budget", help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")
-    add_common(p)
+    add_seed(p)
+    add_format(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("prob-table", help="success-probability grids")
@@ -387,12 +390,12 @@ def build_parser():
                    help="log2 thread counts, e.g. '45,50,52:56'")
     p.add_argument("--paper-256", action="store_true",
                    help="the built-in P-256 preset grids")
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_prob_table)
 
     p = sub.add_parser("audit", help="verify a curve record's consistency")
     p.add_argument("target", help="built-in name or curve file")
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("keycheck",
@@ -404,19 +407,19 @@ def build_parser():
     p.add_argument("--d", help="comma-separated subgroup orders "
                                "(default: the record's audit pair)")
     p.add_argument("--budget", help="step budget (default 2^32)")
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_keycheck)
 
     p = sub.add_parser("factor", help="factor n (trial division + rho)")
     p.add_argument("n")
     p.add_argument("--budget", help="rho iteration budget")
-    add_common(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("bench", help="measure step scaling vs subgroup size")
     p.add_argument("--sizes", default="16:24:2",
                    help="log2 d values, e.g. '16:24:2'")
-    add_common(p)
+    add_seed(p)
+    add_format(p)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -24,12 +24,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def parse_int(text):
     """Parse a decimal or 0x-prefixed hex integer, tolerating whitespace.
 
+    At most one leading sign is accepted: "--5" and "-+5" raise ValueError.
+
     Round-trips bit-exactly: str(parse_int(s)) == s for canonical decimal s.
     """
     s = text.strip()
     negative = s.startswith("-")
     if negative:
         s = s[1:].strip()
+        if s.startswith(("+", "-")):
+            raise ValueError("more than one sign in %r" % text)
     if s.lower().startswith("0x"):
         value = int(s, 16)
     else:

@@ -26,11 +26,13 @@ makes each multiply ~3x cheaper on P-256.  scalar_mul reads no table.
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
 and passes everything else through to the group it wraps.
+
+`desk_curve()` is a constant: the order-1999 curve over F_2063 that the
+demos and tests use, validated by CurveGroup on construction.
 """
 
-import functools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .field import is_probable_prime, parse_int
 
@@ -38,7 +40,7 @@ __all__ = [
     "GroupElement", "CyclicGroup", "AdditiveOracleGroup",
     "MultiplicativeGroup", "CurveGroup", "CurveParams", "CountingGroup",
     "implicit_equal", "parse_curve_params", "format_curve_params",
-    "load_curve_file", "find_small_curve", "desk_curve",
+    "load_curve_file", "desk_curve",
 ]
 
 
@@ -674,64 +676,17 @@ def implicit_equal(a, b, group):
 
 
 # ---------------------------------------------------------------------------
-# Desk-scale curve generation.
+# The desk-scale demo curve.
+
+# y^2 = x^3 + 1500x + 604 over F_2063, base point (1, 261) of prime order
+# 1999, with 1998 = 2 * 3^3 * 37 giving subgroups of test size.  Cofactor 1
+# by Hasse: #E lies within 2*sqrt(2063) < 91 of 2064, so in [1974, 2154];
+# the point of order 1999 (checked by CurveGroup) makes 1999 divide #E, and
+# 2 * 1999 > 2154, so #E = 1999.
+_DESK = CurveParams(q=2063, a=1500, b=604, gx=1, gy=261, order=1999,
+                    cofactor=1, name="desk")
 
 
-def _count_points(q, a, b):
-    # q = 3 mod 4 callers only; brute Legendre sum, fine for 4-digit q.
-    count = 1  # infinity
-    for x in range(q):
-        rhs = (x * x * x + a * x + b) % q
-        if rhs == 0:
-            count += 1
-        elif pow(rhs, (q - 1) // 2, q) == 1:
-            count += 2
-    return count
-
-
-def _smooth_part_ok(n, bound):
-    for p in range(2, bound + 1):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
-_CURVE_TRIES = 20000  # find_small_curve's draw limit
-
-
-def find_small_curve(q_min, q_max, rng):
-    """Search for a prime-order curve over a small F_q with smooth order-1.
-
-    Returns CurveParams with cofactor 1.  Restricting to q = 3 mod 4 keeps
-    square roots cheap when picking the base point.  Every prime factor of
-    order-1 is at most 64, so the group has test-sized subgroups.
-    """
-    for _ in range(_CURVE_TRIES):
-        q = rng.randrange(q_min | 3, q_max, 4)
-        if not is_probable_prime(q):
-            continue
-        a = rng.randrange(1, q)
-        b = rng.randrange(1, q)
-        if (4 * a ** 3 + 27 * b ** 2) % q == 0:
-            continue
-        n = _count_points(q, a, b)
-        if not is_probable_prime(n) or n == q:
-            continue
-        if not _smooth_part_ok(n - 1, 64):
-            continue
-        for x in range(q):
-            rhs = (x * x * x + a * x + b) % q
-            if rhs and pow(rhs, (q - 1) // 2, q) == 1:
-                y = pow(rhs, (q + 1) // 4, q)
-                params = CurveParams(q=q, a=a, b=b, gx=x, gy=y, order=n,
-                                     cofactor=1, name="desk-%d-%d" % (q, n))
-                CurveGroup(params)  # construction re-validates everything
-                return params
-    raise RuntimeError("no suitable curve found in %d tries" % _CURVE_TRIES)
-
-
-@functools.cache
 def desk_curve():
-    """A fixed prime-order demo curve (deterministic seeded search, cached)."""
-    params = find_small_curve(1500, 5000, random.Random(0x5eed))
-    return replace(params, name="desk")
+    """The fixed prime-order demo curve (see _DESK)."""
+    return _DESK

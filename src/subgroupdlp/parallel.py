@@ -110,14 +110,12 @@ def _recover(instance, y, z):
     return x
 
 
-def randomized_solve(instance, H, config, progress=None):
+def randomized_solve(instance, H, config):
     """Run an m-thread campaign; the lowest-index verified hit wins.
 
     Returns a CampaignResult whose success is None when every thread
     reported NotInSubgroup (or hit its step cap).  Verdicts are taken in
     thread-index order, so the result is the same at any worker count.
-    `progress`, if given, is called as progress(threads_finished,
-    steps_so_far) after each thread is accounted.
     """
     _check_solvable(instance, H)
     group = instance.group
@@ -152,8 +150,6 @@ def randomized_solve(instance, H, config, progress=None):
                 result.overhead_muls += 1  # forming Q_i
                 result.total_steps += verdict.steps
                 result.per_thread_steps.append(verdict.steps)
-                if progress is not None:
-                    progress(result.threads_run, result.total_steps)
                 if isinstance(verdict, Found):
                     result.overhead_muls += 1  # final verification
                     result.success = CampaignSuccess(
@@ -165,7 +161,7 @@ def randomized_solve(instance, H, config, progress=None):
     return result
 
 
-def empirical_success_rate(p, d, m, trials, seed, progress=None):
+def empirical_success_rate(p, d, m, trials, seed):
     """Fraction of seeded campaigns that recover a uniform random exponent.
 
     Runs `trials` independent campaigns on the transparent oracle group
@@ -186,6 +182,4 @@ def empirical_success_rate(p, d, m, trials, seed, progress=None):
             if outcome.success.x.value != x:
                 raise AssertionError("campaign recovered a wrong exponent")
             hits += 1
-        if progress is not None:
-            progress(t + 1, hits)
     return hits / trials

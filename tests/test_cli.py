@@ -363,6 +363,9 @@ def test_keycheck_usage_errors(run, tmp_path):
     code, _, err = run("keycheck", "--curve", "P-256", "--group-file",
                        str(path), "--x", "1")
     assert code == 2 and "pick exactly one of --curve, --group-file" in err
+    code, out, err = run("keycheck", "--curve", "P-256", "--x", "2",
+                         "--d", "16,--3")                  # doubled sign
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_factor_command(run):
@@ -370,6 +373,7 @@ def test_factor_command(run):
     assert code == 0 and out.strip() == "30 = 2 * 3 * 5"
     code, out, _ = run("factor", "0x1e")
     assert code == 0 and out.strip() == "30 = 2 * 3 * 5"
+    assert run("factor", "--", "--12")[0] == 2  # doubled sign
 
 
 def test_factor_incomplete(run):
@@ -401,6 +405,19 @@ def test_bench_text_reports_fit(run):
 
 def test_bench_empty_sizes(run):
     assert run("bench", "--sizes", "")[0] == 2
+
+
+def test_options_only_where_a_command_reads_them(run):
+    # --format on factor and --seed on the commands that draw nothing are
+    # argparse errors, which exit 2 by SystemExit
+    for argv in (("factor", "12", "--format", "csv"),
+                 ("audit", "P-256", "--seed", "1"),
+                 ("prob-table", "--paper-256", "--seed", "1"),
+                 ("keycheck", "--curve", "P-256", "--x", "2", "--seed", "1"),
+                 ("factor", "12", "--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_console_entry_point():

@@ -17,6 +17,7 @@ def test_parse_int_decimal_and_hex():
     assert parse_int(" 0x1e ") == 30
     assert parse_int("0X1E") == 30
     assert parse_int("-17") == -17
+    assert parse_int("-0x1e") == -30
     assert parse_int(str(P256_ORDER)) == P256_ORDER
 
 
@@ -27,7 +28,8 @@ def test_parse_int_round_trips_canonical_decimal():
 
 
 def test_parse_int_rejects_garbage():
-    for bad in ("", "12m", "0x", "one"):
+    for bad in ("", "12m", "0x", "one", "--5", "-+5", "+-5", "- -5",
+                "--0x1e", "-"):
         with pytest.raises(ValueError):
             parse_int(bad)
 

@@ -7,13 +7,14 @@ import random
 import pytest
 
 from subgroupdlp.catalog import load_builtin
+from subgroupdlp.factoring import factor
 from subgroupdlp.field import is_probable_prime
 from subgroupdlp.groups import (COMB_TEETH, POWER_WINDOW,
                                 AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, CurveParams, MultiplicativeGroup,
-                                desk_curve, find_small_curve,
-                                format_curve_params, implicit_equal,
-                                load_curve_file, parse_curve_params)
+                                desk_curve, format_curve_params,
+                                implicit_equal, load_curve_file,
+                                parse_curve_params)
 
 
 def test_oracle_group_is_transparent():
@@ -104,6 +105,20 @@ def test_desk_curve_is_a_valid_prime_order_curve():
     assert group.order == DESK.order
     assert group.scalar_mul(DESK.order, group.generator) == group.identity
     assert group.scalar_mul(DESK.order - 1, group.generator) == -group.generator
+    # reference point count by brute Legendre sum: #E = order, so the
+    # cofactor-1 membership check is sound
+    q = DESK.q
+    count = 1  # infinity
+    for x in range(q):
+        rhs = (x ** 3 + DESK.a * x + DESK.b) % q
+        if rhs == 0:
+            count += 1
+        elif pow(rhs, (q - 1) // 2, q) == 1:
+            count += 2
+    assert count == DESK.order
+    f = factor(DESK.order - 1)  # test-sized subgroups: 1998 = 2 * 3^3 * 37
+    assert f.complete and f.factors == [(2, 1), (3, 3), (37, 1)]
+    assert q % 4 == 3
 
 
 def test_curve_group_law_samples():
@@ -455,19 +470,6 @@ def test_curve_file_missing_field():
         parse_curve_params("q = 7\na = 1\nb = 2\n")
     with pytest.raises(ValueError):
         parse_curve_params("nonsense line without equals")
-
-
-def test_find_small_curve_properties():
-    rng = random.Random(2024)
-    params = find_small_curve(500, 3000, rng)
-    group = CurveGroup(params)
-    assert 500 <= params.q <= 3000
-    assert group.scalar_mul(params.order, group.generator) == group.identity
-    n = params.order - 1
-    for f in range(2, 65):
-        while n % f == 0:
-            n //= f
-    assert n == 1  # order-1 is 64-smooth
 
 
 def test_counting_group_counts():

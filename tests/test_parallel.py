@@ -197,18 +197,6 @@ def test_empirical_rate_grows_with_thread_count():
     assert hi < 0.12
 
 
-def test_progress_hook():
-    instance = DlpInstance.from_secret(AdditiveOracleGroup(65537), 31337)
-    H = subgroup_generator(65537, 256)
-    calls = []
-    result = randomized_solve(
-        instance, H, CampaignConfig(m=3, seed=2),
-        progress=lambda threads, steps: calls.append((threads, steps)))
-    assert len(calls) == result.threads_run
-    assert [t for t, _ in calls] == list(range(1, result.threads_run + 1))
-    assert calls[-1][1] == result.total_steps
-
-
 def test_step_cap_propagates():
     instance = DlpInstance.from_secret(AdditiveOracleGroup(65537), 31337)
     H = subgroup_generator(65537, 256)
