@@ -27,7 +27,7 @@ from .factoring import (DEFAULT_RHO_BUDGET, divisors_near, factor,
                         search_prime_with_divisor, subgroup_generator)
 from .field import derive_seed, parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
-                     desk_curve, load_curve_file)
+                     CurveParams, desk_curve, load_curve_file)
 from .parallel import CampaignConfig, randomized_solve
 from .probability import build_table, estimate, int_log2
 
@@ -54,6 +54,23 @@ def _resolve_path(path):
         if os.path.exists(candidate):
             return candidate
     return path
+
+
+def _find_curve(name_or_path):
+    """A built-in record, or the CurveParams of 'desk' or of a curve file.
+
+    The one curve resolver behind solve, keycheck and audit.
+    """
+    if name_or_path.upper() in builtin_names():
+        return load_builtin(name_or_path)
+    if name_or_path.lower() == "desk":
+        return desk_curve()
+    path = _resolve_path(name_or_path)
+    if not os.path.exists(path):
+        raise CommandError(
+            "%r is neither a built-in curve (%s, desk) nor a readable file"
+            % (name_or_path, ", ".join(builtin_names())))
+    return load_curve_file(path)
 
 
 def _parse_exponent_spec(spec):
@@ -85,15 +102,12 @@ def _load_group(args):
             "pick exactly one of --oracle-p, --group-file, --curve")
     if args.oracle_p:
         return AdditiveOracleGroup(parse_int(args.oracle_p))
-    if args.group_file:
-        return CurveGroup(load_curve_file(_resolve_path(args.group_file)))
-    name = args.curve
-    if name.lower() == "desk":
-        return CurveGroup(desk_curve())
-    record = load_builtin(name)  # raises with the available list
-    raise CommandError(
-        "built-in %s carries no point parameters; supply --group-file "
-        "for group arithmetic" % record.name)
+    curve = _find_curve(args.group_file or args.curve)
+    if not isinstance(curve, CurveParams):
+        raise CommandError(
+            "built-in %s carries no point parameters; supply --group-file "
+            "for group arithmetic" % curve.name)
+    return CurveGroup(curve)
 
 
 def _parse_element(group, text):
@@ -241,19 +255,14 @@ def cmd_prob_table(args):
 
 
 def _record_for(name_or_path):
-    if name_or_path.upper() in builtin_names():
-        return load_builtin(name_or_path)
-    path = _resolve_path(name_or_path)
-    if not os.path.exists(path):
-        raise CommandError(
-            "%r is neither a built-in curve (%s) nor a readable file"
-            % (name_or_path, ", ".join(builtin_names())))
-    params = load_curve_file(path)
-    factored = factor(params.order - 1)
+    curve = _find_curve(name_or_path)
+    if not isinstance(curve, CurveParams):
+        return curve
+    factored = factor(curve.order - 1)
     if not factored.complete:
         raise CommandError("cannot completely factor order-1 within budget; "
                            "record would be unauditable")
-    return record_from_params(params, factored)
+    return record_from_params(curve, factored)
 
 
 def cmd_audit(args):
@@ -400,7 +409,8 @@ def build_parser():
 
     p = sub.add_parser("keycheck",
                        help="test a key against small subgroups")
-    p.add_argument("--curve", help="built-in record (scalar-form audit)")
+    p.add_argument("--curve", help="built-in record (scalar-form audit) "
+                                   "or 'desk' (point form too)")
     p.add_argument("--group-file", help="curve file (enables point form)")
     p.add_argument("--x", help="secret scalar to audit")
     p.add_argument("--q", help="public point x,y to audit")

@@ -10,23 +10,31 @@ Wiener, J. Cryptology 1999).  Per-thread work never exceeds the
 single-search budget, and the campaign succeeds as soon as some x * y_i
 falls in H -- which is what the probability model prices.
 
-Worker count is an execution detail.  Threads are accounted in index
-order and the lowest-index verified hit wins; once it is taken, a shared
-stop flag cancels the threads above it, which are left out of the
-accounting.  So a fixed seed gives the same winner, x, threads_run,
-total_steps and per_thread_steps at any worker count.
+Worker count is an execution detail.  At workers = 1 the threads run one
+after another in the calling process.  At workers > 1 they run in that
+many worker processes, BLOCK threads per task.  The pool outlives a
+campaign: it is kept for one (group, P, H, workers), and the parent builds
+that key's giant table just before it forks the workers, so they inherit
+the table and the group instead of receiving pickled copies.  This needs
+the "fork" start method (Linux, macOS; not Windows).  Threads are
+accounted in index order and the lowest-index verified hit wins; once it
+is taken, a shared stop flag cancels the blocks still out, which are left
+out of the accounting.  So a fixed seed gives the same winner, x,
+threads_run, total_steps and per_thread_steps at any worker count.
 """
 
+import atexit
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 from .bsgs import (DlpInstance, Found, _check_solvable, giant_encodings,
                    solve_in_subgroup)
-from .factoring import factor, find_primitive_root, subgroup_generator
+from .factoring import factor, subgroup_generator
 from .field import Residue, derive_seed
-from .groups import AdditiveOracleGroup
+from .groups import AdditiveOracleGroup, CountingGroup, GroupElement
 
 __all__ = [
     "CampaignConfig", "CampaignSuccess", "CampaignResult",
@@ -36,10 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One campaign: m threads, OS-level parallelism, seeding, step cap.
+    """One campaign: m threads, worker processes, seeding, step cap.
 
-    `workers` sets how many threads run at once and nothing else; the
-    result does not depend on it.  `step_cap` bounds each thread's search.
+    `workers` sets how many processes run threads at once and nothing
+    else; the result does not depend on it.  `step_cap` bounds each
+    thread's search.
     """
 
     m: int
@@ -110,6 +119,172 @@ def _recover(instance, y, z):
     return x
 
 
+def _run_thread(group, P, Q, H, y, step_cap, should_stop, table):
+    """One campaign thread: the baby sweep of Q_i = y*Q against `table`."""
+    sub = DlpInstance(group=group, P=P, Q=group.scalar_mul(y, Q))
+    return solve_in_subgroup(sub, H, step_cap=step_cap,
+                             should_stop=should_stop, shared_giant=table)
+
+
+def _op_counts(group):
+    if isinstance(group, CountingGroup):
+        return group.scalar_muls, group.adds
+    return 0, 0
+
+
+# -- worker processes ----------------------------------------------------------
+
+BLOCK = 4  # campaign threads per worker task
+
+_inherited = None  # in a worker: (group, P, H, giant table, should_stop)
+
+
+def _inherit(group, P, H, table, flag):
+    """Worker initializer; the fork hands these over without pickling."""
+    global _inherited
+    _inherited = group, P, H, table, partial(flag.__getitem__, 0)
+
+
+def _run_block(q_data, block, step_cap):
+    """Run a block of (i, y_i) threads in a worker.
+
+    Returns the (i, verdict) pairs in index order and the (scalar_mul,
+    add) counts the worker's copy of a CountingGroup gained.  The block
+    stops after its own Found, or when the parent sets the stop flag.
+    """
+    group, P, H, table, should_stop = _inherited
+    before = _op_counts(group)
+    Q = GroupElement(P.group, q_data)
+    verdicts = []
+    for i, y in block:
+        if should_stop():
+            break
+        verdict = _run_thread(group, P, Q, H, y, step_cap, should_stop, table)
+        verdicts.append((i, verdict))
+        if isinstance(verdict, Found):
+            break
+    after = _op_counts(group)
+    return verdicts, (after[0] - before[0], after[1] - before[1])
+
+
+class _Pool:
+    """Forked workers holding one (group, P, H) and its giant table.
+
+    The table is built here, just before the fork, so the workers inherit
+    it with the group and a one-byte shared stop flag.  The pool machinery
+    is imported on first use, so a process that never runs a campaign at
+    workers > 1 never loads it.
+    """
+
+    def __init__(self, group, P, H, workers):
+        import mmap
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        self.group, self.P, self.H, self.workers = group, P, H, workers
+        self.table, self.setup_steps = giant_encodings(group, P, H)
+        self.flag = mmap.mmap(-1, 1)
+        self.executor = ProcessPoolExecutor(
+            workers, mp_context=get_context("fork"), initializer=_inherit,
+            initargs=(group, P, H, self.table, self.flag))
+
+    def serves(self, group, P, H, workers):
+        return (group is self.group and workers == self.workers
+                and P == self.P and H == self.H)
+
+    def verdicts(self, Q, ys, step_cap):
+        """Yield (i, verdict) for i = 0, 1, ..., workers + 1 blocks in flight.
+
+        Closing the generator stops and drains the blocks still out, and
+        adds the work they did to a CountingGroup.
+        """
+        from concurrent.futures import wait
+        group = self.group
+        pairs = list(enumerate(ys))
+        ahead = deque()
+
+        def take(future):
+            verdicts, ops = future.result()
+            if isinstance(group, CountingGroup):
+                group.scalar_muls += ops[0]
+                group.adds += ops[1]
+            return verdicts
+
+        try:
+            for start in range(0, len(pairs), BLOCK):
+                ahead.append(self.executor.submit(
+                    _run_block, Q.data, pairs[start:start + BLOCK], step_cap))
+                if len(ahead) > self.workers:
+                    yield from take(ahead.popleft())
+            while ahead:
+                yield from take(ahead.popleft())
+        finally:
+            self.flag[0] = 1  # blocks still out stop at their next poll
+            for future in ahead:
+                future.cancel()
+            wait(ahead)
+            for future in ahead:
+                if not future.cancelled() and future.exception() is None:
+                    take(future)
+            self.flag[0] = 0
+
+    def close(self):
+        self.executor.shutdown(wait=True, cancel_futures=True)
+        self.flag.close()
+
+
+_pool = None
+_pool_lock = threading.Lock()  # one pooled campaign at a time
+
+
+def _close_pool():
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool, None
+        pool.close()
+
+
+# while the interpreter can still run the pool's shutdown code
+atexit.register(_close_pool)
+
+
+def _pooled(instance, H, ys, config):
+    """The campaign on the worker pool kept for (group, P, H, workers)."""
+    global _pool
+    group, P = instance.group, instance.P
+    with _pool_lock:
+        if _pool is None or not _pool.serves(group, P, H, config.workers):
+            _close_pool()
+            _pool = _Pool(group, P, H, config.workers)
+        try:
+            return _account(instance, ys, _pool.setup_steps,
+                            _pool.verdicts(instance.Q, ys, config.step_cap))
+        except BaseException:  # a broken or interrupted pool is not reused
+            _close_pool()
+            raise
+
+
+def _account(instance, ys, setup_steps, verdicts):
+    """Take (i, verdict) pairs in index order until the first Found."""
+    result = CampaignResult(total_steps=setup_steps)
+    try:
+        for i, verdict in verdicts:
+            if i != result.threads_run:
+                raise AssertionError("thread %d reported out of order" % i)
+            result.threads_run += 1
+            result.overhead_muls += 1  # forming Q_i
+            result.total_steps += verdict.steps
+            result.per_thread_steps.append(verdict.steps)
+            if isinstance(verdict, Found):
+                result.overhead_muls += 1  # final verification
+                result.success = CampaignSuccess(
+                    x=_recover(instance, ys[i], verdict.x),
+                    index=i, y=Residue(ys[i], instance.p), z=verdict.x)
+                break
+    finally:
+        verdicts.close()
+    return result
+
+
 def randomized_solve(instance, H, config):
     """Run an m-thread campaign; the lowest-index verified hit wins.
 
@@ -118,47 +293,14 @@ def randomized_solve(instance, H, config):
     thread-index order, so the result is the same at any worker count.
     """
     _check_solvable(instance, H)
-    group = instance.group
     ys = draw_multipliers(instance.p, config.m, config.seed)
-    shared, setup_steps = giant_encodings(group, instance.P, H)
-    result = CampaignResult(total_steps=setup_steps)
-    stop = threading.Event()
-
-    def run_thread(i):
-        Q_i = group.scalar_mul(ys[i], instance.Q)
-        sub = DlpInstance(group=group, P=instance.P, Q=Q_i)
-        return solve_in_subgroup(sub, H, step_cap=config.step_cap,
-                                 should_stop=stop.is_set,
-                                 shared_giant=shared)
-
-    # Threads i+1 .. i+workers-1 run ahead in the pool while thread i is
-    # taken: from the pool if it was handed there, else run right here.  So
-    # at most `workers` threads are in flight, workers=1 never leaves the
-    # calling thread, and a hit at index i cancels only threads above i,
-    # which are never accounted.
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        ahead, started = {}, 0
-        try:
-            for i in range(config.m):
-                started = max(started, i + 1)
-                while started < min(i + config.workers, config.m):
-                    ahead[started] = pool.submit(run_thread, started)
-                    started += 1
-                future = ahead.pop(i, None)
-                verdict = run_thread(i) if future is None else future.result()
-                result.threads_run += 1
-                result.overhead_muls += 1  # forming Q_i
-                result.total_steps += verdict.steps
-                result.per_thread_steps.append(verdict.steps)
-                if isinstance(verdict, Found):
-                    result.overhead_muls += 1  # final verification
-                    result.success = CampaignSuccess(
-                        x=_recover(instance, ys[i], verdict.x),
-                        index=i, y=Residue(ys[i], instance.p), z=verdict.x)
-                    break
-        finally:
-            stop.set()  # threads still in flight give up at their next poll
-    return result
+    if config.workers > 1:
+        return _pooled(instance, H, ys, config)
+    group, P, Q = instance.group, instance.P, instance.Q
+    table, setup_steps = giant_encodings(group, P, H)
+    return _account(instance, ys, setup_steps, (
+        (i, _run_thread(group, P, Q, H, y, config.step_cap, None, table))
+        for i, y in enumerate(ys)))
 
 
 def empirical_success_rate(p, d, m, trials, seed):

@@ -172,6 +172,17 @@ def test_solve_campaign_count_ops_across_workers(run):
     assert measured == 1 + total_steps + threads_run + 2 == 512
 
 
+def test_solve_campaign_count_ops_counts_worker_processes(run):
+    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
+            "--m", "8", "--seed", "1", "--count-ops")
+    for workers in ("2", "4"):
+        out = run(*base, "--workers", workers)[1]
+        lines = {line.split(":")[0]: line.split() for line in out.splitlines()}
+        # the exact workers-1 figure, plus whatever ran ahead of the winner;
+        # without the workers' counts only the parent's 68 would show
+        assert int(lines["measured ops"][2]) >= 512
+
+
 def test_solve_degenerate_exponent(run):
     code, _, err = run("solve", "--oracle-p", "31", "--d", "5", "--x", "0")
     assert code == 2 and "error:" in err
@@ -341,6 +352,23 @@ def test_keycheck_point_form_builds_one_group(run, tmp_path, monkeypatch):
                        "--q", "%d,%d" % (params.gx, params.gy))
     assert code == 0 and "recommendation: discard" in out  # x = 1
     assert built == [params]
+
+
+def test_keycheck_and_audit_know_the_desk_curve(run):
+    # solve, keycheck and audit resolve curve names the same way
+    params = desk_curve()
+    H = subgroup_generator(params.order, 37)
+    member = pow(H.zeta.value, 3, params.order)
+    code, out, _ = run("keycheck", "--curve", "desk", "--x", str(member),
+                       "--d", "37")
+    assert code == 0 and "recommendation: discard" in out
+    code, out, _ = run("keycheck", "--curve", "desk", "--x", "5", "--d", "37")
+    assert code == 1 and "recommendation: keep" in out
+    code, out, _ = run("keycheck", "--curve", "desk",
+                       "--q", "%d,%d" % (params.gx, params.gy), "--d", "37")
+    assert code == 0 and "[point] member" in out  # x = 1
+    code, out, _ = run("audit", "desk")
+    assert code == 0 and "overall: pass" in out
 
 
 def test_keycheck_csv(run):

@@ -1,9 +1,17 @@
 """Randomized multi-thread campaigns over re-randomized targets."""
 
+import multiprocessing
+import os
+import pickle
 import random
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
+
+import subgroupdlp
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, solve_in_subgroup,
@@ -146,6 +154,110 @@ def test_campaign_result_is_the_same_at_any_worker_count():
                 assert got == expected, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_step_capped_campaign_is_the_same_at_any_worker_count():
+    # A cap below n + 1 = 66 baby steps leaves some member threads
+    # Undecided.  Each is accounted at the cap, and neither its block of
+    # worker threads nor the campaign may stop there.
+    p = 65537
+    H = subgroup_generator(p, 4096)
+    members = H.elements()
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 4321)
+    cases = {}
+    for seed in range(80):
+        config = CampaignConfig(m=24, seed=seed, step_cap=33)
+        result = randomized_solve(instance, H, config)
+        hits = [i for i, y in enumerate(draw_multipliers(p, 24, seed))
+                if 4321 * y % p in members]
+        capped = hits and result.per_thread_steps[hits[0]] == 33
+        if capped and result.found and result.success.index >= 5:
+            cases.setdefault("capped member, later winner", config)
+        elif capped and not result.found:
+            cases.setdefault("capped members only", config)
+    assert len(cases) == 2
+    cases["cap 0"] = CampaignConfig(m=9, seed=0, step_cap=0)
+    for name, config in cases.items():
+        expected = randomized_solve(instance, H, config)
+        if not expected.found:
+            assert expected.per_thread_steps == [config.step_cap] * config.m
+        for workers in (2, 4):
+            got = randomized_solve(instance, H, CampaignConfig(
+                m=config.m, seed=config.seed, step_cap=config.step_cap,
+                workers=workers))
+            assert got == expected, (name, workers)
+
+
+def _pool_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_the_worker_pool_outlives_a_campaign():
+    p = 65537
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 777)
+    H = subgroup_generator(p, 4096)
+    randomized_solve(instance, H, CampaignConfig(m=8, seed=0, workers=2))
+    first = _pool_pids()
+    assert len(first) == 2
+    # the same (group, P, H, workers): the same workers and giant table
+    randomized_solve(instance, H, CampaignConfig(m=8, seed=1, workers=2))
+    assert _pool_pids() == first
+    # a new subgroup replaces the pool
+    randomized_solve(instance, subgroup_generator(p, 256),
+                     CampaignConfig(m=8, seed=0, workers=2))
+    second = _pool_pids()
+    assert len(second) == 2 and not second & first
+
+
+class LockedCounter(CountingGroup):
+    """A counting layer holding a lock, as a tracing layer does."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.lock = threading.Lock()
+
+    def scalar_mul(self, k, e):
+        with self.lock:
+            return super().scalar_mul(k, e)
+
+
+def test_workers_inherit_a_group_that_cannot_be_pickled():
+    group = LockedCounter(AdditiveOracleGroup(65537))
+    with pytest.raises(TypeError):
+        pickle.dumps(group)
+    instance = DlpInstance.from_secret(group, 12345)
+    H = subgroup_generator(65537, 4096)
+    expected = randomized_solve(instance, H, CampaignConfig(m=8, seed=1))
+    group.reset()
+    got = randomized_solve(instance, H,
+                           CampaignConfig(m=8, seed=1, workers=2))
+    assert got == expected
+    # the workers' multiplies are counted too: at least the exact figure
+    assert group.scalar_muls >= (expected.total_steps + expected.overhead_muls
+                                 + expected.found)
+
+
+def test_no_worker_outlives_the_interpreter():
+    script = (
+        "import multiprocessing\n"
+        "from subgroupdlp import (AdditiveOracleGroup, CampaignConfig,\n"
+        "                         DlpInstance, randomized_solve)\n"
+        "from subgroupdlp.factoring import subgroup_generator\n"
+        "instance = DlpInstance.from_secret(AdditiveOracleGroup(65537), 777)\n"
+        "randomized_solve(instance, subgroup_generator(65537, 4096),\n"
+        "                 CampaignConfig(m=8, seed=0, workers=2))\n"
+        "print(*(c.pid for c in multiprocessing.active_children()))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(subgroupdlp.__file__).parents[1]))
+    # the interpreter must exit by itself, with nothing on stderr
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_single_worker_campaign_does_only_accounted_work():
