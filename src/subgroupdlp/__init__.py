@@ -12,8 +12,8 @@ from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
                    Undecided, solve_in_subgroup, theorem_budget)
 from .catalog import (CurveRecord, KeyAuditReport, audit_key, builtin_names,
                       load_builtin, record_from_params, verify_record)
-from .factoring import (FactoredInteger, SubgroupSpec, divisors,
-                        divisors_near, factor, find_primitive_root,
+from .factoring import (FactoredInteger, SubgroupSpec, divisors, factor,
+                        find_primitive_root, nearest_divisor,
                         pollard_rho_brent, search_prime_with_divisor,
                         subgroup_generator)
 from .field import (MILLER_RABIN_ROUNDS, Residue, derive_seed,

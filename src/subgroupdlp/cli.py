@@ -7,8 +7,9 @@ pass), 1 for a clean negative (not in subgroup / failed campaign /
 incomplete factorization), 2 for any usage or runtime error.
 
 All numeric arguments accept decimal or 0x-prefixed hex.  `--seed` pins
-every random choice, so sequential runs are exactly reproducible; bare
-`--group-file` names are also looked up under $SUBGROUPDLP_DATA_DIR.
+every random choice, so sequential runs are exactly reproducible.
+`--curve`, `--group-file` and audit's target each take a built-in name,
+`desk` or a curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .bsgs import DlpInstance, Found, NotInSubgroup, solve_in_subgroup, theorem_
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
-from .factoring import (DEFAULT_RHO_BUDGET, divisors_near, factor,
+from .factoring import (DEFAULT_RHO_BUDGET, factor, nearest_divisor,
                         search_prime_with_divisor, subgroup_generator)
 from .field import derive_seed, parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
@@ -129,8 +130,8 @@ def _build_subgroup(args, p):
     if args.d is not None:
         d = parse_int(args.d)
     else:
-        d = divisors_near(factored, float(args.target_bits), count=1)[0]
-    return subgroup_generator(p, d, factored=factored), factored
+        d = nearest_divisor(factored, float(args.target_bits))
+    return subgroup_generator(p, d, factored=factored)
 
 
 def _csv_row(header, values):
@@ -142,7 +143,7 @@ def cmd_solve(args):
     base_group = _load_group(args)
     group = CountingGroup(base_group) if args.count_ops else base_group
     p = group.order
-    H, _ = _build_subgroup(args, p)
+    H = _build_subgroup(args, p)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x (embed a known "
                            "exponent) or --q (target element)")
@@ -232,7 +233,7 @@ def cmd_prob_table(args):
                 if not factored.complete:
                     raise CommandError("cannot factor p-1 within budget; "
                                        "pass --d-list instead")
-            divisors = [divisors_near(factored, float(tok), count=1)[0]
+            divisors = [nearest_divisor(factored, float(tok))
                         for tok in args.target_bits_list.split(",")]
         if args.m_exponents is None:
             raise CommandError("--m-exponents is required without --paper-256")
@@ -292,7 +293,8 @@ def cmd_keycheck(args):
                            budget=budget)
     else:
         if record.params is None:
-            raise CommandError("point-form keycheck needs --group-file")
+            raise CommandError("point-form keycheck needs point parameters: "
+                               "--curve desk or a curve file")
         point = _parse_element(record.group, args.q)
         report = audit_key(record, point=point, subgroups=subgroups,
                            budget=budget)
@@ -374,8 +376,9 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the constrained search")
     p.add_argument("--oracle-p", help="use the transparent group mod this prime")
-    p.add_argument("--group-file", help="curve parameter file")
-    p.add_argument("--curve", help="named curve ('desk' has point data)")
+    p.add_argument("--group-file", help="curve file, 'desk' or a built-in name")
+    p.add_argument("--curve", help="'desk', a curve file or a built-in name "
+                                   "(built-ins carry no point data)")
     p.add_argument("--x", help="embed this exponent and solve for it")
     p.add_argument("--q", help="target element (int, or x,y for curves)")
     p.add_argument("--d", help="subgroup order (divides p-1)")
@@ -409,9 +412,10 @@ def build_parser():
 
     p = sub.add_parser("keycheck",
                        help="test a key against small subgroups")
-    p.add_argument("--curve", help="built-in record (scalar-form audit) "
-                                   "or 'desk' (point form too)")
-    p.add_argument("--group-file", help="curve file (enables point form)")
+    p.add_argument("--curve", help="built-in record (scalar form only), "
+                                   "'desk' or a curve file (point form too)")
+    p.add_argument("--group-file", help="same as --curve: 'desk', a curve "
+                                        "file or a built-in name")
     p.add_argument("--x", help="secret scalar to audit")
     p.add_argument("--q", help="public point x,y to audit")
     p.add_argument("--d", help="comma-separated subgroup orders "

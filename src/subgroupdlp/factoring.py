@@ -2,14 +2,13 @@
 
 The solvers need three things from here: the factorization of p-1 (to buy
 a primitive root), a generator of the unique order-d subgroup of (Z/pZ)*
-for a chosen divisor d | p-1, and divisors of p-1 near a requested bit
+for a chosen divisor d | p-1, and the divisor of p-1 nearest a requested bit
 size.  Factorization is trial division below a bound plus Pollard rho with
 Brent's cycle finding, under an explicit iteration budget: results carry a
 `complete` flag and a composite residual instead of pretending to finish.
 """
 
 import functools
-import heapq
 import math
 import random
 from bisect import bisect_left
@@ -20,6 +19,9 @@ from .field import Residue, is_probable_prime
 TRIAL_BOUND = 1 << 16
 DEFAULT_RHO_BUDGET = 1 << 24
 _PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
+_ELEMENT_LIMIT = 1 << 22  # SubgroupSpec.elements enumerates no more
+_DIVISOR_LIMIT = 1 << 20  # divisors lists no more
+_HALF_LIMIT = 1 << 20  # nearest_divisor builds no larger half
 
 
 @functools.cache
@@ -71,7 +73,7 @@ class FactoredInteger:
         return out
 
     def format(self):
-        """Exchange format `n = p1^e1 * p2^e2 * ...` (^1 omitted)."""
+        """Printed form `n = p1^e1 * p2^e2 * ...` (^1 omitted)."""
         if not self.factors and self.residual == 1:
             return "%d = 1" % self.n
         parts = ["%d^%d" % (p, e) if e > 1 else "%d" % p
@@ -79,24 +81,6 @@ class FactoredInteger:
         if self.residual != 1:
             parts.append("%d" % self.residual)
         return "%d = %s" % (self.n, " * ".join(parts))
-
-    @classmethod
-    def parse(cls, text):
-        """Inverse of format(); validates primality and the product."""
-        left, _, right = text.partition("=")
-        if not _:
-            raise ValueError("expected 'n = p1^e1 * ...'")
-        n = int(left.strip())
-        factors = []
-        right = right.strip()
-        if right != "1":
-            for term in right.split("*"):
-                base, caret, exp = term.strip().partition("^")
-                factors.append((int(base), int(exp) if caret else 1))
-        result = cls(n=n, factors=sorted(factors), complete=True, residual=1)
-        if not result.verify():
-            raise ValueError("factorization line fails verification: %r" % text)
-        return result
 
 
 def pollard_rho_brent(n, rng, max_iters=1 << 22):
@@ -234,9 +218,9 @@ class SubgroupSpec:
         return all(pow(z, self.d // q, self.p) != 1
                    for q, _ in factored_d.factors)
 
-    def elements(self, limit=1 << 22):
+    def elements(self):
         """Explicit enumeration {zeta^k}; desk scale only."""
-        if self.d > limit:
+        if self.d > _ELEMENT_LIMIT:
             raise ValueError("refusing to enumerate %d elements" % self.d)
         out = set()
         acc = 1
@@ -266,13 +250,13 @@ def subgroup_generator(p, d, generator=None, factored=None):
     return SubgroupSpec(d=d, zeta=Residue(z, p))
 
 
-def divisors(factored, limit=1 << 20):
+def divisors(factored):
     """All divisors of a completely factored integer, ascending."""
     if not factored.complete:
         raise ValueError("complete factorization required")
-    if factored.divisor_count() > limit:
+    if factored.divisor_count() > _DIVISOR_LIMIT:
         raise ValueError("%d divisors exceed the enumeration limit %d"
-                         % (factored.divisor_count(), limit))
+                         % (factored.divisor_count(), _DIVISOR_LIMIT))
     out = [1]
     for p, e in factored.factors:
         powers = [p ** i for i in range(e + 1)]
@@ -289,8 +273,8 @@ def _half_logs(prime_powers):
     return logs
 
 
-def divisors_near(factored, target_bits, count=5, half_limit=1 << 20):
-    """The `count` divisors of n whose log2 is closest to target_bits.
+def nearest_divisor(factored, target_bits):
+    """The divisor of n whose log2 is closest to target_bits.
 
     Exact even for factorizations too composite to enumerate outright:
     the factors are split into two balanced halves and the halves are
@@ -309,27 +293,18 @@ def divisors_near(factored, target_bits, count=5, half_limit=1 << 20):
         else:
             right.append((p, e))
             rcount *= e + 1
-    if max(lcount, rcount) > half_limit:
+    if max(lcount, rcount) > _HALF_LIMIT:
         raise ValueError("factorization too composite for divisor search "
                          "(half size %d)" % max(lcount, rcount))
-    lhs = _half_logs(left)
     rhs = sorted(_half_logs(right))
     rhs_logs = [lg for lg, _ in rhs]
-    best = []
-    for lg, v in lhs:
-        want = target_bits - lg
-        i = bisect_left(rhs_logs, want)
-        lo = max(0, i - count - 1)
-        hi = min(len(rhs), i + count + 1)
-        for j in range(lo, hi):
-            rlg, rv = rhs[j]
-            cand = (abs(lg + rlg - target_bits), v * rv)
-            if len(best) < count:
-                heapq.heappush(best, (-cand[0], -cand[1]))
-            elif (-best[0][0], -best[0][1]) > cand:
-                heapq.heapreplace(best, (-cand[0], -cand[1]))
-    ordered = sorted((-a, -b) for a, b in best)
-    return [v for _, v in ordered]
+    best = (math.inf, 0)  # (distance, divisor)
+    for lg, v in _half_logs(left):
+        i = bisect_left(rhs_logs, target_bits - lg)
+        # the nearest right-half log is one of the two bisect neighbours
+        for rlg, rv in rhs[max(0, i - 1):i + 1]:
+            best = min(best, (abs(lg + rlg - target_bits), v * rv))
+    return best[1]
 
 
 def search_prime_with_divisor(d, bits, rng):

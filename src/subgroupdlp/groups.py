@@ -31,7 +31,6 @@ and passes everything else through to the group it wraps.
 demos and tests use, validated by CurveGroup on construction.
 """
 
-import random
 from dataclasses import dataclass
 
 from .field import is_probable_prime, parse_int
@@ -60,11 +59,6 @@ class GroupElement:
 
     def __neg__(self):
         return self.group.negate(self)
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.group.add(self, self.group.negate(other))
 
     def __rmul__(self, k):
         if not isinstance(k, int):
@@ -177,19 +171,8 @@ class CyclicGroup:
         self._check(e)
         return self._encode(e.data)
 
-    def decode(self, blob):
-        data = self._decode(blob)
-        if not self._contains_data(data):
-            raise ValueError("decoded bytes are not a group member")
-        return self._wrap(data)
-
     def _encode(self, data):
         return data.to_bytes(self._width, "big")
-
-    def _decode(self, blob):
-        if len(blob) != self._width:
-            raise ValueError("expected %d bytes" % self._width)
-        return int.from_bytes(blob, "big")
 
     def __repr__(self):
         return "%s(order=%d)" % (type(self).__name__, self.order)
@@ -270,17 +253,6 @@ class MultiplicativeGroup(CyclicGroup):
         self.modulus = r
         self._gen = g
         self._width = (r - 1).bit_length() + 7 >> 3
-
-    @classmethod
-    def subgroup_of_units(cls, r, p):
-        """Find a generator of the order-p subgroup of (Z/rZ)* and build it."""
-        rng = random.Random(r)
-        cofactor = (r - 1) // p
-        while True:
-            h = rng.randrange(2, r - 1)
-            g = pow(h, cofactor, r)
-            if g != 1:
-                return cls(r, g, p)
 
     def _key(self):
         return (self.modulus, self._gen, self.order)
@@ -603,15 +575,6 @@ class CurveGroup(CyclicGroup):
             return b"\x00"
         x, y = data
         return b"\x04" + x.to_bytes(self._width, "big") + y.to_bytes(self._width, "big")
-
-    def _decode(self, blob):
-        if blob == b"\x00":
-            return None
-        if len(blob) != 1 + 2 * self._width or blob[:1] != b"\x04":
-            raise ValueError("malformed point encoding")
-        x = int.from_bytes(blob[1:1 + self._width], "big")
-        y = int.from_bytes(blob[1 + self._width:], "big")
-        return (x, y)
 
 
 class CountingGroup:

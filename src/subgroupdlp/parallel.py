@@ -119,11 +119,22 @@ def _recover(instance, y, z):
     return x
 
 
-def _run_thread(group, P, Q, H, y, step_cap, should_stop, table):
-    """One campaign thread: the baby sweep of Q_i = y*Q against `table`."""
-    sub = DlpInstance(group=group, P=P, Q=group.scalar_mul(y, Q))
-    return solve_in_subgroup(sub, H, step_cap=step_cap,
-                             should_stop=should_stop, shared_giant=table)
+def _threads(group, P, Q, H, table, pairs, step_cap, should_stop):
+    """Yield (i, verdict) for the campaign threads (i, y_i) in `pairs`.
+
+    Thread i is the baby sweep of Q_i = y_i*Q against the giant `table`.
+    The loop ends after the first Found or once should_stop(), if given.
+    """
+    for i, y in pairs:
+        if should_stop is not None and should_stop():
+            return
+        sub = DlpInstance(group=group, P=P, Q=group.scalar_mul(y, Q))
+        verdict = solve_in_subgroup(sub, H, step_cap=step_cap,
+                                    should_stop=should_stop,
+                                    shared_giant=table)
+        yield i, verdict
+        if isinstance(verdict, Found):
+            return
 
 
 def _op_counts(group):
@@ -154,15 +165,8 @@ def _run_block(q_data, block, step_cap):
     """
     group, P, H, table, should_stop = _inherited
     before = _op_counts(group)
-    Q = GroupElement(P.group, q_data)
-    verdicts = []
-    for i, y in block:
-        if should_stop():
-            break
-        verdict = _run_thread(group, P, Q, H, y, step_cap, should_stop, table)
-        verdicts.append((i, verdict))
-        if isinstance(verdict, Found):
-            break
+    verdicts = list(_threads(group, P, GroupElement(P.group, q_data), H,
+                             table, block, step_cap, should_stop))
     after = _op_counts(group)
     return verdicts, (after[0] - before[0], after[1] - before[1])
 
@@ -296,11 +300,10 @@ def randomized_solve(instance, H, config):
     ys = draw_multipliers(instance.p, config.m, config.seed)
     if config.workers > 1:
         return _pooled(instance, H, ys, config)
-    group, P, Q = instance.group, instance.P, instance.Q
+    group, P = instance.group, instance.P
     table, setup_steps = giant_encodings(group, P, H)
-    return _account(instance, ys, setup_steps, (
-        (i, _run_thread(group, P, Q, H, y, config.step_cap, None, table))
-        for i, y in enumerate(ys)))
+    return _account(instance, ys, setup_steps, _threads(
+        group, P, instance.Q, H, table, enumerate(ys), config.step_cap, None))
 
 
 def empirical_success_rate(p, d, m, trials, seed):

@@ -117,7 +117,6 @@ class AttackEstimate:
     m: int
     lower_bound: float
     exact: float
-    steps_per_thread: float  # ~sqrt(d), the Theorem-1 cost driver
     log2_d: float
     log2_m: float
     log2_sqrt_d: float
@@ -130,7 +129,6 @@ def estimate(p, d, m):
         p=p, d=d, m=m,
         lower_bound=success_lower_bound(d, m, p),
         exact=success_exact(d, m, p),
-        steps_per_thread=2.0 ** (log2_d / 2.0),
         log2_d=log2_d,
         log2_m=int_log2(m) if m else float("-inf"),
         log2_sqrt_d=log2_d / 2.0,

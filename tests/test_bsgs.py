@@ -131,7 +131,7 @@ def test_backends_agree_on_verdicts():
     p = 113
     f = factor(p - 1)
     oracle = AdditiveOracleGroup(p)
-    mult = MultiplicativeGroup.subgroup_of_units(227, p)
+    mult = MultiplicativeGroup(227, 147, p)
     for d in divisors(f):
         H = subgroup_generator(p, d, factored=f)
         for x in (1, 2, 45, 112):
@@ -146,7 +146,7 @@ def test_backends_agree_on_verdicts():
 def _backends_of_order_1999():
     # the desk curve has order 1999, and 1999 | 19991 - 1
     return (AdditiveOracleGroup(1999),
-            MultiplicativeGroup.subgroup_of_units(19991, 1999),
+            MultiplicativeGroup(19991, 15261, 1999),
             CurveGroup(desk_curve()))
 
 

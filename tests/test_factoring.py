@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from subgroupdlp.factoring import (FactoredInteger, divisors, divisors_near,
+from subgroupdlp.catalog import builtin_names, load_builtin
+from subgroupdlp.factoring import (FactoredInteger, SubgroupSpec, divisors,
                                    factor, find_primitive_root,
-                                   pollard_rho_brent,
+                                   nearest_divisor, pollard_rho_brent,
                                    search_prime_with_divisor,
                                    subgroup_generator)
 from subgroupdlp.field import Residue, is_probable_prime
@@ -115,27 +116,10 @@ def test_pollard_rho_budget_exhaustion_returns_none():
     assert pollard_rho_brent(n, random.Random(5), max_iters=4) is None
 
 
-def test_factored_integer_format_and_parse_round_trip():
-    for n in (1, 2, 30, 360, 65536, 10403, 2 * 3 ** 4 * 1009):
-        f = factor(n)
-        line = f.format()
-        back = FactoredInteger.parse(line)
-        assert back == f
-        assert back.format() == line
+def test_factored_integer_format():
     assert factor(30).format() == "30 = 2 * 3 * 5"
     assert factor(360).format() == "360 = 2^3 * 3^2 * 5"
     assert factor(1).format() == "1 = 1"
-
-
-def test_factored_integer_parse_rejects_bad_lines():
-    with pytest.raises(ValueError):
-        FactoredInteger.parse("30 = 6 * 5")        # 6 is not prime
-    with pytest.raises(ValueError):
-        FactoredInteger.parse("30 = 2 * 3")        # product mismatch
-    with pytest.raises(ValueError):
-        FactoredInteger.parse("just some text")    # no '='
-    with pytest.raises(ValueError):
-        FactoredInteger.parse("30 = five * 6")     # not integers
 
 
 def test_factored_integer_verify_negatives():
@@ -215,9 +199,10 @@ def test_subgroup_spec_p_is_read_from_zeta():
 
 
 def test_subgroup_elements_refuses_huge_enumeration():
-    spec = subgroup_generator(65537, 65536)
+    # the guard reads d alone, so zeta need not have that order
+    spec = SubgroupSpec(d=(1 << 22) + 1, zeta=Residue(3, 65537))
     with pytest.raises(ValueError):
-        spec.elements(limit=1000)
+        spec.elements()
 
 
 def test_divisors_of_30():
@@ -226,49 +211,64 @@ def test_divisors_of_30():
     assert divisors(factor(8)) == [1, 2, 4, 8]
 
 
+def _squarefree(count):
+    """n with `count` distinct prime factors, built without factoring."""
+    primes = [q for q in range(2, 200) if is_probable_prime(q)][:count]
+    return FactoredInteger(n=math.prod(primes), factors=[(q, 1) for q in primes])
+
+
 def test_divisors_limit_guard():
     with pytest.raises(ValueError):
-        divisors(factor(2 ** 40), limit=40)
+        divisors(_squarefree(21))  # 2^21 divisors
     with pytest.raises(ValueError):
         divisors(FactoredInteger(n=30, factors=[(2, 1), (3, 1)],
                                  complete=False, residual=5))
 
 
-def _oracle_near(n, target_bits, count):
-    all_divs = divisors(factor(n))
-    ranked = sorted(all_divs, key=lambda v: (abs(math.log2(v) - target_bits), v))
-    return ranked[:count]
+def _oracle_near(factored, target_bits):
+    """The nearest divisor by brute force; ties go to the smaller."""
+    return min(divisors(factored),
+               key=lambda v: (abs(math.log2(v) - target_bits), v))
 
 
-def test_divisors_near_matches_brute_force():
+def test_nearest_divisor_matches_brute_force():
     for n, target in ((30, 2.0), (360, 4.5), (2 * 3 ** 4 * 1009, 9.0),
-                      (65537 - 1, 8.0), (9972, 5.3)):
-        got = divisors_near(factor(n), target, count=3)
-        assert got == _oracle_near(n, target, 3), (n, target)
-        assert all(n % v == 0 for v in got)
+                      (65537 - 1, 8.0), (9972, 5.3), (6, 1.0), (6, 10.0),
+                      (1, 3.0), (30, -1.0)):
+        f = factor(n)
+        got = nearest_divisor(f, target)
+        assert got == _oracle_near(f, target), (n, target)
+        assert n % got == 0
 
 
-def test_divisors_near_exact_ties_prefer_smaller():
+def test_nearest_divisor_matches_brute_force_on_builtin_orders():
+    for name in builtin_names():
+        f = load_builtin(name).factors  # p-1 of the group order p
+        for target in (0.0, 10.0, 33.3, 64.0, 100.5, f.n.bit_length() / 2):
+            assert nearest_divisor(f, target) == _oracle_near(f, target), \
+                (name, target)
+
+
+def test_nearest_divisor_exact_ties_prefer_smaller():
     # powers of two have exact float logs, so ties are exact: at target 1.5
-    # the divisors 2 and 4 are equidistant and 2 must come first
-    f = factor(2 ** 6)
-    assert divisors_near(f, 1.5, count=2) == [2, 4]
-    assert divisors_near(f, 1.5, count=4) == [2, 4, 1, 8]
+    # the divisors 2 and 4 are equidistant and 2 wins
+    assert nearest_divisor(factor(2 ** 6), 1.5) == 2
 
 
-def test_divisors_near_meet_in_the_middle_path():
+def test_nearest_divisor_meet_in_the_middle_path():
     # 10 distinct primes -> 1024 divisors, split 32 x 32
     n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
     f = factor(n)
-    got = divisors_near(f, 15.0, count=5)
-    assert got == _oracle_near(n, 15.0, 5)
-    # asking for more divisors than exist degrades gracefully
-    assert divisors_near(factor(6), 1.0, count=10) == _oracle_near(6, 1.0, 10)
+    assert nearest_divisor(f, 15.0) == _oracle_near(f, 15.0)
 
 
-def test_divisors_near_half_limit():
+def test_nearest_divisor_half_limit():
+    # 41 primes split 21 + 20, so one half would hold 2^21 divisors
     with pytest.raises(ValueError):
-        divisors_near(factor(2 ** 100), 50.0, half_limit=50)
+        nearest_divisor(_squarefree(41), 50.0)
+    with pytest.raises(ValueError):
+        nearest_divisor(FactoredInteger(n=30, factors=[(2, 1), (3, 1)],
+                                        complete=False, residual=5), 2.0)
 
 
 def test_search_prime_with_divisor_even_and_odd():

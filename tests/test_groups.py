@@ -26,7 +26,7 @@ def test_oracle_group_is_transparent():
     assert g.scalar_mul(-1, one).data == 30
     assert (g.element(7) + g.element(9)).data == 16
     assert (-g.element(7)).data == 24
-    assert (g.element(7) - g.element(9)).data == 29
+    assert (g.element(7) + -g.element(9)).data == 29
 
 
 def test_oracle_group_rejects_composite_order():
@@ -57,7 +57,7 @@ def test_mixed_group_arithmetic_raises():
 
 def test_multiplicative_group_wraps_exponentiation():
     # 227 is prime, 226 = 2 * 113
-    g = MultiplicativeGroup.subgroup_of_units(227, 113)
+    g = MultiplicativeGroup(227, 147, 113)
     assert g.order == 113 and g.identity.data == 1
     x = g.generator
     assert pow(x.data, 113, 227) == 1 and x.data != 1
@@ -90,7 +90,7 @@ def test_multiplicative_group_validation():
 
 
 def test_membership_check_excludes_cosets():
-    g = MultiplicativeGroup.subgroup_of_units(227, 113)
+    g = MultiplicativeGroup(227, 147, 113)
     inside = sum(1 for v in range(1, 227)
                  if g._contains_data(v))
     assert inside == 113  # exactly the order-113 subgroup of a 226-element unit group
@@ -316,7 +316,7 @@ def power_table_agrees_with_pow(group, base, scalars):
 
 
 @pytest.mark.parametrize("group", [
-    MultiplicativeGroup.subgroup_of_units(227, 113),
+    MultiplicativeGroup(227, 147, 113),
     MultiplicativeGroup(23, 2, 11),
     MultiplicativeGroup(7, 6, 2),   # order 2: one row, no multiplies
     MultiplicativeGroup(7, 2, 3),   # order 3
@@ -336,7 +336,7 @@ def test_power_table_matches_pow_on_a_128_bit_modulus():
     r = 4
     while not is_probable_prime(r):
         r = 2 * p * rng.randrange(1 << 103, 1 << 104) + 1
-    group = MultiplicativeGroup.subgroup_of_units(r, p)
+    group = MultiplicativeGroup(r, pow(2, (r - 1) // p, r), p)
     assert r.bit_length() in (128, 129) and p.bit_length() == 24
     base = group.scalar_mul(rng.randrange(2, p), group.generator)
     power_table_agrees_with_pow(
@@ -394,23 +394,9 @@ def test_encodings_injective_and_identity_distinguished():
     blobs = {group.encode(p) for p in pts}
     assert len(blobs) == len(pts)
     assert group.encode(group.identity) == b"\x00"
-    for p in pts:
-        assert group.decode(group.encode(p)) == p
     oracle = AdditiveOracleGroup(65537)
-    assert oracle.decode(oracle.encode(oracle.element(123))).data == 123
     assert len(oracle.encode(oracle.element(1))) == len(
         oracle.encode(oracle.element(65536)))
-
-
-def test_decode_rejects_non_members():
-    group = CurveGroup(DESK)
-    width = (DESK.q - 1).bit_length() + 7 >> 3
-    junk = b"\x04" + (1).to_bytes(width, "big") + (2).to_bytes(width, "big")
-    if not group._on_curve((1, 2)):
-        with pytest.raises(ValueError):
-            group.decode(junk)
-    with pytest.raises(ValueError):
-        group.decode(b"\x05" + junk[1:])
 
 
 def test_curve_group_validation_errors():
@@ -487,7 +473,7 @@ def test_counting_group_counts():
 
 BACKENDS = {
     "oracle": lambda: AdditiveOracleGroup(113),
-    "multiplicative": lambda: MultiplicativeGroup.subgroup_of_units(227, 113),
+    "multiplicative": lambda: MultiplicativeGroup(227, 147, 113),
     "curve": lambda: CurveGroup(DESK),
 }
 
@@ -504,7 +490,6 @@ def test_counting_layer_passes_the_protocol_through(backend):
         AdditiveOracleGroup(109).generator)
     assert counter.negate(e) == g.negate(e)
     assert counter.encode(e) == g.encode(e)
-    assert counter.decode(g.encode(e)) == g.decode(g.encode(e))
     assert counter == g and hash(counter) == hash(g)
     assert (counter.scalar_muls, counter.adds) == (0, 0)  # none of the above
     assert counter.scalar_mul(7, e) == g.scalar_mul(7, e)
@@ -527,6 +512,6 @@ def test_group_layer_is_written_once():
     assert own == {"__init__", "__getattr__", "add", "scalar_mul", "encode",
                    "sweep_keys", "reset", "__eq__", "__hash__", "__repr__"}
     for cls in (AdditiveOracleGroup, MultiplicativeGroup):
-        assert "_encode" not in vars(cls) and "_decode" not in vars(cls)
+        assert "_encode" not in vars(cls)
     with pytest.raises(AttributeError):
         CountingGroup(AdditiveOracleGroup(31)).no_such_attribute

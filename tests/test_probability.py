@@ -199,7 +199,6 @@ def test_estimate_field_relations():
     est = estimate(65537, 4096, 32)
     assert est.log2_d == 12.0 and est.log2_m == 5.0
     assert est.log2_sqrt_d == 6.0
-    assert est.steps_per_thread == 64.0
     assert est.exact == success_exact(4096, 32, 65537)
     assert est.lower_bound == success_lower_bound(4096, 32, 65537)
 
