@@ -37,8 +37,8 @@ if result.found:
           % (win.x.value, win.x.value == secret))
 else:
     print("  no multiplier moved the key into H this time")
-print("  work: %d search steps across %d threads, +%d setup/verify muls"
-      % (result.total_steps, result.threads_run, result.overhead_muls))
+print("  work: %d search steps across %d threads"
+      % (result.total_steps, result.threads_run))
 print()
 
 # Many campaigns: the empirical rate should track the exact value, and

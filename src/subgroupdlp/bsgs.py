@@ -11,6 +11,8 @@ Each side is a sweep of one fixed point, keyed by encoding through the
 group's `sweep_keys`.  The solver tabulates the right side (giant steps) and
 streams the left side (baby steps) against it; on a table hit it recovers
 x = zeta^(a*n-b mod d) and accepts it only after re-verifying x*P == Q.
+The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
+then gives x = y^(-1)*zeta^(a*n-b): that is a campaign thread's search.
 The giant table costs n+1 scalar multiplications and depends only on
 (group, P, H), so campaigns and repeated audits build it once and share
 it; each baby sweep then needs O(1) memory and at most n+1 multiplies.
@@ -19,7 +21,7 @@ certificate when it is, and a sound "no" when it is not.  Membership of x
 in H never requires knowing x.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 from .field import Residue
@@ -95,22 +97,18 @@ def theorem_budget(d):
 
 
 class _Stopped(Exception):
-    """A sweep was cut short by cancellation or by the step cap.
-
-    args[0] is the number of multiplies that sweep had done.
-    """
+    """A sweep cut short by cancellation or the step cap; args[0] = its muls."""
 
 
-def _sweep(group, base, ratio, n, p, should_stop=None, cap=None):
-    """Encodings of ratio^i * base for i = 0..n, one scalar multiply each.
+def _sweep(key, start, ratio, n, p, should_stop=None, cap=None):
+    """key(start * ratio^i mod p) for i = 0..n, one scalar multiply each.
 
-    Every multiply is by the same point, so one `sweep_keys(base)` checks
-    it once and gives every key.  Before each multiply it polls
+    `key` is one `sweep_keys` function, so the point it multiplies is
+    checked once for the whole sweep.  Before each multiply it polls
     `should_stop` and then checks that fewer than `cap` multiplies are
     done; either stop raises _Stopped(i).
     """
-    key = group.sweep_keys(base)
-    t = 1
+    t = start
     for i in range(n + 1):
         if should_stop is not None and should_stop():
             raise _Stopped(i)
@@ -127,19 +125,42 @@ def giant_encodings(group, P, H, should_stop=None, cap=None):
     key met again (zeta^n has order <= n, or a spec's zeta does not have
     the order it claims) keeps every a, as a tuple in increasing order, so
     a candidate that fails verification does not hide the next one.  The
-    table depends only on (group, P, H), so campaigns against
-    re-randomized Q's and repeated audits of one record build it once and
-    pass it to `solve_in_subgroup` as `shared_giant`.  `should_stop` and
-    `cap` stop the build as in `_sweep`.
+    table depends only on (group, P, H), so campaigns and repeated audits
+    of one record build it once and pass it to `solve_in_subgroup` as
+    `shared_giant`.  `should_stop` and `cap` stop the build as in `_sweep`.
     """
     n = isqrt(H.d) + 1
     table = {}
-    for a, key in enumerate(_sweep(group, P, pow(H.zeta.value, n, H.p), n,
-                                   H.p, should_stop, cap)):
+    for a, key in enumerate(_sweep(group.sweep_keys(P), 1,
+                                   pow(H.zeta.value, n, H.p), n, H.p,
+                                   should_stop, cap)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
     return table, n + 1
+
+
+def _baby_sweep(group, P, Q, key, H, table, y, should_stop=None, cap=None):
+    """Stream key(y * zeta^b) for b = 0..n against the giant `table`.
+
+    `key` is `group.sweep_keys(Q)` and y a unit mod p.  A hit (a, b)
+    proposes x = y^(-1) * zeta^(a*n-b), accepted only if x*P == Q.
+    Returns Found / NotInSubgroup / Undecided with the baby steps alone.
+    """
+    p, zeta, d = H.p, H.zeta.value, H.d
+    n = isqrt(d) + 1
+    try:
+        for b, k in enumerate(_sweep(key, y, zeta, n, p, should_stop, cap)):
+            hit = table.get(k)
+            if hit is not None:
+                for a in hit if type(hit) is tuple else (hit,):
+                    x = pow(y, -1, p) * pow(zeta, (a * n - b) % d, p) % p
+                    # soundness gate: accept only a re-verified exponent
+                    if group.scalar_mul(x, P) == Q:
+                        return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
+    except _Stopped as stopped:
+        return Undecided(stopped.args[0])
+    return NotInSubgroup(n + 1)
 
 
 def _check_solvable(instance, H):
@@ -170,27 +191,15 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
-    group = instance.group
-    P, Q, p = instance.P, instance.Q, instance.p
-    zeta = H.zeta.value
-    d = H.d
-    n = isqrt(d) + 1
+    group, P, Q = instance.group, instance.P, instance.Q
     table, giant_steps = shared_giant, 0
-    try:
-        if table is None:
+    if table is None:
+        try:
             table, giant_steps = giant_encodings(group, P, H, should_stop,
                                                  step_cap)
-        cap = None if step_cap is None else step_cap - giant_steps
-        for b, key in enumerate(_sweep(group, Q, zeta, n, p,
-                                       should_stop, cap)):
-            hit = table.get(key)
-            if hit is not None:
-                for a in hit if type(hit) is tuple else (hit,):
-                    x = pow(zeta, (a * n - b) % d, p)
-                    # soundness gate: accept only a re-verified exponent
-                    if group.scalar_mul(x, P) == Q:
-                        return Found(x=Residue(x, p), a=a, b=b,
-                                     steps=giant_steps + b + 1)
-    except _Stopped as stopped:
-        return Undecided(giant_steps + stopped.args[0])
-    return NotInSubgroup(giant_steps + n + 1)
+        except _Stopped as stopped:
+            return Undecided(stopped.args[0])
+    cap = None if step_cap is None else step_cap - giant_steps
+    verdict = _baby_sweep(group, P, Q, group.sweep_keys(Q), H, table, 1,
+                          should_stop, cap)
+    return replace(verdict, steps=giant_steps + verdict.steps)

@@ -1,14 +1,15 @@
 """Randomized parallel extension of the constrained search.
 
 One thread decides x in H at cost ~2*sqrt(d).  The campaign runs m threads
-against independently re-randomized targets Q_i = y_i * Q for uniform units
-y_i: thread i solves for z_i = x * y_i mod p, and any thread that lands in
-H yields x = z_i * y_i^{-1} mod p.  The giant table depends only on
-(group, P, H), so it is built once; each thread streams its own baby sweep
-against it (the independent-thread collision search of van Oorschot and
-Wiener, J. Cryptology 1999).  Per-thread work never exceeds the
-single-search budget, and the campaign succeeds as soon as some x * y_i
-falls in H -- which is what the probability model prices.
+that re-randomize the key by uniform units y_i: thread i decides whether
+z_i = x * y_i mod p lies in H by the baby sweep (y_i * zeta^b) * Q, read
+from the one `sweep_keys(Q)` function all threads share, and a hit yields
+x = z_i * y_i^{-1} mod p, accepted once x*P == Q.  The giant table depends
+only on (group, P, H), so it is built once; each thread streams its own
+baby sweep against it (the independent-thread collision search of van
+Oorschot and Wiener, J. Cryptology 1999).  Per-thread work never exceeds
+the single-search budget, and the campaign succeeds as soon as some
+x * y_i falls in H -- which is what the probability model prices.
 
 Worker count is an execution detail.  At workers = 1 the threads run one
 after another in the calling process.  At workers > 1 they run in that
@@ -30,8 +31,9 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-from .bsgs import (DlpInstance, Found, _check_solvable, giant_encodings,
-                   solve_in_subgroup)
+# bench/tracing.py patches giant_encodings and solve_in_subgroup by name here
+from .bsgs import (DlpInstance, Found, _baby_sweep, _check_solvable,
+                   giant_encodings, solve_in_subgroup)
 from .factoring import factor, subgroup_generator
 from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup, CountingGroup, GroupElement
@@ -67,7 +69,7 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignSuccess:
-    """The winning thread: x = z * y^(-1) mod p, re-verified against Q."""
+    """The winning thread: z = x * y mod p lies in H; x*P == Q was verified."""
 
     x: Residue
     index: int
@@ -84,15 +86,14 @@ class CampaignResult:
     accounted thread's baby steps (n+1 for a thread that finds nothing,
     b+1 for the winner); it respects total_steps <= m * theorem_budget(d).
     Threads stream their baby sweeps against the shared table, so each
-    needs O(1) memory beyond it.  The re-randomization multiplies
-    Q_i = y_i*Q of the accounted threads and the final verification are
-    tallied in overhead_muls.  Threads 0..winner (all m on a failed
-    campaign) are accounted, and per_thread_steps has one entry for each.
+    needs O(1) memory beyond it.  The winner's verification multiply is
+    not charged, as in a single solve.  Threads 0..winner (all m on a
+    failed campaign) are accounted, and per_thread_steps has one entry
+    for each.
     """
 
     success: object = None
     total_steps: int = 0
-    overhead_muls: int = 0
     threads_run: int = 0
     per_thread_steps: list = dataclass_field(default_factory=list)
 
@@ -111,27 +112,19 @@ def draw_multipliers(p, m, seed):
     return [rng.randrange(1, p) for _ in range(m)]
 
 
-def _recover(instance, y, z):
-    p = instance.p
-    x = Residue(pow(y, -1, p) * z.value % p, p)
-    if instance.group.scalar_mul(x.value, instance.P) != instance.Q:
-        raise AssertionError("verified thread result failed final check")
-    return x
-
-
 def _threads(group, P, Q, H, table, pairs, step_cap, should_stop):
     """Yield (i, verdict) for the campaign threads (i, y_i) in `pairs`.
 
-    Thread i is the baby sweep of Q_i = y_i*Q against the giant `table`.
-    The loop ends after the first Found or once should_stop(), if given.
+    Thread i is the baby sweep of Q started at y_i against the giant
+    `table`; all of them read one `sweep_keys(Q)` function.  The loop ends
+    after the first Found or once should_stop(), if given.
     """
+    key = group.sweep_keys(Q)
     for i, y in pairs:
         if should_stop is not None and should_stop():
             return
-        sub = DlpInstance(group=group, P=P, Q=group.scalar_mul(y, Q))
-        verdict = solve_in_subgroup(sub, H, step_cap=step_cap,
-                                    should_stop=should_stop,
-                                    shared_giant=table)
+        verdict = _baby_sweep(group, P, Q, key, H, table, y, should_stop,
+                              step_cap)
         yield i, verdict
         if isinstance(verdict, Found):
             return
@@ -275,14 +268,13 @@ def _account(instance, ys, setup_steps, verdicts):
             if i != result.threads_run:
                 raise AssertionError("thread %d reported out of order" % i)
             result.threads_run += 1
-            result.overhead_muls += 1  # forming Q_i
             result.total_steps += verdict.steps
             result.per_thread_steps.append(verdict.steps)
             if isinstance(verdict, Found):
-                result.overhead_muls += 1  # final verification
+                y, p = ys[i], instance.p
                 result.success = CampaignSuccess(
-                    x=_recover(instance, ys[i], verdict.x),
-                    index=i, y=Residue(ys[i], instance.p), z=verdict.x)
+                    x=verdict.x, index=i, y=Residue(y, p),
+                    z=Residue(verdict.x.value * y % p, p))
                 break
     finally:
         verdicts.close()

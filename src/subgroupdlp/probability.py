@@ -34,14 +34,10 @@ _SATURATION = 64.0
 
 
 def int_log2(n):
-    """log2 of a positive integer of any size, good to ~1e-15 relative."""
+    """log2 of a positive integer of any size (math.log2 takes any int)."""
     if n <= 0:
         raise ValueError("log2 of non-positive integer")
-    k = n.bit_length()
-    if k <= 960:
-        return math.log2(n)
-    shift = k - 64
-    return shift + math.log2(n >> shift)
+    return math.log2(n)
 
 
 def _check(d, m, p):

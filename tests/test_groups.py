@@ -7,7 +7,7 @@ import random
 import pytest
 
 from subgroupdlp.catalog import load_builtin
-from subgroupdlp.factoring import factor
+from subgroupdlp.factoring import factor, find_primitive_root
 from subgroupdlp.field import is_probable_prime
 from subgroupdlp.groups import (COMB_TEETH, POWER_WINDOW,
                                 AdditiveOracleGroup, CountingGroup,
@@ -300,6 +300,24 @@ def test_sweep_keys_of_the_identity_and_other_backends():
     assert counter.scalar_muls == 0
     assert keys(5) == group.encode(group.scalar_mul(5, group.generator))
     assert counter.scalar_muls == 1
+
+
+@pytest.mark.parametrize("group", [
+    AdditiveOracleGroup(65537), MultiplicativeGroup(227, 4, 113),
+    CurveGroup(DESK)], ids=lambda g: g.kind)
+def test_keys_of_a_multiple_are_keys_of_the_point(group):
+    # A campaign thread sweeps y*zeta^b through Q's keys in place of
+    # zeta^b through the keys of y*Q; both must give the same bytes.
+    p = group.order
+    zeta = find_primitive_root(p, factor(p - 1)).value
+    rng = random.Random(p)
+    Q = group.scalar_mul(rng.randrange(2, p), group.generator)
+    keys = group.sweep_keys(Q)
+    for y in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
+        keys_of_yQ = group.sweep_keys(group.scalar_mul(y, Q))
+        for b in range(6):
+            t = pow(zeta, b, p)
+            assert keys(y * t % p) == keys_of_yQ(t), (y, b)
 
 
 def power_table_agrees_with_pow(group, base, scalars):

@@ -50,7 +50,6 @@ def test_worked_example_rerandomization():
     assert result.success == CampaignSuccess(
         x=Residue(3, 31), index=0, y=Residue(11, 31), z=Residue(2, 31))
     assert result.threads_run == 1
-    assert result.overhead_muls == 2       # forming Q_0 plus final check
     # the giant table is {1: 0, 8: 1, 2: 2, 16: 3}; the thread's first baby
     # step Q_0 = 2 hits a = 2, so it charges b + 1 = 1 on top of the table
     assert result.per_thread_steps == [1]
@@ -85,7 +84,6 @@ def test_failed_campaign_work_accounting():
     assert result.per_thread_steps == [n_plus_1] * 2
     assert result.total_steps == 3 * n_plus_1
     assert result.total_steps <= 2 * theorem_budget(256)
-    assert result.overhead_muls == 2  # only the two Q_i formations
 
 
 def test_share_giant_does_not_change_verdicts():
@@ -234,8 +232,7 @@ def test_workers_inherit_a_group_that_cannot_be_pickled():
                            CampaignConfig(m=8, seed=1, workers=2))
     assert got == expected
     # the workers' multiplies are counted too: at least the exact figure
-    assert group.scalar_muls >= (expected.total_steps + expected.overhead_muls
-                                 + expected.found)
+    assert group.scalar_muls >= expected.total_steps + expected.found
 
 
 def test_no_worker_outlives_the_interpreter():
@@ -268,9 +265,35 @@ def test_single_worker_campaign_does_only_accounted_work():
     for seed in range(6):
         counter.reset()
         result = randomized_solve(instance, H, CampaignConfig(m=8, seed=seed))
-        # plus the winner's in-search re-verification, which is not charged
-        assert counter.scalar_muls == (result.total_steps
-                                       + result.overhead_muls + result.found)
+        # plus the winner's re-verification, which is not charged
+        assert counter.scalar_muls == result.total_steps + result.found
+
+
+class KeyFunctionCounter(CountingGroup):
+    """A counting layer that also counts `sweep_keys` calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.key_functions = 0
+
+    def sweep_keys(self, e):
+        self.key_functions += 1
+        return super().sweep_keys(e)
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+def test_a_campaign_builds_two_key_functions(m):
+    # one for P's giant table and one for Q, read by every thread
+    counter = KeyFunctionCounter(AdditiveOracleGroup(65537))
+    instance = DlpInstance.from_secret(counter, 12345)
+    H = subgroup_generator(65537, 4096)
+    threads = []
+    for seed in range(3):
+        counter.key_functions = 0
+        result = randomized_solve(instance, H, CampaignConfig(m=m, seed=seed))
+        assert counter.key_functions == 2, (m, seed)
+        threads.append(result.threads_run)
+    assert m == 1 or max(threads) > 1  # several threads read Q's keys
 
 
 def test_campaign_success_internals():

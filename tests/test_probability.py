@@ -187,7 +187,7 @@ def test_int_log2():
     assert int_log2(1) == 0.0
     assert int_log2(2 ** 1000) == 1000.0
     assert math.isclose(int_log2(3), math.log2(3), rel_tol=1e-15)
-    n = 7 ** 500  # 1404 bits: past math.log2's direct int range
+    n = 7 ** 500  # 1404 bits: past the float range, not math.log2's
     mpmath.mp.dps = 50
     want = float(mpmath.log(n, 2))
     assert math.isclose(int_log2(n), want, rel_tol=1e-14)
