@@ -4,9 +4,12 @@
 One constrained search only succeeds if the key happens to lie in the
 chosen subgroup.  Multiplying Q by a uniform unit y re-randomizes the
 key to z = y*x, which lands in a subgroup of order d with probability
-d/(p-1) -- so m independent multipliers give m independent chances, at
-about 2*sqrt(d) steps each.  This script runs such campaigns at desk
-scale and checks the observed hit rate against the exact formula.
+d/(p-1) -- so m independent multipliers give m independent chances.
+The threads share one giant table sized for the t threads a campaign
+expects to run, so each pays about sqrt(d/t) steps on top of a
+sqrt(t*d)-step table, never more than a single search's 2*sqrt(d).  This
+script runs such campaigns at desk scale and checks the observed hit rate
+against the exact formula.
 """
 
 from subgroupdlp import (AdditiveOracleGroup, CampaignConfig, DlpInstance,

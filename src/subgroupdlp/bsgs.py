@@ -1,24 +1,27 @@
 """Baby-step giant-step restricted to a subgroup of the exponent group.
 
 Setting: Q = x*P in a group of prime order p, and H is the order-d
-subgroup of (Z/pZ)* generated by zeta, for some divisor d | p-1.  Writing
-n = isqrt(d) + 1, any x = zeta^k in H satisfies k = a*n - b with
-0 <= a <= n and 0 <= b <= n-1, so
+subgroup of (Z/pZ)* generated by zeta, for some divisor d | p-1.  For a
+giant step s, any x = zeta^k in H satisfies k = a*s - b with
+0 <= a <= ceil(d/s) and 0 <= b <= s-1, so
 
-    zeta^b * Q  ==  (zeta^n)^a * P     for some such a, b.
+    zeta^b * Q  ==  (zeta^s)^a * P     for some such a, b.
 
 Each side is a sweep of one fixed point, keyed by encoding through the
 group's `sweep_keys`.  The solver tabulates the right side (giant steps) and
 streams the left side (baby steps) against it; on a table hit it recovers
-x = zeta^(a*n-b mod d) and accepts it only after re-verifying x*P == Q.
+x = zeta^(a*s-b mod d) and accepts it only after re-verifying x*P == Q.
+A single solve takes the balanced split s = n = isqrt(d) + 1: a = 0..n and
+b = 0..n, n+1 multiplies on each side.
 The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
-then gives x = y^(-1)*zeta^(a*n-b): that is a campaign thread's search.
-The giant table costs n+1 scalar multiplications and depends only on
-(group, P, H), so campaigns and repeated audits build it once and share
-it; each baby sweep then needs O(1) memory and at most n+1 multiplies.
-In all, about 2*sqrt(d) group operations decide x in H -- with a
-certificate when it is, and a sound "no" when it is not.  Membership of x
-in H never requires knowing x.
+then gives x = y^(-1)*zeta^(a*s-b): that is a campaign thread's search.
+The giant table depends only on (group, P, H, s), so campaigns and
+repeated audits build it once and share it; each baby sweep then needs
+O(1) memory.  A campaign whose table serves t threads takes a smaller s,
+about sqrt(d/t), and a larger table (see `parallel`).  In all, about
+2*sqrt(d) group operations decide x in H -- with a certificate when it
+is, and a sound "no" when it is not.  Membership of x in H never
+requires knowing x.
 """
 
 from dataclasses import dataclass, replace
@@ -100,8 +103,8 @@ class _Stopped(Exception):
     """A sweep cut short by cancellation or the step cap; args[0] = its muls."""
 
 
-def _sweep(key, start, ratio, n, p, should_stop=None, cap=None):
-    """key(start * ratio^i mod p) for i = 0..n, one scalar multiply each.
+def _sweep(key, start, ratio, count, p, should_stop=None, cap=None):
+    """key(start * ratio^i mod p) for i < count, one scalar multiply each.
 
     `key` is one `sweep_keys` function, so the point it multiplies is
     checked once for the whole sweep.  Before each multiply it polls
@@ -109,7 +112,7 @@ def _sweep(key, start, ratio, n, p, should_stop=None, cap=None):
     done; either stop raises _Stopped(i).
     """
     t = start
-    for i in range(n + 1):
+    for i in range(count):
         if should_stop is not None and should_stop():
             raise _Stopped(i)
         if cap is not None and i >= cap:
@@ -118,49 +121,57 @@ def _sweep(key, start, ratio, n, p, should_stop=None, cap=None):
         t = t * ratio % p
 
 
-def giant_encodings(group, P, H, should_stop=None, cap=None):
-    """The giant table of (group, P, H) and the n+1 multiplies it cost.
+def giant_encodings(group, P, H, should_stop=None, cap=None, step=None):
+    """The giant table of (group, P, H, step) and the multiplies it cost.
 
-    The table maps the encoding of (zeta^n)^a * P to a, for a = 0..n.  A
-    key met again (zeta^n has order <= n, or a spec's zeta does not have
-    the order it claims) keeps every a, as a tuple in increasing order, so
-    a candidate that fails verification does not hide the next one.  The
-    table depends only on (group, P, H), so campaigns and repeated audits
-    of one record build it once and pass it to `solve_in_subgroup` as
-    `shared_giant`.  `should_stop` and `cap` stop the build as in `_sweep`.
+    The table maps the encoding of (zeta^s)^a * P to a, for a = 0..ceil(d/s)
+    when `step` = s is given (a campaign's split, against s baby keys), and
+    for a = 0..n with s = n = isqrt(d) + 1 when it is not (a single solve's).
+    A key met again (zeta^s has order <= the last a, or a spec's zeta does
+    not have the order it claims) keeps every a, as a tuple in increasing
+    order, so a candidate that fails verification does not hide the next
+    one.  The table depends only on (group, P, H, step), so campaigns and
+    repeated audits of one record build it once and pass it on (to
+    `solve_in_subgroup` as `shared_giant`).  `should_stop` and `cap` stop
+    the build as in `_sweep`.
     """
-    n = isqrt(H.d) + 1
+    if step is None:
+        step = last = isqrt(H.d) + 1
+    else:
+        last = -(-H.d // step)
     table = {}
     for a, key in enumerate(_sweep(group.sweep_keys(P), 1,
-                                   pow(H.zeta.value, n, H.p), n, H.p,
-                                   should_stop, cap)):
+                                   pow(H.zeta.value, step, H.p), last + 1,
+                                   H.p, should_stop, cap)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
-    return table, n + 1
+    return table, last + 1
 
 
-def _baby_sweep(group, P, Q, key, H, table, y, should_stop=None, cap=None):
-    """Stream key(y * zeta^b) for b = 0..n against the giant `table`.
+def _baby_sweep(group, P, Q, key, H, table, y, step, count,
+                should_stop=None, cap=None):
+    """Stream key(y * zeta^b) for b < count against the giant `table`.
 
-    `key` is `group.sweep_keys(Q)` and y a unit mod p.  A hit (a, b)
-    proposes x = y^(-1) * zeta^(a*n-b), accepted only if x*P == Q.
+    `key` is `group.sweep_keys(Q)`, y a unit mod p and `step` the giant
+    step s the table was built with.  A hit (a, b) proposes
+    x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q.
     Returns Found / NotInSubgroup / Undecided with the baby steps alone.
     """
     p, zeta, d = H.p, H.zeta.value, H.d
-    n = isqrt(d) + 1
     try:
-        for b, k in enumerate(_sweep(key, y, zeta, n, p, should_stop, cap)):
+        for b, k in enumerate(_sweep(key, y, zeta, count, p, should_stop,
+                                     cap)):
             hit = table.get(k)
             if hit is not None:
                 for a in hit if type(hit) is tuple else (hit,):
-                    x = pow(y, -1, p) * pow(zeta, (a * n - b) % d, p) % p
+                    x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
                     # soundness gate: accept only a re-verified exponent
                     if group.scalar_mul(x, P) == Q:
                         return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
     except _Stopped as stopped:
         return Undecided(stopped.args[0])
-    return NotInSubgroup(n + 1)
+    return NotInSubgroup(count)
 
 
 def _check_solvable(instance, H):
@@ -176,17 +187,19 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
                       shared_giant=None):
     """Decide whether the hidden exponent lies in H, recovering it if so.
 
-    Builds the giant table (n+1 multiplies), then streams the baby steps
-    zeta^b * Q for b = 0, 1, ... against it and stops at the first hit
-    that verifies.  A member's first verified hit has b <= n-1, so the
-    search plus its verify multiply stays within theorem_budget(d).
+    Builds the balanced giant table (n+1 multiplies, n = isqrt(d) + 1),
+    then streams the baby steps zeta^b * Q for b = 0..n against it and
+    stops at the first hit that verifies.  A member's first verified hit
+    has b <= n-1, so the search plus its verify multiply stays within
+    theorem_budget(d).
 
     Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
     the number of scalar multiplications (the verification multiplies are
     not charged); `should_stop` is polled before every multiply for
     cooperative cancellation.  `shared_giant` is a table from
-    `giant_encodings` whose cost was paid elsewhere: the solve then runs
-    only the baby sweep, and `steps` and `step_cap` count baby steps only.
+    `giant_encodings` at its default step, whose cost was paid elsewhere:
+    the solve then runs only the baby sweep, and `steps` and `step_cap`
+    count baby steps only.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
@@ -200,6 +213,7 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
         except _Stopped as stopped:
             return Undecided(stopped.args[0])
     cap = None if step_cap is None else step_cap - giant_steps
+    n = isqrt(H.d) + 1
     verdict = _baby_sweep(group, P, Q, group.sweep_keys(Q), H, table, 1,
-                          should_stop, cap)
+                          n, n + 1, should_stop, cap)
     return replace(verdict, steps=giant_steps + verdict.steps)

@@ -5,22 +5,29 @@ that re-randomize the key by uniform units y_i: thread i decides whether
 z_i = x * y_i mod p lies in H by the baby sweep (y_i * zeta^b) * Q, read
 from the one `sweep_keys(Q)` function all threads share, and a hit yields
 x = z_i * y_i^{-1} mod p, accepted once x*P == Q.  The giant table depends
-only on (group, P, H), so it is built once; each thread streams its own
-baby sweep against it (the independent-thread collision search of van
-Oorschot and Wiener, J. Cryptology 1999).  Per-thread work never exceeds
-the single-search budget, and the campaign succeeds as soon as some
-x * y_i falls in H -- which is what the probability model prices.
+only on (group, P, H) and its step, so it is built once; each thread
+streams its own baby sweep against it (the independent-thread collision
+search of van Oorschot and Wiener, J. Cryptology 1999).  The campaign
+succeeds as soon as some x * y_i falls in H -- which is what the
+probability model prices.
+
+One table serves every thread, so a campaign sizes it for the t threads
+it expects to run, t = (1 - (1 - d/(p-1))^m) * (p-1)/d: B ~ sqrt(d/t)
+baby keys per thread against a table of ~d/B ~ sqrt(t*d) keys, 2*sqrt(t*d)
+multiplies in all instead of (t+1)*sqrt(d) for the balanced split (the
+multi-target trade-off of Bernstein and Lange, "Computing small discrete
+logarithms faster", INDOCRYPT 2012).  B is a function of (p, d, m) alone.
 
 Worker count is an execution detail.  At workers = 1 the threads run one
 after another in the calling process.  At workers > 1 they run in that
-many worker processes, BLOCK threads per task.  The pool outlives a
-campaign: it is kept for one (group, P, H, workers), and the parent builds
-that key's giant table just before it forks the workers, so they inherit
-the table and the group instead of receiving pickled copies.  This needs
-the "fork" start method (Linux, macOS; not Windows).  Threads are
-accounted in index order and the lowest-index verified hit wins; once it
-is taken, a shared stop flag cancels the blocks still out, which are left
-out of the accounting.  So a fixed seed gives the same winner, x,
+many worker processes, about TASK_KEYS baby keys per task.  The pool
+outlives a campaign: it is kept for one (group, P, H, B, workers), and the
+parent builds that key's giant table just before it forks the workers, so
+they inherit the table and the group instead of receiving pickled copies.
+This needs the "fork" start method (Linux, macOS; not Windows).  Threads
+are accounted in index order and the lowest-index verified hit wins; once
+it is taken, a shared stop flag cancels the blocks still out, which are
+left out of the accounting.  So a fixed seed gives the same winner, x,
 threads_run, total_steps and per_thread_steps at any worker count.
 """
 
@@ -30,6 +37,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
+from math import expm1, isqrt, log1p
 
 # bench/tracing.py patches giant_encodings and solve_in_subgroup by name here
 from .bsgs import (DlpInstance, Found, _baby_sweep, _check_solvable,
@@ -39,7 +47,7 @@ from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup, CountingGroup, GroupElement
 
 __all__ = [
-    "CampaignConfig", "CampaignSuccess", "CampaignResult",
+    "CampaignConfig", "CampaignSuccess", "CampaignResult", "baby_keys",
     "draw_multipliers", "randomized_solve", "empirical_success_rate",
 ]
 
@@ -82,9 +90,10 @@ class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
     total_steps counts constrained-search scalar multiplications: the
-    giant table, built once and shared by every thread, plus each
-    accounted thread's baby steps (n+1 for a thread that finds nothing,
-    b+1 for the winner); it respects total_steps <= m * theorem_budget(d).
+    giant table of ceil(d/B) + 1 keys, built once and shared by every
+    thread, plus each accounted thread's baby steps (B = baby_keys(p, d, m)
+    for a thread that finds nothing, b+1 for the winner); it respects
+    total_steps <= m * theorem_budget(d).
     Threads stream their baby sweeps against the shared table, so each
     needs O(1) memory beyond it.  The winner's verification multiply is
     not charged, as in a single solve.  Threads 0..winner (all m on a
@@ -112,19 +121,33 @@ def draw_multipliers(p, m, seed):
     return [rng.randrange(1, p) for _ in range(m)]
 
 
-def _threads(group, P, Q, H, table, pairs, step_cap, should_stop):
+def baby_keys(p, d, m):
+    """B, the baby keys per thread of an m-thread campaign on H of order d.
+
+    B = isqrt(floor(d/t)) + 1 for the expected number of threads run,
+    t = (1 - (1 - f)^m) / f with f = d/(p-1) (a thread hits with chance f
+    and the first hit ends the campaign), clamped to [1, m].  t is formed
+    with expm1/log1p, so it stays near m when f is tiny instead of
+    rounding to 0.
+    """
+    f = d / (p - 1)
+    t = 1.0 if f >= 1 else -expm1(m * log1p(-f)) / f
+    return isqrt(int(d / min(max(t, 1.0), m))) + 1
+
+
+def _threads(group, P, Q, H, table, B, pairs, step_cap, should_stop):
     """Yield (i, verdict) for the campaign threads (i, y_i) in `pairs`.
 
-    Thread i is the baby sweep of Q started at y_i against the giant
-    `table`; all of them read one `sweep_keys(Q)` function.  The loop ends
-    after the first Found or once should_stop(), if given.
+    Thread i is the B-key baby sweep of Q started at y_i against the giant
+    `table` of step B; all of them read one `sweep_keys(Q)` function.  The
+    loop ends after the first Found or once should_stop(), if given.
     """
     key = group.sweep_keys(Q)
     for i, y in pairs:
         if should_stop is not None and should_stop():
             return
-        verdict = _baby_sweep(group, P, Q, key, H, table, y, should_stop,
-                              step_cap)
+        verdict = _baby_sweep(group, P, Q, key, H, table, y, B, B,
+                              should_stop, step_cap)
         yield i, verdict
         if isinstance(verdict, Found):
             return
@@ -138,15 +161,15 @@ def _op_counts(group):
 
 # -- worker processes ----------------------------------------------------------
 
-BLOCK = 4  # campaign threads per worker task
+TASK_KEYS = 1024  # baby keys per worker task: max(1, TASK_KEYS // B) threads
 
-_inherited = None  # in a worker: (group, P, H, giant table, should_stop)
+_inherited = None  # in a worker: (group, P, H, giant table, B, should_stop)
 
 
-def _inherit(group, P, H, table, flag):
+def _inherit(group, P, H, table, B, flag):
     """Worker initializer; the fork hands these over without pickling."""
     global _inherited
-    _inherited = group, P, H, table, partial(flag.__getitem__, 0)
+    _inherited = group, P, H, table, B, partial(flag.__getitem__, 0)
 
 
 def _run_block(q_data, block, step_cap):
@@ -156,16 +179,16 @@ def _run_block(q_data, block, step_cap):
     add) counts the worker's copy of a CountingGroup gained.  The block
     stops after its own Found, or when the parent sets the stop flag.
     """
-    group, P, H, table, should_stop = _inherited
+    group, P, H, table, B, should_stop = _inherited
     before = _op_counts(group)
     verdicts = list(_threads(group, P, GroupElement(P.group, q_data), H,
-                             table, block, step_cap, should_stop))
+                             table, B, block, step_cap, should_stop))
     after = _op_counts(group)
     return verdicts, (after[0] - before[0], after[1] - before[1])
 
 
 class _Pool:
-    """Forked workers holding one (group, P, H) and its giant table.
+    """Forked workers holding one (group, P, H, B) and its giant table.
 
     The table is built here, just before the fork, so the workers inherit
     it with the group and a one-byte shared stop flag.  The pool machinery
@@ -173,20 +196,21 @@ class _Pool:
     workers > 1 never loads it.
     """
 
-    def __init__(self, group, P, H, workers):
+    def __init__(self, group, P, H, B, workers):
         import mmap
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        self.group, self.P, self.H, self.workers = group, P, H, workers
-        self.table, self.setup_steps = giant_encodings(group, P, H)
+        self.group, self.P, self.H, self.B = group, P, H, B
+        self.workers = workers
+        self.table, self.setup_steps = giant_encodings(group, P, H, step=B)
         self.flag = mmap.mmap(-1, 1)
         self.executor = ProcessPoolExecutor(
             workers, mp_context=get_context("fork"), initializer=_inherit,
-            initargs=(group, P, H, self.table, self.flag))
+            initargs=(group, P, H, self.table, B, self.flag))
 
-    def serves(self, group, P, H, workers):
+    def serves(self, group, P, H, B, workers):
         return (group is self.group and workers == self.workers
-                and P == self.P and H == self.H)
+                and B == self.B and P == self.P and H == self.H)
 
     def verdicts(self, Q, ys, step_cap):
         """Yield (i, verdict) for i = 0, 1, ..., workers + 1 blocks in flight.
@@ -206,10 +230,11 @@ class _Pool:
                 group.adds += ops[1]
             return verdicts
 
+        block = max(1, TASK_KEYS // self.B)
         try:
-            for start in range(0, len(pairs), BLOCK):
+            for start in range(0, len(pairs), block):
                 ahead.append(self.executor.submit(
-                    _run_block, Q.data, pairs[start:start + BLOCK], step_cap))
+                    _run_block, Q.data, pairs[start:start + block], step_cap))
                 if len(ahead) > self.workers:
                     yield from take(ahead.popleft())
             while ahead:
@@ -244,14 +269,14 @@ def _close_pool():
 atexit.register(_close_pool)
 
 
-def _pooled(instance, H, ys, config):
-    """The campaign on the worker pool kept for (group, P, H, workers)."""
+def _pooled(instance, H, B, ys, config):
+    """The campaign on the worker pool kept for (group, P, H, B, workers)."""
     global _pool
     group, P = instance.group, instance.P
     with _pool_lock:
-        if _pool is None or not _pool.serves(group, P, H, config.workers):
+        if _pool is None or not _pool.serves(group, P, H, B, config.workers):
             _close_pool()
-            _pool = _Pool(group, P, H, config.workers)
+            _pool = _Pool(group, P, H, B, config.workers)
         try:
             return _account(instance, ys, _pool.setup_steps,
                             _pool.verdicts(instance.Q, ys, config.step_cap))
@@ -290,12 +315,14 @@ def randomized_solve(instance, H, config):
     """
     _check_solvable(instance, H)
     ys = draw_multipliers(instance.p, config.m, config.seed)
+    B = baby_keys(instance.p, H.d, config.m)
     if config.workers > 1:
-        return _pooled(instance, H, ys, config)
+        return _pooled(instance, H, B, ys, config)
     group, P = instance.group, instance.P
-    table, setup_steps = giant_encodings(group, P, H)
+    table, setup_steps = giant_encodings(group, P, H, step=B)
     return _account(instance, ys, setup_steps, _threads(
-        group, P, instance.Q, H, table, enumerate(ys), config.step_cap, None))
+        group, P, instance.Q, H, table, B, enumerate(ys), config.step_cap,
+        None))
 
 
 def empirical_success_rate(p, d, m, trials, seed):

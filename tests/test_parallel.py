@@ -7,22 +7,26 @@ import random
 import subprocess
 import sys
 import threading
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import subgroupdlp
 
+from subgroupdlp import parallel
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, solve_in_subgroup,
                               theorem_budget)
+from subgroupdlp.catalog import load_builtin
 from subgroupdlp.factoring import SubgroupSpec, subgroup_generator
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
 from subgroupdlp.parallel import (CampaignConfig, CampaignResult,
-                                  CampaignSuccess, draw_multipliers,
-                                  empirical_success_rate, randomized_solve)
+                                  CampaignSuccess, baby_keys,
+                                  draw_multipliers, empirical_success_rate,
+                                  randomized_solve)
 
 G31 = AdditiveOracleGroup(31)
 H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))
@@ -50,10 +54,12 @@ def test_worked_example_rerandomization():
     assert result.success == CampaignSuccess(
         x=Residue(3, 31), index=0, y=Residue(11, 31), z=Residue(2, 31))
     assert result.threads_run == 1
-    # the giant table is {1: 0, 8: 1, 2: 2, 16: 3}; the thread's first baby
-    # step Q_0 = 2 hits a = 2, so it charges b + 1 = 1 on top of the table
+    # one thread: B = isqrt(5) + 1 = 3 baby keys against the giant table
+    # of step 3, a = 0..ceil(5/3), which is {1: 0, 8: 1, 2: 2}; the thread's
+    # first baby step y*Q = 2 hits a = 2, so it charges b + 1 = 1 on top
+    assert baby_keys(31, 5, 1) == 3
     assert result.per_thread_steps == [1]
-    assert result.total_steps == 5         # shared giant 4 + thread baby 1
+    assert result.total_steps == 4         # shared giant 3 + thread baby 1
 
 
 def test_single_worker_campaign_is_reproducible():
@@ -70,7 +76,10 @@ def test_failed_campaign_work_accounting():
     p = 65537
     group = AdditiveOracleGroup(p)
     H = subgroup_generator(p, 256)
-    n_plus_1 = theorem_budget(256) // 2  # 18
+    # t = 256 * (1 - (255/256)^2) ~ 1.996 expected threads: B = isqrt(128)
+    # + 1 = 12 baby keys against a giant table of ceil(256/12) + 1 = 23
+    B = baby_keys(p, 256, 2)
+    assert B == 12
     # find a seeded campaign that fails: m=2 gives ~99% failure odds per seed
     for seed in range(50):
         instance = DlpInstance.from_secret(group, 31337)
@@ -81,18 +90,19 @@ def test_failed_campaign_work_accounting():
     assert not result.found
     assert result.threads_run == 2
     # the giant sweep is paid once, then each thread pays its baby sweep
-    assert result.per_thread_steps == [n_plus_1] * 2
-    assert result.total_steps == 3 * n_plus_1
+    assert result.per_thread_steps == [B] * 2
+    assert result.total_steps == 23 + 2 * B == 47
     assert result.total_steps <= 2 * theorem_budget(256)
 
 
 def test_share_giant_does_not_change_verdicts():
-    # a campaign shares one giant sweep; each thread solved on its own, with
-    # its giant sweep computed, must reach the same verdicts
+    # a campaign shares one giant sweep, sized for its threads; each thread
+    # solved on its own, with the balanced split, must reach the same
+    # verdict class and, for the winner, the same z
     p = 65537
     instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 999)
     H = subgroup_generator(p, 4096)
-    half = theorem_budget(4096) // 2  # n + 1 multiplies per sweep
+    B = baby_keys(p, 4096, 4)
     for seed in (0, 1, 2, 3, 11):  # seeds 0 and 11 find x
         shared = randomized_solve(instance, H, CampaignConfig(m=4, seed=seed))
         alone = []
@@ -108,13 +118,11 @@ def test_share_giant_does_not_change_verdicts():
             assert shared.success.index == hits[0]
             assert shared.success.z == alone[hits[0]].x
         for verdict, steps in zip(alone, shared.per_thread_steps):
-            # the same baby sweep, without the giant table a lone solve
-            # builds for itself: n + 1 for a miss, b + 1 for the winner
-            assert verdict.steps == steps + half
+            # B baby keys for a miss, at most B for the winner
             if isinstance(verdict, NotInSubgroup):
-                assert steps == half
+                assert steps == B
             else:
-                assert steps == verdict.b + 1
+                assert 1 <= steps <= B
         budget = shared.threads_run * theorem_budget(4096)
         assert shared.total_steps <= budget
         assert all(v.steps <= theorem_budget(4096) for v in alone)
@@ -156,20 +164,21 @@ def test_campaign_result_is_the_same_at_any_worker_count():
 
 
 def test_step_capped_campaign_is_the_same_at_any_worker_count():
-    # A cap below n + 1 = 66 baby steps leaves some member threads
-    # Undecided.  Each is accounted at the cap, and neither its block of
-    # worker threads nor the campaign may stop there.
+    # A cap below the B = 19 baby keys of a 24-thread campaign leaves some
+    # member threads Undecided.  Each is accounted at the cap, and neither
+    # its block of worker threads nor the campaign may stop there.
     p = 65537
     H = subgroup_generator(p, 4096)
     members = H.elements()
     instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 4321)
+    assert baby_keys(p, 4096, 24) == 19
     cases = {}
     for seed in range(80):
-        config = CampaignConfig(m=24, seed=seed, step_cap=33)
+        config = CampaignConfig(m=24, seed=seed, step_cap=10)
         result = randomized_solve(instance, H, config)
         hits = [i for i, y in enumerate(draw_multipliers(p, 24, seed))
                 if 4321 * y % p in members]
-        capped = hits and result.per_thread_steps[hits[0]] == 33
+        capped = hits and result.per_thread_steps[hits[0]] == 10
         if capped and result.found and result.success.index >= 5:
             cases.setdefault("capped member, later winner", config)
         elif capped and not result.found:
@@ -185,6 +194,112 @@ def test_step_capped_campaign_is_the_same_at_any_worker_count():
                 m=config.m, seed=config.seed, step_cap=config.step_cap,
                 workers=workers))
             assert got == expected, (name, workers)
+
+
+def test_baby_keys_follow_the_expected_thread_count():
+    # campaign-mult's split: t ~ 31.6 of 64 threads, B = isqrt(8300) + 1
+    assert baby_keys(39 * 2**18 + 1, 2**18, 64) == 92
+    assert baby_keys(65537, 4096, 8) == 26   # the README example
+    # one thread, or a subgroup that holds every unit: t = 1, the
+    # balanced n = isqrt(d) + 1
+    assert baby_keys(65537, 4096, 1) == 65
+    assert baby_keys(1999, 1998, 64) == isqrt(1998) + 1
+    # t never exceeds m or (p-1)/d, and B never falls below 1
+    assert baby_keys(1999, 1, 64) == 1
+    assert baby_keys(65537, 256, 10**6) == isqrt(256 // 256) + 1
+
+
+def test_campaign_on_p256_order_with_a_tiny_subgroup():
+    # d/(p-1) ~ 2^-254.4: 1 - (1 - d/(p-1))^m rounds to 0.0 in floats, so
+    # t must come from expm1/log1p, or floor(d/t) divides by zero
+    record = load_builtin("P-256")
+    p = record.p
+    assert 1 - (1 - 3 / (p - 1)) ** 64 == 0.0
+    assert baby_keys(p, 3, 64) == 1
+    H = subgroup_generator(p, 3, generator=record.primitive_root)
+    group = AdditiveOracleGroup(p)
+    ys = draw_multipliers(p, 64, 5)
+    x = H.zeta.value * pow(ys[40], -1, p) % p  # thread 40 maps x into H
+    for workers in (1, 2):
+        result = randomized_solve(DlpInstance.from_secret(group, x), H,
+                                  CampaignConfig(m=64, seed=5,
+                                                 workers=workers))
+        assert result.found and result.success.x.value == x
+        assert result.success.index == 40 and result.threads_run == 41
+        # a giant table of a = 0..3, then one baby key per thread
+        assert result.per_thread_steps == [1] * 41
+        assert result.total_steps == 4 + 41
+
+
+def test_the_pool_is_rebuilt_when_the_baby_keys_change():
+    # the pool's table and its B belong together: a pool kept across a
+    # change of B would not give the workers-1 result
+    p = 65537
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 12345)
+    H = subgroup_generator(p, 4096)
+    configs = [CampaignConfig(m=8, seed=1), CampaignConfig(m=64, seed=2),
+               CampaignConfig(m=8, seed=1)]
+    assert baby_keys(p, 4096, 8) != baby_keys(p, 4096, 64)
+    for config in configs:
+        expected = randomized_solve(instance, H, config)
+        assert expected.found
+        got = randomized_solve(instance, H, CampaignConfig(
+            m=config.m, seed=config.seed, workers=2))
+        assert got == expected, config.m
+        assert parallel._pool.B == baby_keys(p, 4096, config.m)
+
+
+def _campaign_groups():
+    """One order-1999 group per backend (1998 = 2 * 3^3 * 37)."""
+    return (AdditiveOracleGroup(1999), MultiplicativeGroup(19991, 15261, 1999),
+            CurveGroup(desk_curve()))
+
+
+@pytest.mark.parametrize("group", _campaign_groups(),
+                         ids=("oracle", "multiplicative", "curve"))
+def test_campaign_split_invariants(group):
+    # For every split the winner is the lowest thread whose y_i * x lies
+    # in H, every earlier thread is a sound miss, and the work stays
+    # within m single-solve budgets, at workers 1 and 2 alike.
+    p = group.order
+    rng = random.Random(p)
+    for d in (1, 54, p - 1):
+        H = subgroup_generator(p, d)
+        for m in (1, 2, 64):
+            for seed in range(4):
+                x = rng.randrange(1, p)
+                if seed >= 2:  # plant zeta^k on the middle thread: k in
+                    # the giant table's last step, then any k
+                    k = (d - baby_keys(p, d, m) if seed == 2
+                         else rng.randrange(d)) % d
+                    y = draw_multipliers(p, m, seed)[m // 2]
+                    x = pow(H.zeta.value, k, p) * pow(y, -1, p) % p
+                instance = DlpInstance.from_secret(group, x)
+                config = CampaignConfig(m=m, seed=seed)
+                result = randomized_solve(instance, H, config)
+                ys = draw_multipliers(p, m, seed)
+                hits = [i for i, y in enumerate(ys)
+                        if pow(x * y % p, d, p) == 1]
+                assert result.found == bool(hits)
+                assert result.threads_run == (hits[0] + 1 if hits else m)
+                assert result.total_steps <= m * theorem_budget(d)
+                if hits:
+                    assert result.success == CampaignSuccess(
+                        x=Residue(x, p), index=hits[0],
+                        y=Residue(ys[hits[0]], p),
+                        z=Residue(x * ys[hits[0]] % p, p))
+                for i in range(result.threads_run):
+                    alone = solve_in_subgroup(DlpInstance(
+                        group=group, P=instance.P,
+                        Q=group.scalar_mul(ys[i], instance.Q)), H)
+                    winner = result.found and i == result.success.index
+                    assert isinstance(alone, Found if winner
+                                      else NotInSubgroup)
+                    if winner:
+                        assert alone.x == result.success.z
+                got = randomized_solve(instance, H, CampaignConfig(
+                    m=m, seed=seed, workers=2))
+                assert got == result, (d, m, seed)
 
 
 def _pool_pids():
@@ -340,8 +455,10 @@ def test_step_cap_propagates():
         instance, H, CampaignConfig(m=3, seed=0, step_cap=0))
     assert not result.found
     assert result.per_thread_steps == [0, 0, 0]
-    # only the shared giant sweep, which the cap does not cover
-    assert result.total_steps == theorem_budget(256) // 2
+    # only the shared giant sweep, which the cap does not cover: step
+    # B = 10, so a = 0..ceil(256/10)
+    assert baby_keys(65537, 256, 3) == 10
+    assert result.total_steps == 27
 
 
 def test_config_validation():
