@@ -2,8 +2,9 @@
 
 Setting: Q = x*P in a group of prime order p, and H is the order-d
 subgroup of (Z/pZ)* generated by zeta, for some divisor d | p-1.  For a
-giant step s, any x = zeta^k in H satisfies k = a*s - b with
-0 <= a <= ceil(d/s) and 0 <= b <= s-1, so
+giant step s, any x = zeta^k in H satisfies k = a*s - b mod d with
+0 <= a < ceil(d/s) and 0 <= b <= s-1 (these a*s - b run through
+ceil(d/s)*s >= d consecutive integers), so
 
     zeta^b * Q  ==  (zeta^s)^a * P     for some such a, b.
 
@@ -12,13 +13,15 @@ group's `sweep_keys`.  The solver tabulates the right side (giant steps) and
 streams the left side (baby steps) against it; on a table hit it recovers
 x = zeta^(a*s-b mod d) and accepts it only after re-verifying x*P == Q.
 A single solve takes the balanced split s = n = isqrt(d) + 1: a = 0..n and
-b = 0..n, n+1 multiplies on each side.
+b = 0..n, n+1 multiplies on each side, so that a member's first hit has
+b <= n-1 and the solve stays within theorem_budget(d).
 The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
 then gives x = y^(-1)*zeta^(a*s-b): that is a campaign thread's search.
-The giant table depends only on (group, P, H, s), so campaigns and
-repeated audits build it once and share it; each baby sweep then needs
-O(1) memory.  A campaign whose table serves t threads takes a smaller s,
-about sqrt(d/t), and a larger table (see `parallel`).  In all, about
+The giant table depends only on (group, P, H, s), so `kept_giant` builds
+it once and keeps it with the group object for campaigns and audits,
+whose baby sweeps then need O(1) memory each.  A campaign whose table
+serves t threads takes a smaller s, about sqrt(d/t), and a larger table
+(see `parallel`).  In all, about
 2*sqrt(d) group operations decide x in H -- with a certificate when it
 is, and a sound "no" when it is not.  Membership of x in H never
 requires knowing x.
@@ -33,7 +36,7 @@ from .groups import GroupElement
 __all__ = [
     "DlpInstance", "Found", "NotInSubgroup", "Undecided",
     "DegenerateKeyError", "solve_in_subgroup", "giant_encodings",
-    "theorem_budget",
+    "kept_giant", "theorem_budget",
 ]
 
 
@@ -121,32 +124,46 @@ def _sweep(key, start, ratio, count, p, should_stop=None, cap=None):
         t = t * ratio % p
 
 
-def giant_encodings(group, P, H, should_stop=None, cap=None, step=None):
+def giant_encodings(group, P, H, cap=None, step=None):
     """The giant table of (group, P, H, step) and the multiplies it cost.
 
-    The table maps the encoding of (zeta^s)^a * P to a, for a = 0..ceil(d/s)
-    when `step` = s is given (a campaign's split, against s baby keys), and
-    for a = 0..n with s = n = isqrt(d) + 1 when it is not (a single solve's).
-    A key met again (zeta^s has order <= the last a, or a spec's zeta does
-    not have the order it claims) keeps every a, as a tuple in increasing
-    order, so a candidate that fails verification does not hide the next
-    one.  The table depends only on (group, P, H, step), so campaigns and
-    repeated audits of one record build it once and pass it on (to
-    `solve_in_subgroup` as `shared_giant`).  `should_stop` and `cap` stop
-    the build as in `_sweep`.
+    The table maps the encoding of (zeta^s)^a * P to a, for a = 0 ..
+    ceil(d/s) - 1 when `step` = s is given (a campaign's split, against s
+    baby keys), and for a = 0..n with s = n = isqrt(d) + 1 when it is not
+    (a single solve's).  A key met again (zeta^s has order <= the last a,
+    or a spec's zeta does not have the order it claims) keeps every a, as
+    a tuple in increasing order, so a candidate that fails verification
+    does not hide the next one.  `cap` stops the build as in `_sweep`.
     """
     if step is None:
-        step = last = isqrt(H.d) + 1
+        step = isqrt(H.d) + 1
+        count = step + 1
     else:
-        last = -(-H.d // step)
+        count = -(-H.d // step)
     table = {}
     for a, key in enumerate(_sweep(group.sweep_keys(P), 1,
-                                   pow(H.zeta.value, step, H.p), last + 1,
-                                   H.p, should_stop, cap)):
+                                   pow(H.zeta.value, step, H.p), count,
+                                   H.p, cap=cap)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
-    return table, last + 1
+    return table, count
+
+
+def kept_giant(group, P, H, step=None):
+    """`giant_encodings(group, P, H, step=step)`, built once per group object.
+
+    The (table, cost) pair is kept in the group object's own `__dict__`,
+    keyed by (P, H, step), so it lives as long as the group and every
+    campaign and audit on that group reads it; a CountingGroup keeps its
+    own tables and never reads those of the group it wraps.  `cost` is
+    what the build took, charged to every search that reads the table.
+    """
+    kept = vars(group).setdefault("_kept_giants", {})
+    key = (P, H, step)
+    if key not in kept:
+        kept[key] = giant_encodings(group, P, H, step=step)
+    return kept[key]
 
 
 def _baby_sweep(group, P, Q, key, H, table, y, step, count,
@@ -183,8 +200,7 @@ def _check_solvable(instance, H):
         raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
 
 
-def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
-                      shared_giant=None):
+def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     """Decide whether the hidden exponent lies in H, recovering it if so.
 
     Builds the balanced giant table (n+1 multiplies, n = isqrt(d) + 1),
@@ -195,25 +211,27 @@ def solve_in_subgroup(instance, H, step_cap=None, should_stop=None,
 
     Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
     the number of scalar multiplications (the verification multiplies are
-    not charged); `should_stop` is polled before every multiply for
-    cooperative cancellation.  `shared_giant` is a table from
-    `giant_encodings` at its default step, whose cost was paid elsewhere:
-    the solve then runs only the baby sweep, and `steps` and `step_cap`
-    count baby steps only.
+    not charged).  `shared_giant` is a (table, cost) pair from
+    `kept_giant` at the default step, built once elsewhere: the solve
+    then runs only the baby sweep, but charges `cost` in `steps` and
+    `step_cap` as if it had built the table, so its verdict and steps are
+    those of a fresh solve.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
     group, P, Q = instance.group, instance.P, instance.Q
-    table, giant_steps = shared_giant, 0
-    if table is None:
+    if shared_giant is None:
         try:
-            table, giant_steps = giant_encodings(group, P, H, should_stop,
-                                                 step_cap)
+            table, giant_steps = giant_encodings(group, P, H, step_cap)
         except _Stopped as stopped:
             return Undecided(stopped.args[0])
+    else:
+        table, giant_steps = shared_giant
+        if step_cap is not None and step_cap < giant_steps:
+            return Undecided(step_cap)
     cap = None if step_cap is None else step_cap - giant_steps
     n = isqrt(H.d) + 1
     verdict = _baby_sweep(group, P, Q, group.sweep_keys(Q), H, table, 1,
-                          n, n + 1, should_stop, cap)
+                          n, n + 1, cap=cap)
     return replace(verdict, steps=giant_steps + verdict.steps)

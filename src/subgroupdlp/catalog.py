@@ -17,9 +17,10 @@ external curve file, while scalar-form audits (x supplied directly) work
 from the record alone.
 
 A record derives its validated curve group, its oracle group for
-scalar-form audits, the primitive root of (Z/pZ)* and the giant table of
-each audited subgroup once, on first use, so repeated audits against one
-record pay for none of them again.
+scalar-form audits and the primitive root of (Z/pZ)* once, on first use.
+The giant table of each audited subgroup is kept with the group that
+searched it (`bsgs.kept_giant`), so repeated audits against one record
+build none of them again.
 """
 
 import csv
@@ -29,7 +30,7 @@ from functools import cached_property
 from math import gcd
 
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
-                   giant_encodings, solve_in_subgroup, theorem_budget)
+                   kept_giant, solve_in_subgroup, theorem_budget)
 from .factoring import (FactoredInteger, find_primitive_root,
                         subgroup_generator)
 from .field import is_probable_prime
@@ -52,9 +53,10 @@ class CurveRecord:
 
     q is the field prime when known (None otherwise); params is an optional
     CurveParams for point arithmetic, never set on built-ins.  `group`,
-    `oracle_group`, `primitive_root` and the giant tables (`giant_table`)
-    are derived on first use and kept for the life of the record;
-    `dataclasses.replace` gives a record that derives them anew.
+    `oracle_group` and `primitive_root` are derived on first use and kept
+    for the life of the record, and with the two groups the giant tables
+    that audits build in them; `dataclasses.replace` gives a record that
+    derives them anew.
     """
 
     name: str
@@ -79,24 +81,6 @@ class CurveRecord:
     def primitive_root(self):
         """A generator of (Z/pZ)*, from the listed factors of p-1."""
         return find_primitive_root(self.p, self.factors)
-
-    @cached_property
-    def _giant_tables(self):
-        return {}
-
-    def giant_table(self, mechanism, H):
-        """(table, cost) from `giant_encodings` for `mechanism`'s group and H.
-
-        `mechanism` is "point" (the curve group) or "scalar" (the oracle
-        group); H must come from `primitive_root`, so (mechanism, H.d)
-        names the table.  Built on the first audit of that pair.
-        """
-        key = (mechanism, H.d)
-        if key not in self._giant_tables:
-            group = self.group if mechanism == "point" else self.oracle_group
-            self._giant_tables[key] = giant_encodings(group, group.generator,
-                                                      H)
-        return self._giant_tables[key]
 
 
 def _fi(p, factors):
@@ -278,8 +262,9 @@ class SubgroupCheck:
 
     `steps` is the search's logical cost: the giant table's n+1
     multiplies plus the baby steps taken, so a non-member reads
-    theorem_budget(d).  The table is built once per record and d and
-    shared by later audits, which do only the baby steps.
+    theorem_budget(d).  The table is built once per group and subgroup
+    and kept for later audits, which do only the baby steps but are
+    charged the same.
     """
 
     d: int
@@ -366,9 +351,9 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                 mechanism=mechanism))
             continue
         H = subgroup_generator(rec.p, d, generator=root)
-        giant, giant_steps = rec.giant_table(mechanism, H)
-        verdict = solve_in_subgroup(instance, H, step_cap=budget - giant_steps,
-                                    shared_giant=giant)
+        verdict = solve_in_subgroup(
+            instance, H, step_cap=budget,
+            shared_giant=kept_giant(group, instance.P, H))
         if isinstance(verdict, Found):
             status = "member"
             member_seen = True
@@ -379,7 +364,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         ran_any = True
         entries.append(SubgroupCheck(
             d=d, log2_d=int_log2(d), required_steps=required, feasible=True,
-            status=status, steps=giant_steps + verdict.steps,
+            status=status, steps=verdict.steps,
             mechanism=mechanism))
     if member_seen:
         recommendation = "discard"

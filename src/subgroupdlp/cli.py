@@ -8,8 +8,8 @@ incomplete factorization), 2 for any usage or runtime error.
 
 All numeric arguments accept decimal or 0x-prefixed hex.  `--seed` pins
 every random choice, so sequential runs are exactly reproducible.
-`--curve`, `--group-file` and audit's target each take a built-in name,
-`desk` or a curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
+`--curve` and audit's target each take a built-in name, `desk` or a
+curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from .factoring import (DEFAULT_RHO_BUDGET, factor, nearest_divisor,
 from .field import derive_seed, parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      CurveParams, desk_curve, load_curve_file)
-from .parallel import CampaignConfig, randomized_solve
+from .parallel import CampaignConfig, baby_keys, randomized_solve
 from .probability import build_table, estimate, int_log2
 
 DATA_DIR_ENV = "SUBGROUPDLP_DATA_DIR"
@@ -96,18 +96,15 @@ def _parse_exponent_spec(spec):
 
 
 def _load_group(args):
-    picked = [name for name in ("oracle_p", "group_file", "curve")
-              if getattr(args, name, None)]
-    if len(picked) != 1:
-        raise CommandError(
-            "pick exactly one of --oracle-p, --group-file, --curve")
+    if bool(args.oracle_p) == bool(args.curve):
+        raise CommandError("pick exactly one of --oracle-p, --curve")
     if args.oracle_p:
         return AdditiveOracleGroup(parse_int(args.oracle_p))
-    curve = _find_curve(args.group_file or args.curve)
+    curve = _find_curve(args.curve)
     if not isinstance(curve, CurveParams):
         raise CommandError(
-            "built-in %s carries no point parameters; supply --group-file "
-            "for group arithmetic" % curve.name)
+            "built-in %s carries no point parameters; pass --curve desk or "
+            "a curve file for group arithmetic" % curve.name)
     return CurveGroup(curve)
 
 
@@ -187,8 +184,10 @@ def cmd_solve(args):
             "outcome: Found x = %d on thread %d (y = %d, z = %d)"
             % (win.x.value, win.index, win.y.value, win.z.value) if found
             else "outcome: Failed (no thread landed in the subgroup)",
-            "steps: %d total over %d threads (per-thread budget %d)"
-            % (steps, result.threads_run, theorem_budget(H.d))]
+            "steps: %d total over %d threads (%d baby keys per thread, "
+            "%d-key giant table)"
+            % (steps, result.threads_run, baby_keys(p, H.d, m),
+               steps - sum(result.per_thread_steps))]
         model = "predicted success: lower %.5f, exact %.5f"
     est = estimate(p, H.d, m)
     if args.format == "csv":
@@ -277,11 +276,9 @@ def cmd_audit(args):
 
 
 def cmd_keycheck(args):
-    if args.group_file and args.curve:
-        raise CommandError("pick exactly one of --curve, --group-file")
-    if not (args.group_file or args.curve):
-        raise CommandError("pick one of --curve, --group-file")
-    record = _record_for(args.group_file or args.curve)
+    if not args.curve:
+        raise CommandError("--curve is required")
+    record = _record_for(args.curve)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x, --q")
     subgroups = None
@@ -376,7 +373,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the constrained search")
     p.add_argument("--oracle-p", help="use the transparent group mod this prime")
-    p.add_argument("--group-file", help="curve file, 'desk' or a built-in name")
     p.add_argument("--curve", help="'desk', a curve file or a built-in name "
                                    "(built-ins carry no point data)")
     p.add_argument("--x", help="embed this exponent and solve for it")
@@ -414,8 +410,6 @@ def build_parser():
                        help="test a key against small subgroups")
     p.add_argument("--curve", help="built-in record (scalar form only), "
                                    "'desk' or a curve file (point form too)")
-    p.add_argument("--group-file", help="same as --curve: 'desk', a curve "
-                                        "file or a built-in name")
     p.add_argument("--x", help="secret scalar to audit")
     p.add_argument("--q", help="public point x,y to audit")
     p.add_argument("--d", help="comma-separated subgroup orders "

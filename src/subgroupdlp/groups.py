@@ -373,7 +373,8 @@ COMB_TEETH = 4
 
 
 # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and for the
-# identity when Z = 0.  Both multiplies are built from these three steps.
+# identity when Z = 0.  `add` and both multiplies are built from these three
+# steps.
 
 
 def _double(X, Y, Z, a, q):
@@ -417,11 +418,11 @@ class CurveGroup(CyclicGroup):
     """The prime-order subgroup generated by the base point of `params`.
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
-    infinity) as None, and `add` is the affine group law; multiplies run in
-    Jacobian coordinates.  scalar_mul is double-and-add (`_mul`), as are
+    infinity) as None; `add` and the multiplies run in Jacobian
+    coordinates.  scalar_mul is double-and-add (`_mul`), as are
     construction and cofactor membership; `sweep_keys` builds the point's
-    comb table once and multiplies from it (`_comb_mul`).  Both share one
-    doubling and one mixed addition.  Construction validates the
+    comb table once and multiplies from it (`_comb_mul`).  All of them
+    share one doubling and one mixed addition.  Construction validates the
     parameters: q and order prime, nonzero discriminant, base point on
     curve, order * base = identity.
     """
@@ -549,20 +550,7 @@ class CurveGroup(CyclicGroup):
         if p2 is None:
             return p1
         q = self.q
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 == x2:
-            if (y1 + y2) % q == 0:
-                return None
-            num = (3 * x1 * x1 + self.params.a) % q
-            den = 2 * y1 % q
-        else:
-            num = (y2 - y1) % q
-            den = (x2 - x1) % q
-        slope = num * pow(den, -1, q) % q
-        x3 = (slope * slope - x1 - x2) % q
-        y3 = (slope * (x1 - x3) - y1) % q
-        return (x3, y3)
+        return _to_affine(*_add_affine(*p1, 1, *p2, self.params.a, q), q)
 
     def _neg(self, data):
         if data is None:

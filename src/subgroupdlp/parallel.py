@@ -18,12 +18,17 @@ multiplies in all instead of (t+1)*sqrt(d) for the balanced split (the
 multi-target trade-off of Bernstein and Lange, "Computing small discrete
 logarithms faster", INDOCRYPT 2012).  B is a function of (p, d, m) alone.
 
+The table is `bsgs.kept_giant`'s: built on a group's first campaign with
+that (P, H, B) and kept with the group object, so later campaigns, at any
+worker count, charge its cost in total_steps without building it again.
+
 Worker count is an execution detail.  At workers = 1 the threads run one
 after another in the calling process.  At workers > 1 they run in that
 many worker processes, about TASK_KEYS baby keys per task.  The pool
 outlives a campaign: it is kept for one (group, P, H, B, workers), and the
-parent builds that key's giant table just before it forks the workers, so
-they inherit the table and the group instead of receiving pickled copies.
+parent takes that key's kept giant table just before it forks the workers,
+so they inherit the table and the group instead of receiving pickled
+copies.
 This needs the "fork" start method (Linux, macOS; not Windows).  Threads
 are accounted in index order and the lowest-index verified hit wins; once
 it is taken, a shared stop flag cancels the blocks still out, which are
@@ -41,7 +46,7 @@ from math import expm1, isqrt, log1p
 
 # bench/tracing.py patches giant_encodings and solve_in_subgroup by name here
 from .bsgs import (DlpInstance, Found, _baby_sweep, _check_solvable,
-                   giant_encodings, solve_in_subgroup)
+                   giant_encodings, kept_giant, solve_in_subgroup)
 from .factoring import factor, subgroup_generator
 from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup, CountingGroup, GroupElement
@@ -90,10 +95,11 @@ class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
     total_steps counts constrained-search scalar multiplications: the
-    giant table of ceil(d/B) + 1 keys, built once and shared by every
-    thread, plus each accounted thread's baby steps (B = baby_keys(p, d, m)
-    for a thread that finds nothing, b+1 for the winner); it respects
-    total_steps <= m * theorem_budget(d).
+    giant table of ceil(d/B) keys, shared by every thread and charged in
+    full even when an earlier campaign on the group built it (see
+    `bsgs.kept_giant`), plus each accounted thread's baby steps
+    (B = baby_keys(p, d, m) for a thread that finds nothing, b+1 for the
+    winner); it respects total_steps <= m * theorem_budget(d).
     Threads stream their baby sweeps against the shared table, so each
     needs O(1) memory beyond it.  The winner's verification multiply is
     not charged, as in a single solve.  Threads 0..winner (all m on a
@@ -190,10 +196,10 @@ def _run_block(q_data, block, step_cap):
 class _Pool:
     """Forked workers holding one (group, P, H, B) and its giant table.
 
-    The table is built here, just before the fork, so the workers inherit
-    it with the group and a one-byte shared stop flag.  The pool machinery
-    is imported on first use, so a process that never runs a campaign at
-    workers > 1 never loads it.
+    The table is taken from `kept_giant` here, just before the fork, so
+    the workers inherit it with the group and a one-byte shared stop flag.
+    The pool machinery is imported on first use, so a process that never
+    runs a campaign at workers > 1 never loads it.
     """
 
     def __init__(self, group, P, H, B, workers):
@@ -202,11 +208,11 @@ class _Pool:
         from multiprocessing import get_context
         self.group, self.P, self.H, self.B = group, P, H, B
         self.workers = workers
-        self.table, self.setup_steps = giant_encodings(group, P, H, step=B)
+        table, self.setup_steps = kept_giant(group, P, H, step=B)
         self.flag = mmap.mmap(-1, 1)
         self.executor = ProcessPoolExecutor(
             workers, mp_context=get_context("fork"), initializer=_inherit,
-            initargs=(group, P, H, self.table, B, self.flag))
+            initargs=(group, P, H, table, B, self.flag))
 
     def serves(self, group, P, H, B, workers):
         return (group is self.group and workers == self.workers
@@ -319,7 +325,7 @@ def randomized_solve(instance, H, config):
     if config.workers > 1:
         return _pooled(instance, H, B, ys, config)
     group, P = instance.group, instance.P
-    table, setup_steps = giant_encodings(group, P, H, step=B)
+    table, setup_steps = kept_giant(group, P, H, step=B)
     return _account(instance, ys, setup_steps, _threads(
         group, P, instance.Q, H, table, B, enumerate(ys), config.step_cap,
         None))

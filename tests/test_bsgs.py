@@ -7,8 +7,10 @@ from math import isqrt
 import pytest
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
-                              NotInSubgroup, Undecided, giant_encodings,
-                              solve_in_subgroup, theorem_budget)
+                              NotInSubgroup, Undecided, _baby_sweep,
+                              giant_encodings, kept_giant, solve_in_subgroup,
+                              theorem_budget)
+from subgroupdlp.catalog import load_builtin
 from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
                                    subgroup_generator)
 from subgroupdlp.field import Residue
@@ -187,10 +189,9 @@ def test_backends_agree_at_the_edges():
         assert isinstance(found, Found) and found.x == Residue(p - 1, p)
         assert found.steps <= theorem_budget(p - 1)
         for H in (trivial, everything):
-            assert solve_in_subgroup(one, H, should_stop=lambda: True) == \
-                Undecided(steps=0)
-            assert solve_in_subgroup(minus_one, H, step_cap=0) == \
-                Undecided(steps=0)
+            for instance in (one, minus_one):
+                assert solve_in_subgroup(instance, H, step_cap=0) == \
+                    Undecided(steps=0)
 
 
 def test_curve_group_membership():
@@ -230,47 +231,35 @@ def test_step_cap_returns_undecided():
     assert solve_in_subgroup(non_member, H5,
                              step_cap=theorem_budget(5)) == NotInSubgroup(8)
     # a negative cap is an error, with or without a shared table
-    table, _ = giant_encodings(G31, G31.generator, H5)
-    for shared in (None, table):
+    for shared in (None, giant_encodings(G31, G31.generator, H5)):
         with pytest.raises(ValueError, match="step cap"):
             solve_in_subgroup(non_member, H5, step_cap=-1,
                               shared_giant=shared)
 
 
 def test_should_stop_cancellation():
-    assert solve_in_subgroup(_instance(G31, 3), H5,
-                             should_stop=lambda: True) == Undecided(steps=0)
+    # campaign workers poll a stop flag before every baby multiply: a poll
+    # that says stop leaves the sweep Undecided at the multiplies it did
+    instance = _instance(G31, 3)
+    table, _ = giant_encodings(G31, G31.generator, H5)
     polls = [0]
 
-    def stop_after_six():
-        polls[0] += 1
-        return polls[0] > 6
+    def sweep(stop_after, cap=None):
+        polls[0] = 0
 
-    # four giant multiplies, then the seventh poll stops the baby sweep
-    result = solve_in_subgroup(_instance(G31, 3), H5,
-                               should_stop=stop_after_six)
-    assert isinstance(result, Undecided)
-    assert result.steps == 6
-    # with a shared table only the baby sweep runs: it is polled before
-    # every multiply, and both steps and the cap count baby steps alone
-    table, _ = giant_encodings(G31, G31.generator, H5)
+        def should_stop():
+            polls[0] += 1
+            return polls[0] > stop_after
 
-    def stop_after_two():
-        polls[0] += 1
-        return polls[0] > 2
+        return _baby_sweep(G31, instance.P, instance.Q,
+                           G31.sweep_keys(instance.Q), H5, table, 1, 3, 4,
+                           should_stop, cap)
 
-    polls[0] = 0
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
-                             should_stop=stop_after_two) == Undecided(steps=2)
-    assert polls[0] == 3
-    polls[0] = 0
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
-                             should_stop=stop_after_six) == NotInSubgroup(4)
-    assert polls[0] == 4
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
-                             step_cap=4) == NotInSubgroup(steps=4)
-    assert solve_in_subgroup(_instance(G31, 3), H5, shared_giant=table,
-                             step_cap=3) == Undecided(steps=3)
+    assert sweep(0) == Undecided(steps=0) and polls[0] == 1
+    assert sweep(2) == Undecided(steps=2) and polls[0] == 3
+    assert sweep(6) == NotInSubgroup(4) and polls[0] == 4
+    assert sweep(6, cap=4) == NotInSubgroup(steps=4)
+    assert sweep(6, cap=3) == Undecided(steps=3)
 
 
 def test_shared_giant_encodings():
@@ -279,7 +268,9 @@ def test_shared_giant_encodings():
     group = AdditiveOracleGroup(p)
     for d in (5, 30, 210):
         H = subgroup_generator(p, d, factored=f)
-        table, cost = giant_encodings(group, group.generator, H)
+        kept = kept_giant(group, group.generator, H)
+        assert kept_giant(group, group.generator, H) is kept
+        table, cost = kept
         n = isqrt(d) + 1
         assert cost == n + 1
         zeta_n = pow(H.zeta.value, n, p)
@@ -287,16 +278,52 @@ def test_shared_giant_encodings():
             key = group.encode(group.element(pow(zeta_n, a, p)))
             hit = table[key]
             assert a in (hit if isinstance(hit, tuple) else (hit,))
-        for x in (1, 17, 100, 207):
+        # a shared table is charged at its cost, so the shared solve reads
+        # the fresh solve's verdict and steps, under any cap: below the
+        # cost, at it, inside the baby sweep and at the theorem budget
+        caps = (None, 0, cost - 1, cost, cost + 1, theorem_budget(d) - 1,
+                theorem_budget(d))
+        for x in range(1, p):
             instance = _instance(group, x)
-            plain = solve_in_subgroup(instance, H)
-            shared = solve_in_subgroup(instance, H, shared_giant=table)
-            # same baby sweep against the same table: the shared run
-            # reaches the same verdict and charges only its baby steps
-            assert plain == dataclasses.replace(shared,
-                                                steps=shared.steps + cost)
-            if not isinstance(plain, Found):
-                assert shared.steps == n + 1
+            for cap in caps:
+                plain = solve_in_subgroup(instance, H, step_cap=cap)
+                shared = solve_in_subgroup(instance, H, step_cap=cap,
+                                           shared_giant=kept)
+                assert shared == plain, (d, x, cap)
+                if cap is not None and cap <= cost:
+                    assert shared == Undecided(steps=cap)
+
+
+def test_a_second_generator_of_a_subgroup_gets_its_own_table():
+    # zeta and zeta^2 generate the same order-71 subgroup, but their giant
+    # tables differ, so each is kept under its own generator
+    rec = dataclasses.replace(load_builtin("P-256"))  # a group of its own
+    group = rec.oracle_group
+    P = group.generator
+    H = subgroup_generator(rec.p, 71, generator=rec.primitive_root)
+    H2 = SubgroupSpec(d=71, zeta=Residue(pow(H.zeta.value, 2, rec.p), rec.p))
+    kept, kept2 = kept_giant(group, P, H), kept_giant(group, P, H2)
+    assert kept2 is not kept and kept2[0] != kept[0]
+    member = _instance(group, pow(H2.zeta.value, 40, rec.p))
+    found = solve_in_subgroup(member, H2, shared_giant=kept2)
+    assert found == solve_in_subgroup(member, H2)
+    assert isinstance(found, Found) and found.x.value == member.Q.data
+    # the table of the other generator would have hidden the member
+    assert isinstance(solve_in_subgroup(member, H2, shared_giant=kept),
+                      NotInSubgroup)
+
+
+def test_a_counting_layer_keeps_its_own_tables():
+    inner = AdditiveOracleGroup(211)
+    counter = CountingGroup(inner)
+    H = subgroup_generator(211, 30)
+    kept = kept_giant(inner, inner.generator, H)
+    counted = kept_giant(counter, counter.generator, H)
+    assert counted is not kept and counted == kept
+    assert counter.scalar_muls == counted[1]   # built through the layer
+    assert kept_giant(counter, counter.generator, H) is counted
+    assert kept_giant(inner, inner.generator, H) is kept
+    assert counter.scalar_muls == counted[1]   # and only once
 
 
 def test_duplicate_giant_keys_keep_every_a():

@@ -55,11 +55,12 @@ def test_worked_example_rerandomization():
         x=Residue(3, 31), index=0, y=Residue(11, 31), z=Residue(2, 31))
     assert result.threads_run == 1
     # one thread: B = isqrt(5) + 1 = 3 baby keys against the giant table
-    # of step 3, a = 0..ceil(5/3), which is {1: 0, 8: 1, 2: 2}; the thread's
-    # first baby step y*Q = 2 hits a = 2, so it charges b + 1 = 1 on top
+    # of step 3, a = 0..ceil(5/3) - 1, which is {1: 0, 8: 1}; the thread's
+    # baby keys y*zeta^b*Q are 2, 4, 8, so b = 2 hits a = 1 and the thread
+    # charges b + 1 = 3 on top
     assert baby_keys(31, 5, 1) == 3
-    assert result.per_thread_steps == [1]
-    assert result.total_steps == 4         # shared giant 3 + thread baby 1
+    assert result.per_thread_steps == [3]
+    assert result.total_steps == 5         # shared giant 2 + thread baby 3
 
 
 def test_single_worker_campaign_is_reproducible():
@@ -77,7 +78,7 @@ def test_failed_campaign_work_accounting():
     group = AdditiveOracleGroup(p)
     H = subgroup_generator(p, 256)
     # t = 256 * (1 - (255/256)^2) ~ 1.996 expected threads: B = isqrt(128)
-    # + 1 = 12 baby keys against a giant table of ceil(256/12) + 1 = 23
+    # + 1 = 12 baby keys against a giant table of ceil(256/12) = 22
     B = baby_keys(p, 256, 2)
     assert B == 12
     # find a seeded campaign that fails: m=2 gives ~99% failure odds per seed
@@ -91,7 +92,7 @@ def test_failed_campaign_work_accounting():
     assert result.threads_run == 2
     # the giant sweep is paid once, then each thread pays its baby sweep
     assert result.per_thread_steps == [B] * 2
-    assert result.total_steps == 23 + 2 * B == 47
+    assert result.total_steps == 22 + 2 * B == 46
     assert result.total_steps <= 2 * theorem_budget(256)
 
 
@@ -226,9 +227,9 @@ def test_campaign_on_p256_order_with_a_tiny_subgroup():
                                                  workers=workers))
         assert result.found and result.success.x.value == x
         assert result.success.index == 40 and result.threads_run == 41
-        # a giant table of a = 0..3, then one baby key per thread
+        # a giant table of a = 0..2, then one baby key per thread
         assert result.per_thread_steps == [1] * 41
-        assert result.total_steps == 4 + 41
+        assert result.total_steps == 3 + 41
 
 
 def test_the_pool_is_rebuilt_when_the_baby_keys_change():
@@ -302,6 +303,51 @@ def test_campaign_split_invariants(group):
                 assert got == result, (d, m, seed)
 
 
+@pytest.mark.parametrize("group", _campaign_groups(),
+                         ids=("oracle", "multiplicative", "curve"))
+def test_a_table_whose_step_divides_d_covers_every_member(group):
+    # d = 54 and m = 8: B = 3 divides d, so the giant table a = 0..17 ends
+    # at k = 51 and k = d - 1 is reached only by wrapping below 0 (a = 0,
+    # b = 1).  Thread 0 is planted on zeta^k for every k: its first hit is
+    # b = -k mod B, on any worker count.
+    p, d, m = group.order, 54, 8
+    B = baby_keys(p, d, m)
+    assert B == 3 and d % B == 0
+    H = subgroup_generator(p, d)
+    y = draw_multipliers(p, m, 0)[0]
+    for k in range(d):
+        x = pow(H.zeta.value, k, p) * pow(y, -1, p) % p
+        instance = DlpInstance.from_secret(group, x)
+        result = randomized_solve(instance, H, CampaignConfig(m=m, seed=0))
+        assert result.found and result.success.index == 0, k
+        assert result.success.x == Residue(x, p)
+        assert result.per_thread_steps == [-k % B + 1], k
+        assert result.total_steps == d // B + (-k % B) + 1
+        if k == d - 1:
+            assert result.per_thread_steps == [2]
+            assert randomized_solve(instance, H, CampaignConfig(
+                m=m, seed=0, workers=2)) == result
+
+
+def test_campaigns_on_one_group_build_its_table_once():
+    counter = CountingGroup(AdditiveOracleGroup(65537))
+    instance = DlpInstance.from_secret(counter, 12345)
+    H = subgroup_generator(65537, 4096)
+    table_keys = -(-4096 // baby_keys(65537, 4096, 8))
+    results = []
+    for seed in (1, 2):
+        counter.reset()
+        result = randomized_solve(instance, H, CampaignConfig(m=8, seed=seed))
+        built = counter.scalar_muls - sum(result.per_thread_steps) \
+            - result.found
+        assert built == (table_keys if seed == 1 else 0), seed
+        assert result.total_steps == table_keys + sum(result.per_thread_steps)
+        results.append(result)
+    for seed, expected in zip((1, 2), results):
+        assert randomized_solve(instance, H, CampaignConfig(
+            m=8, seed=seed, workers=2)) == expected
+
+
 def _pool_pids():
     return {child.pid for child in multiprocessing.active_children()}
 
@@ -342,12 +388,15 @@ def test_workers_inherit_a_group_that_cannot_be_pickled():
     instance = DlpInstance.from_secret(group, 12345)
     H = subgroup_generator(65537, 4096)
     expected = randomized_solve(instance, H, CampaignConfig(m=8, seed=1))
+    assert group.scalar_muls == 1 + expected.total_steps + expected.found
     group.reset()
     got = randomized_solve(instance, H,
                            CampaignConfig(m=8, seed=1, workers=2))
     assert got == expected
-    # the workers' multiplies are counted too: at least the exact figure
-    assert group.scalar_muls >= expected.total_steps + expected.found
+    # the workers' multiplies are counted too: at least the exact figure,
+    # which leaves out the giant table the first campaign kept
+    assert group.scalar_muls >= (sum(expected.per_thread_steps)
+                                 + expected.found)
 
 
 def test_no_worker_outlives_the_interpreter():
@@ -377,11 +426,15 @@ def test_single_worker_campaign_does_only_accounted_work():
     counter = CountingGroup(AdditiveOracleGroup(65537))
     instance = DlpInstance.from_secret(counter, 12345)
     H = subgroup_generator(65537, 4096)
+    table_keys = -(-4096 // baby_keys(65537, 4096, 8))
     for seed in range(6):
         counter.reset()
         result = randomized_solve(instance, H, CampaignConfig(m=8, seed=seed))
-        # plus the winner's re-verification, which is not charged
-        assert counter.scalar_muls == result.total_steps + result.found
+        # plus the winner's re-verification, which is not charged; the
+        # first campaign builds the giant table and later ones reuse it
+        # but are charged for it all the same
+        assert counter.scalar_muls == (result.total_steps + result.found
+                                       - (table_keys if seed else 0))
 
 
 class KeyFunctionCounter(CountingGroup):
@@ -398,7 +451,8 @@ class KeyFunctionCounter(CountingGroup):
 
 @pytest.mark.parametrize("m", [1, 8, 64])
 def test_a_campaign_builds_two_key_functions(m):
-    # one for P's giant table and one for Q, read by every thread
+    # one for P's giant table and one for Q, read by every thread; the
+    # group keeps the table, so later campaigns build Q's alone
     counter = KeyFunctionCounter(AdditiveOracleGroup(65537))
     instance = DlpInstance.from_secret(counter, 12345)
     H = subgroup_generator(65537, 4096)
@@ -406,7 +460,7 @@ def test_a_campaign_builds_two_key_functions(m):
     for seed in range(3):
         counter.key_functions = 0
         result = randomized_solve(instance, H, CampaignConfig(m=m, seed=seed))
-        assert counter.key_functions == 2, (m, seed)
+        assert counter.key_functions == (1 if seed else 2), (m, seed)
         threads.append(result.threads_run)
     assert m == 1 or max(threads) > 1  # several threads read Q's keys
 
@@ -456,9 +510,9 @@ def test_step_cap_propagates():
     assert not result.found
     assert result.per_thread_steps == [0, 0, 0]
     # only the shared giant sweep, which the cap does not cover: step
-    # B = 10, so a = 0..ceil(256/10)
+    # B = 10, so a = 0..ceil(256/10) - 1
     assert baby_keys(65537, 256, 3) == 10
-    assert result.total_steps == 27
+    assert result.total_steps == 26
 
 
 def test_config_validation():
