@@ -92,7 +92,7 @@ class NotInSubgroup:
 
 @dataclass(frozen=True)
 class Undecided:
-    """Search stopped early (step cap or cancellation) before a verdict."""
+    """Search stopped at its step cap before a verdict."""
 
     steps: int
 
@@ -102,24 +102,14 @@ def theorem_budget(d):
     return 2 * (isqrt(d) + 2)
 
 
-class _Stopped(Exception):
-    """A sweep cut short by cancellation or the step cap; args[0] = its muls."""
-
-
-def _sweep(key, start, ratio, count, p, should_stop=None, cap=None):
+def _sweep(key, start, ratio, count, p):
     """key(start * ratio^i mod p) for i < count, one scalar multiply each.
 
     `key` is one `sweep_keys` function, so the point it multiplies is
-    checked once for the whole sweep.  Before each multiply it polls
-    `should_stop` and then checks that fewer than `cap` multiplies are
-    done; either stop raises _Stopped(i).
+    checked once for the whole sweep.
     """
     t = start
-    for i in range(count):
-        if should_stop is not None and should_stop():
-            raise _Stopped(i)
-        if cap is not None and i >= cap:
-            raise _Stopped(i)
+    for _ in range(count):
         yield key(t)
         t = t * ratio % p
 
@@ -133,17 +123,19 @@ def giant_encodings(group, P, H, cap=None, step=None):
     (a single solve's).  A key met again (zeta^s has order <= the last a,
     or a spec's zeta does not have the order it claims) keeps every a, as
     a tuple in increasing order, so a candidate that fails verification
-    does not hide the next one.  `cap` stops the build as in `_sweep`.
+    does not hide the next one.  A `cap` below the cost builds only the
+    first `cap` keys; the cost returned is still the whole table's.
     """
     if step is None:
         step = isqrt(H.d) + 1
         count = step + 1
     else:
         count = -(-H.d // step)
+    built = count if cap is None else min(count, cap)
     table = {}
     for a, key in enumerate(_sweep(group.sweep_keys(P), 1,
-                                   pow(H.zeta.value, step, H.p), count,
-                                   H.p, cap=cap)):
+                                   pow(H.zeta.value, step, H.p), built,
+                                   H.p)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
@@ -166,29 +158,26 @@ def kept_giant(group, P, H, step=None):
     return kept[key]
 
 
-def _baby_sweep(group, P, Q, key, H, table, y, step, count,
-                should_stop=None, cap=None):
+def _baby_sweep(group, P, Q, key, H, table, y, step, count, cap=None):
     """Stream key(y * zeta^b) for b < count against the giant `table`.
 
     `key` is `group.sweep_keys(Q)`, y a unit mod p and `step` the giant
     step s the table was built with.  A hit (a, b) proposes
-    x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q.
+    x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q.  A `cap` below
+    `count` sweeps only the first `cap` keys.
     Returns Found / NotInSubgroup / Undecided with the baby steps alone.
     """
     p, zeta, d = H.p, H.zeta.value, H.d
-    try:
-        for b, k in enumerate(_sweep(key, y, zeta, count, p, should_stop,
-                                     cap)):
-            hit = table.get(k)
-            if hit is not None:
-                for a in hit if type(hit) is tuple else (hit,):
-                    x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
-                    # soundness gate: accept only a re-verified exponent
-                    if group.scalar_mul(x, P) == Q:
-                        return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
-    except _Stopped as stopped:
-        return Undecided(stopped.args[0])
-    return NotInSubgroup(count)
+    swept = count if cap is None else min(count, cap)
+    for b, k in enumerate(_sweep(key, y, zeta, swept, p)):
+        hit = table.get(k)
+        if hit is not None:
+            for a in hit if type(hit) is tuple else (hit,):
+                x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
+                # soundness gate: accept only a re-verified exponent
+                if group.scalar_mul(x, P) == Q:
+                    return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
+    return NotInSubgroup(count) if swept == count else Undecided(cap)
 
 
 def _check_solvable(instance, H):
@@ -221,15 +210,10 @@ def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
     group, P, Q = instance.group, instance.P, instance.Q
-    if shared_giant is None:
-        try:
-            table, giant_steps = giant_encodings(group, P, H, step_cap)
-        except _Stopped as stopped:
-            return Undecided(stopped.args[0])
-    else:
-        table, giant_steps = shared_giant
-        if step_cap is not None and step_cap < giant_steps:
-            return Undecided(step_cap)
+    table, giant_steps = shared_giant or giant_encodings(group, P, H,
+                                                         step_cap)
+    if step_cap is not None and step_cap < giant_steps:
+        return Undecided(step_cap)
     cap = None if step_cap is None else step_cap - giant_steps
     n = isqrt(H.d) + 1
     verdict = _baby_sweep(group, P, Q, group.sweep_keys(Q), H, table, 1,

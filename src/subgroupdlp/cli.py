@@ -75,7 +75,10 @@ def _find_curve(name_or_path):
 
 
 def _parse_exponent_spec(spec):
-    """'45,50,52:56' -> [45, 50, 52, 53, 54, 55, 56]; '' -> []."""
+    """'45,50,52:56' -> [45, 50, 52, 53, 54, 55, 56]; '' -> [].
+
+    A range lo:hi or lo:hi:step needs lo <= hi and step >= 1.
+    """
     out = []
     for part in spec.split(","):
         part = part.strip()
@@ -84,11 +87,10 @@ def _parse_exponent_spec(spec):
         if ":" in part:
             pieces = [int(x) for x in part.split(":")]
             if len(pieces) == 2:
-                lo, hi, step = pieces[0], pieces[1], 1
-            elif len(pieces) == 3:
-                lo, hi, step = pieces
-            else:
+                pieces.append(1)
+            if len(pieces) != 3 or pieces[2] < 1 or pieces[0] > pieces[1]:
                 raise CommandError("bad exponent range %r" % part)
+            lo, hi, step = pieces
             out.extend(range(lo, hi + 1, step))
         else:
             out.append(int(part))
@@ -169,8 +171,7 @@ def cmd_solve(args):
         model = "single-draw success model: lower %.6g, exact %.6g"
     else:
         m = parse_int(args.m)
-        config = CampaignConfig(m=m, workers=args.workers, seed=args.seed,
-                                step_cap=cap)
+        config = CampaignConfig(m=m, seed=args.seed, step_cap=cap)
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
         found, win = result.found, result.success
@@ -179,8 +180,7 @@ def cmd_solve(args):
         witness = ([win.x.value, None, None, win.index] if found
                    else [None] * 4)
         report = [
-            "campaign: m = %d, workers = %d, seed = %d"
-            % (m, args.workers, args.seed),
+            "campaign: m = %d, seed = %d" % (m, args.seed),
             "outcome: Found x = %d on thread %d (y = %d, z = %d)"
             % (win.x.value, win.index, win.y.value, win.z.value) if found
             else "outcome: Failed (no thread landed in the subgroup)",
@@ -380,7 +380,6 @@ def build_parser():
     p.add_argument("--d", help="subgroup order (divides p-1)")
     p.add_argument("--target-bits", help="pick d | p-1 nearest this log2")
     p.add_argument("--m", help="thread count: run a randomized campaign")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")

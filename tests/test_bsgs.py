@@ -237,29 +237,23 @@ def test_step_cap_returns_undecided():
                               shared_giant=shared)
 
 
-def test_should_stop_cancellation():
-    # campaign workers poll a stop flag before every baby multiply: a poll
-    # that says stop leaves the sweep Undecided at the multiplies it did
-    instance = _instance(G31, 3)
+def test_a_capped_baby_sweep_stops_at_its_cap():
+    # a cap at the sweep's count leaves the verdict alone; a cap below it
+    # sweeps that many keys and is Undecided at the cap unless one hits
     table, _ = giant_encodings(G31, G31.generator, H5)
-    polls = [0]
 
-    def sweep(stop_after, cap=None):
-        polls[0] = 0
-
-        def should_stop():
-            polls[0] += 1
-            return polls[0] > stop_after
-
+    def sweep(x, cap):
+        instance = _instance(G31, x)
         return _baby_sweep(G31, instance.P, instance.Q,
                            G31.sweep_keys(instance.Q), H5, table, 1, 3, 4,
-                           should_stop, cap)
+                           cap)
 
-    assert sweep(0) == Undecided(steps=0) and polls[0] == 1
-    assert sweep(2) == Undecided(steps=2) and polls[0] == 3
-    assert sweep(6) == NotInSubgroup(4) and polls[0] == 4
-    assert sweep(6, cap=4) == NotInSubgroup(steps=4)
-    assert sweep(6, cap=3) == Undecided(steps=3)
+    assert sweep(3, None) == sweep(3, 4) == NotInSubgroup(steps=4)
+    assert sweep(3, 3) == Undecided(steps=3)
+    assert sweep(3, 0) == Undecided(steps=0)
+    assert sweep(4, None) == sweep(4, 2) == Found(x=Residue(4, 31), a=1,
+                                                  b=1, steps=2)
+    assert sweep(4, 1) == Undecided(steps=1)
 
 
 def test_shared_giant_encodings():

@@ -141,49 +141,30 @@ def test_solve_campaign_outcomes(run):
     assert "Failed" in out
 
 
-def test_solve_campaign_workers_same_result(run):
-    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
-            "--m", "8", "--seed", "3")
-    code1, out1, _ = run(*base)
-    code2, out2, _ = run(*base, "--workers", "4")
-    assert code1 == code2
-
-    def report(out):  # only the campaign: and elapsed: lines may differ
-        return [line for line in out.splitlines()
-                if not line.startswith(("campaign:", "elapsed:"))]
-
-    assert report(out1) == report(out2)
-    assert "workers = 4" in out2
-
-
-def test_solve_campaign_count_ops_across_workers(run):
-    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
-            "--m", "8", "--seed", "1", "--count-ops")
-    outs = [run(*base, "--workers", w)[1].splitlines() for w in ("1", "2")]
-
-    def steady(out):  # pool threads that ran ahead add measured ops
-        return [line for line in out
-                if not line.startswith(("campaign:", "elapsed:",
-                                        "measured ops:"))]
-
-    assert steady(outs[0]) == steady(outs[1])
-    lines = {line.split(":")[0]: line.split() for line in outs[0]}
-    total_steps = int(lines["steps"][1])
-    measured = int(lines["measured ops"][2])
+def test_solve_campaign_report_and_count_ops(run):
+    code, out, _ = run("solve", "--oracle-p", "65537", "--d", "4096",
+                       "--x", "12345", "--m", "8", "--seed", "1",
+                       "--count-ops")
+    assert code == 0
+    lines = {line.split(":")[0]: line for line in out.splitlines()}
+    assert lines["campaign"] == "campaign: m = 8, seed = 1"
+    assert lines["outcome"] == ("outcome: Found x = 12345 on thread 6 "
+                                "(y = 17278, z = 39512)")
+    assert lines["steps"] == ("steps: 328 total over 7 threads (26 baby "
+                              "keys per thread, 158-key giant table)")
     # forming Q from --x, every counted search step and the winner's
     # re-verification
-    assert measured == 1 + total_steps + 1 == 330
+    assert lines["measured ops"] == "measured ops: 330 scalar_mul, 0 add"
 
 
-def test_solve_campaign_count_ops_counts_worker_processes(run):
-    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
-            "--m", "8", "--seed", "1", "--count-ops")
-    for workers in ("2", "4"):
-        out = run(*base, "--workers", workers)[1]
-        lines = {line.split(":")[0]: line.split() for line in out.splitlines()}
-        # the exact workers-1 figure, plus whatever ran ahead of the winner;
-        # without the workers' counts only the parent's 159 would show
-        assert int(lines["measured ops"][2]) >= 330
+@pytest.mark.parametrize("spec", ["4:2:-1", "56:45:-1", "2:4:0", "5:3",
+                                  "1:2:3:4"])
+def test_bad_exponent_ranges_exit_2(run, spec):
+    for argv in (("prob-table", "--p", "65537", "--d-list", "16",
+                  "--m-exponents", spec), ("bench", "--sizes", spec)):
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert "bad exponent range %r" % spec in err
 
 
 def test_solve_degenerate_exponent(run):
@@ -434,9 +415,11 @@ def test_bench_empty_sizes(run):
 
 
 def test_options_only_where_a_command_reads_them(run):
-    # --format on factor and --seed on the commands that draw nothing are
-    # argparse errors, which exit 2 by SystemExit
+    # --format on factor, --seed on the commands that draw nothing and
+    # --workers anywhere are argparse errors, which exit 2 by SystemExit
     for argv in (("factor", "12", "--format", "csv"),
+                 ("solve", "--oracle-p", "31", "--d", "5", "--x", "3",
+                  "--m", "2", "--workers", "2"),
                  ("audit", "P-256", "--seed", "1"),
                  ("prob-table", "--paper-256", "--seed", "1"),
                  ("keycheck", "--curve", "P-256", "--x", "2", "--seed", "1"),
