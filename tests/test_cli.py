@@ -157,6 +157,41 @@ def test_solve_campaign_report_and_count_ops(run):
     assert lines["measured ops"] == "measured ops: 330 scalar_mul, 0 add"
 
 
+def test_solve_campaign_workers_same_result(run):
+    # campaigns run in the calling process: the report is a function of the
+    # seed alone, so two runs agree on everything but the elapsed: line
+    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
+            "--m", "8", "--seed", "3")
+    code1, out1, _ = run(*base)
+    code2, out2, _ = run(*base)
+    assert code1 == code2
+
+    def report(out):
+        return [line for line in out.splitlines()
+                if not line.startswith("elapsed:")]
+
+    assert report(out1) == report(out2)
+    assert "workers" not in out1
+
+
+def test_solve_campaign_count_ops_across_workers(run):
+    base = ("solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
+            "--m", "8", "--seed", "1", "--count-ops")
+    outs = [run(*base)[1].splitlines() for _ in range(2)]
+
+    def steady(out):
+        return [line for line in out if not line.startswith("elapsed:")]
+
+    # no thread runs ahead of the winner, so measured ops repeat exactly
+    assert steady(outs[0]) == steady(outs[1])
+    lines = {line.split(":")[0]: line.split() for line in outs[0]}
+    total_steps = int(lines["steps"][1])
+    measured = int(lines["measured ops"][2])
+    # forming Q from --x, every counted search step and the winner's
+    # re-verification
+    assert measured == 1 + total_steps + 1 == 330
+
+
 @pytest.mark.parametrize("spec", ["4:2:-1", "56:45:-1", "2:4:0", "5:3",
                                   "1:2:3:4"])
 def test_bad_exponent_ranges_exit_2(run, spec):
