@@ -23,14 +23,12 @@ searched it (`bsgs.kept_giant`), so repeated audits against one record
 build none of them again.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
-                   kept_giant, solve_in_subgroup, theorem_budget)
+from .bsgs import (DegenerateKeyError, DlpInstance, Found, kept_giant,
+                   solve_in_subgroup, theorem_budget)
 from .factoring import (FactoredInteger, find_primitive_root,
                         subgroup_generator)
 from .field import is_probable_prime
@@ -188,6 +186,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """A record's checks: `render_text()`, and `table()` for machine formats."""
+
     curve: str
     checks: tuple
 
@@ -203,13 +203,11 @@ class ConsistencyReport:
         lines.append("overall: %s" % ("pass" if self.passed else "FAIL"))
         return "\n".join(lines)
 
-    def render_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["curve", "check", "passed", "detail"])
-        for c in self.checks:
-            writer.writerow([self.curve, c.name, c.passed, c.detail])
-        return buf.getvalue()
+    def table(self):
+        """(header, rows) for the machine formats: one row per check."""
+        return (("curve", "check", "passed", "detail"),
+                [(self.curve, c.name, c.passed, c.detail)
+                 for c in self.checks])
 
 
 def _valuation(n, f):
@@ -271,13 +269,16 @@ class SubgroupCheck:
     log2_d: float
     required_steps: int
     feasible: bool
-    status: str  # "member" | "non-member" | "infeasible" | "undecided"
+    status: str  # "member" | "non-member" | "infeasible"
     steps: int
     mechanism: str  # "scalar" | "point"
 
 
 @dataclass(frozen=True)
 class KeyAuditReport:
+    """One verdict per subgroup: `render_text()`, and `table()` for machine
+    formats."""
+
     curve: str
     budget: int
     entries: tuple
@@ -295,13 +296,13 @@ class KeyAuditReport:
         lines.append("recommendation: %s" % self.recommendation)
         return "\n".join(lines)
 
-    def render_csv(self):
-        lines = ["curve,d,log2_d,mechanism,feasible,status,steps,required_steps"]
-        for e in self.entries:
-            lines.append("%s,%d,%r,%s,%s,%s,%d,%d"
-                         % (self.curve, e.d, e.log2_d, e.mechanism,
-                            e.feasible, e.status, e.steps, e.required_steps))
-        return "\n".join(lines) + "\n"
+    def table(self):
+        """(header, rows) for the machine formats: one row per subgroup."""
+        return (("curve", "d", "log2_d", "mechanism", "feasible", "status",
+                 "steps", "required_steps"),
+                [(self.curve, e.d, e.log2_d, e.mechanism, e.feasible,
+                  e.status, e.steps, e.required_steps)
+                 for e in self.entries])
 
 
 def audit_key(rec, x=None, point=None, subgroups=None,
@@ -340,8 +341,6 @@ def audit_key(rec, x=None, point=None, subgroups=None,
 
     root = rec.primitive_root
     entries = []
-    member_seen = False
-    ran_any = False
     for d in subgroups:
         required = theorem_budget(d)
         if required > budget:
@@ -351,24 +350,17 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                 mechanism=mechanism))
             continue
         H = subgroup_generator(rec.p, d, generator=root)
+        # budget >= theorem_budget(d) covers the whole search: no cap binds
         verdict = solve_in_subgroup(
-            instance, H, step_cap=budget,
-            shared_giant=kept_giant(group, instance.P, H))
-        if isinstance(verdict, Found):
-            status = "member"
-            member_seen = True
-        elif isinstance(verdict, NotInSubgroup):
-            status = "non-member"
-        else:
-            status = "undecided"
-        ran_any = True
+            instance, H, shared_giant=kept_giant(group, instance.P, H))
         entries.append(SubgroupCheck(
             d=d, log2_d=int_log2(d), required_steps=required, feasible=True,
-            status=status, steps=verdict.steps,
-            mechanism=mechanism))
-    if member_seen:
+            status="member" if isinstance(verdict, Found) else "non-member",
+            steps=verdict.steps, mechanism=mechanism))
+    statuses = {e.status for e in entries}
+    if "member" in statuses:
         recommendation = "discard"
-    elif ran_any:
+    elif "non-member" in statuses:
         recommendation = "keep"
     else:
         recommendation = "inconclusive"

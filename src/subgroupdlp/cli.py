@@ -13,6 +13,7 @@ curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
 """
 
 import argparse
+import csv
 import math
 import os
 import random
@@ -133,9 +134,11 @@ def _build_subgroup(args, p):
     return subgroup_generator(p, d, factored=factored)
 
 
-def _csv_row(header, values):
-    print(",".join(header))
-    print(",".join("" if v is None else str(v) for v in values))
+def _print_csv(header, rows):
+    """The one CSV writer: a header, then rows (None prints as empty)."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def cmd_solve(args):
@@ -191,11 +194,11 @@ def cmd_solve(args):
         model = "predicted success: lower %.5f, exact %.5f"
     est = estimate(p, H.d, m)
     if args.format == "csv":
-        _csv_row(
+        _print_csv(
             ["outcome", "x", "a", "b", "index", "steps", "d", "m", "p",
              "lower_bound", "exact"],
-            [outcome] + witness + [steps, H.d, m, p,
-                                   repr(est.lower_bound), repr(est.exact)])
+            [[outcome] + witness + [steps, H.d, m, p, est.lower_bound,
+                                    est.exact]])
     else:
         print("group: %s (order %d)" % (group.kind, p))
         print("subgroup: d = %d (log2 %.2f), zeta = %d"
@@ -224,6 +227,10 @@ def cmd_prob_table(args):
                 "pick exactly one of --d-list, --target-bits-list")
         if args.d_list is not None:
             divisors = [parse_int(tok) for tok in args.d_list.split(",")]
+            for d in divisors:
+                if d < 1 or (p - 1) % d:
+                    raise CommandError("d = %d does not divide p-1 = %d"
+                                       % (d, p - 1))
         else:
             if args.curve:
                 factored = load_builtin(args.curve).factors
@@ -238,19 +245,13 @@ def cmd_prob_table(args):
             raise CommandError("--m-exponents is required without --paper-256")
         tables = [(divisors, _parse_exponent_spec(args.m_exponents))]
 
-    first = True
-    for divisors, exponents in tables:
-        table = build_table(p, divisors, exponents)
-        if args.format == "csv":
-            text = table.render_csv()
-            if not first:  # keep one header for the concatenated grids
-                text = text.split("\n", 1)[1]
-            sys.stdout.write(text)
-        else:
-            if not first:
-                print()
-            print(table.render_text())
-        first = False
+    grids = [build_table(p, divisors, exponents)
+             for divisors, exponents in tables]
+    if args.format == "csv":
+        pairs = [grid.table() for grid in grids]
+        _print_csv(pairs[0][0], [row for _, rows in pairs for row in rows])
+    else:
+        print("\n\n".join(grid.render_text() for grid in grids))
     return 0
 
 
@@ -269,7 +270,7 @@ def cmd_audit(args):
     record = _record_for(args.target)
     report = verify_record(record)
     if args.format == "csv":
-        sys.stdout.write(report.render_csv())
+        _print_csv(*report.table())
     else:
         print(report.render_text())
     return 0 if report.passed else 1
@@ -296,7 +297,7 @@ def cmd_keycheck(args):
         report = audit_key(record, point=point, subgroups=subgroups,
                            budget=budget)
     if args.format == "csv":
-        sys.stdout.write(report.render_csv())
+        _print_csv(*report.table())
     else:
         print(report.render_text())
     return 0 if report.recommendation == "discard" else 1
@@ -344,9 +345,8 @@ def cmd_bench(args):
                                            [math.log2(r[1]) for r in rows])
         slope = fit.slope
     if args.format == "csv":
-        print("log2_d,steps,seconds,scalar_muls_per_sec")
-        for k, steps, secs, rate in rows:
-            print("%d,%d,%r,%r" % (k, steps, secs, rate))
+        _print_csv(["log2_d", "steps", "seconds", "scalar_muls_per_sec"],
+                   rows)
     else:
         print("bench prime p = %d (log2 %.1f)" % (p, int_log2(p)))
         for k, steps, secs, rate in rows:

@@ -15,8 +15,6 @@ Every public function checks its own inputs; proving p prime is a cache
 lookup after the first call (see `field.is_probable_prime`).
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,7 +131,10 @@ def estimate(p, d, m):
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Estimates on a (thread exponent) x (divisor) grid, plus renderers."""
+    """Estimates on a (thread exponent) x (divisor) grid.
+
+    `render_text()` gives the aligned grid, `table()` the machine formats.
+    """
 
     p: int
     divisors: tuple
@@ -162,18 +163,11 @@ class ProbabilityTable:
             lines.append(str(e).ljust(label) + cells)
         return "\n".join(lines)
 
-    def render_csv(self):
-        """Machine form, one line per cell: log2_d,log2_m,lower_bound,exact,log2_sqrt_d."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["log2_d", "log2_m", "lower_bound", "exact",
-                         "log2_sqrt_d"])
-        for row in self.rows:
-            for est in row:
-                writer.writerow([repr(est.log2_d), repr(est.log2_m),
-                                 repr(est.lower_bound), repr(est.exact),
-                                 repr(est.log2_sqrt_d)])
-        return buf.getvalue()
+    def table(self):
+        """(header, rows) for the machine formats: one row per cell."""
+        return (("log2_d", "log2_m", "lower_bound", "exact", "log2_sqrt_d"),
+                [(est.log2_d, est.log2_m, est.lower_bound, est.exact,
+                  est.log2_sqrt_d) for row in self.rows for est in row])
 
 
 def build_table(p, divisors, thread_exponents):

@@ -1,8 +1,6 @@
 """Built-in curve records, consistency checks, and the key-audit facility."""
 
-import csv
 import dataclasses
-import io
 import random
 
 import pytest
@@ -167,13 +165,12 @@ def test_verify_record_catches_a_field_prime_the_params_do_not_have():
 
 def test_consistency_report_csv():
     report = verify_record(load_builtin("P-192"))
-    text = report.render_csv()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["curve", "check", "passed", "detail"]
-    assert len(rows) == 1 + len(report.checks)
-    # check names contain commas; every row must still parse to 4 fields
-    assert all(len(row) == 4 and row[0] == "P-192" for row in rows[1:])
-    assert any(row[1] == "gcd(d1, d2) equals 1" for row in rows[1:])
+    header, rows = report.table()
+    assert header == ("curve", "check", "passed", "detail")
+    assert len(rows) == len(report.checks)
+    # check names contain commas; each stays one field for the CSV writer
+    assert all(len(row) == 4 and row[0] == "P-192" for row in rows)
+    assert ("P-192", "gcd(d1, d2) equals 1", True, "") in rows
 
 
 def test_record_from_params_desk_curve():
@@ -335,10 +332,11 @@ def test_audit_small_subgroups_of_p256():
     report = audit_key(rec, x=root.value, subgroups=(16, 3))
     assert report.recommendation == "keep"
     assert {e.status for e in report.entries} == {"non-member"}
-    lines = report.render_csv().splitlines()
-    assert lines[0] == \
-        "curve,d,log2_d,mechanism,feasible,status,steps,required_steps"
-    assert len(lines) == 3
+    header, rows = report.table()
+    assert header == ("curve", "d", "log2_d", "mechanism", "feasible",
+                      "status", "steps", "required_steps")
+    assert [row[:2] for row in rows] == [("P-256", 16), ("P-256", 3)]
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_audit_mixed_feasibility_keeps_running():
@@ -353,14 +351,23 @@ def test_audit_mixed_feasibility_keeps_running():
 
 
 def test_audit_budget_gate():
+    # budget = theorem_budget(d) pays for the giant table and every baby
+    # key, so a feasible subgroup always gets a verdict
     params = desk_curve()
     rec = record_from_params(params, factor(params.order - 1))
-    report = audit_key(rec, x=5, budget=theorem_budget(37) - 1,
-                       subgroups=(37,))
-    assert report.entries[0].status == "infeasible"
-    assert report.recommendation == "inconclusive"
-    report = audit_key(rec, x=5, budget=theorem_budget(37), subgroups=(37,))
-    assert report.entries[0].status in ("member", "non-member")
+    for d in (1, 2, 27, 37, 54, 999, 1998):
+        for x in (1, 2, 5, 77, 1000):
+            report = audit_key(rec, x=x, budget=theorem_budget(d) - 1,
+                               subgroups=(d,))
+            assert report.entries[0].status == "infeasible"
+            assert report.recommendation == "inconclusive"
+            report = audit_key(rec, x=x, budget=theorem_budget(d),
+                               subgroups=(d,))
+            member = pow(x, d, rec.p) == 1
+            assert report.entries[0].status == \
+                ("member" if member else "non-member")
+            assert report.entries[0].steps <= theorem_budget(d)
+            assert report.recommendation == ("discard" if member else "keep")
 
 
 def test_audit_argument_validation():

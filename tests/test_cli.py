@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: arguments, output formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from subgroupdlp.bsgs import theorem_budget
-from subgroupdlp.catalog import P256_TABLE_DIVISORS
+from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
 from subgroupdlp.cli import DATA_DIR_ENV, main
 from subgroupdlp.factoring import subgroup_generator
 from subgroupdlp.groups import CurveGroup, desk_curve, format_curve_params
@@ -283,6 +284,21 @@ def test_prob_table_empty_exponents(run):
     assert len(out.strip().splitlines()) == 3  # headers only
 
 
+def test_prob_table_rejects_non_divisors(run):
+    code, out, err = run("prob-table", "--p", "1999", "--d-list", "5,1998",
+                         "--m-exponents", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: d = 5 does not divide p-1 = 1998\n"
+    code, out, err = run("prob-table", "--curve", "P-256", "--d-list", "5",
+                         "--m-exponents", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: d = 5 does not divide p-1 = %d\n"
+                   % (load_builtin("P-256").p - 1))
+    code, out, _ = run("prob-table", "--p", "1999", "--d-list", "1,1998",
+                       "--m-exponents", "1")
+    assert code == 0 and "1.00000" in out
+
+
 def test_prob_table_usage_errors(run):
     assert run("prob-table")[0] == 2
     assert run("prob-table", "--p", "65537")[0] == 2  # no divisors
@@ -312,6 +328,20 @@ def test_audit_curve_file(run, tmp_path):
     code, out, _ = run("audit", str(path))
     assert code == 0
     assert "curve params match record" in out
+
+
+def test_csv_quotes_a_comma_in_the_curve_name(run, tmp_path):
+    path = tmp_path / "copy.curve"
+    params = dataclasses.replace(desk_curve(), name="desk, copy")
+    path.write_text(format_curve_params(params))
+    for argv in (("keycheck", "--curve", str(path), "--x", "5",
+                  "--d", "27,37"),
+                 ("audit", str(path))):
+        _, out, _ = run(*argv, "--format", "csv")
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] == "curve" and rows
+        assert all(len(row) == len(header) for row in rows)
+        assert {row[0] for row in rows} == {"desk, copy"}
 
 
 def test_audit_unknown_target(run):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
+from subgroupdlp.cli import main
 from subgroupdlp.probability import (build_table, estimate, int_log2,
                                      success_exact, success_lower_bound,
                                      threads_for_probability)
@@ -233,14 +234,16 @@ def test_table_empty_exponent_list():
     text = table.render_text()
     assert len(text.splitlines()) == 3  # two header lines + the m label
     assert "4.00" in text.splitlines()[1]
-    csv_text = table.render_csv()
-    assert csv_text.splitlines() == [
-        "log2_d,log2_m,lower_bound,exact,log2_sqrt_d"]
+    assert table.table() == (
+        ("log2_d", "log2_m", "lower_bound", "exact", "log2_sqrt_d"), [])
 
 
-def test_table_csv_round_trips_floats():
+def test_table_csv_round_trips_floats(capsys):
     table = build_table(P256.p, P256_TABLE_DIVISORS, (45, 50, 53))
-    rows = list(csv.DictReader(io.StringIO(table.render_csv())))
+    assert main(["prob-table", "--curve", "P-256", "--d-list",
+                 ",".join(map(str, P256_TABLE_DIVISORS)),
+                 "--m-exponents", "45,50,53", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 15
     k = 0
     for i in range(3):
