@@ -321,7 +321,8 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         subgroups = (rec.d1, rec.d2)
     for d in subgroups:
         if d < 1 or (rec.p - 1) % d:
-            raise ValueError("%d does not divide p-1" % d)
+            raise ValueError("d = %d does not divide p-1 = %d"
+                             % (d, rec.p - 1))
 
     if point is not None:
         if rec.params is None:

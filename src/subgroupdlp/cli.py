@@ -2,7 +2,7 @@
 
 Subcommands: solve (single or multi-thread search), prob-table (success
 grids), audit (catalog consistency), keycheck (subgroup membership audit),
-factor, bench.  Exit status is 0 for a positive result (found / all checks
+factor.  Exit status is 0 for a positive result (found / all checks
 pass), 1 for a clean negative (not in subgroup / failed campaign /
 incomplete factorization), 2 for any usage or runtime error.
 
@@ -14,20 +14,18 @@ curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
 
 import argparse
 import csv
-import math
+import functools
 import os
-import random
-import statistics
 import sys
 import time
 
-from .bsgs import DlpInstance, Found, NotInSubgroup, solve_in_subgroup, theorem_budget
+from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
 from .factoring import (DEFAULT_RHO_BUDGET, factor, nearest_divisor,
-                        search_prime_with_divisor, subgroup_generator)
-from .field import derive_seed, parse_int
+                        subgroup_generator)
+from .field import parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      CurveParams, desk_curve, load_curve_file)
 from .parallel import CampaignConfig, baby_keys, randomized_solve
@@ -315,58 +313,16 @@ def cmd_factor(args):
     return 0
 
 
-def cmd_bench(args):
-    exponents = _parse_exponent_spec(args.sizes)
-    if not exponents:
-        raise CommandError("empty --sizes")
-    rng = random.Random(derive_seed(args.seed, "bench"))
-    top = max(exponents)
-    p = search_prime_with_divisor(1 << top, top + 26, rng)
-    factored = factor(p - 1)
-    group = AdditiveOracleGroup(p)
-    rows = []
-    for k in exponents:
-        d = 1 << k
-        H = subgroup_generator(p, d, factored=factored)
-        while True:
-            x = rng.randrange(1, p)
-            instance = DlpInstance.from_secret(group, x)
-            started = time.perf_counter()
-            verdict = solve_in_subgroup(instance, H)
-            elapsed = time.perf_counter() - started
-            if isinstance(verdict, NotInSubgroup):
-                break
-            # astronomically unlikely draw inside H; re-draw for a full sweep
-        rate = verdict.steps / elapsed if elapsed > 0 else float("inf")
-        rows.append((k, verdict.steps, elapsed, rate))
-    slope = None
-    if len(rows) >= 2:
-        fit = statistics.linear_regression([r[0] for r in rows],
-                                           [math.log2(r[1]) for r in rows])
-        slope = fit.slope
-    if args.format == "csv":
-        _print_csv(["log2_d", "steps", "seconds", "scalar_muls_per_sec"],
-                   rows)
-    else:
-        print("bench prime p = %d (log2 %.1f)" % (p, int_log2(p)))
-        for k, steps, secs, rate in rows:
-            print("d = 2^%-3d steps = %-9d %8.3f s  %.0f scalar muls/s"
-                  % (k, steps, secs, rate))
-        if slope is not None:
-            print("fitted exponent of steps vs d: %.4f (sqrt scaling = 0.5)"
-                  % slope)
-    return 0
-
-
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use.
+
+    parse_args returns a fresh Namespace per call, so main reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="subgroupdlp",
         description="Constrained discrete-log search and subgroup key audits")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="PRNG seed (sequential runs are reproducible)")
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -383,7 +339,8 @@ def build_parser():
     p.add_argument("--budget", help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")
-    add_seed(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="PRNG seed (sequential runs are reproducible)")
     add_format(p)
     p.set_defaults(func=cmd_solve)
 
@@ -421,19 +378,11 @@ def build_parser():
     p.add_argument("n")
     p.add_argument("--budget", help="rho iteration budget")
     p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("bench", help="measure step scaling vs subgroup size")
-    p.add_argument("--sizes", default="16:24:2",
-                   help="log2 d values, e.g. '16:24:2'")
-    add_seed(p)
-    add_format(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CommandError, ValueError, OSError, RuntimeError,

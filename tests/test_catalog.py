@@ -381,8 +381,9 @@ def test_audit_argument_validation():
         audit_key(desk_rec, x=3, point=group.generator)  # both forms
     with pytest.raises(ValueError):
         audit_key(rec, point=group.generator)  # builtin has no params
-    with pytest.raises(ValueError):
-        audit_key(desk_rec, x=3, subgroups=(7,))  # 7 does not divide 1998
+    with pytest.raises(ValueError,
+                       match=r"^d = 7 does not divide p-1 = 1998$"):
+        audit_key(desk_rec, x=3, subgroups=(7,))
     with pytest.raises(DegenerateKeyError):
         audit_key(desk_rec, x=0)
     with pytest.raises(DegenerateKeyError):

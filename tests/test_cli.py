@@ -12,7 +12,7 @@ import pytest
 
 from subgroupdlp.bsgs import theorem_budget
 from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
-from subgroupdlp.cli import DATA_DIR_ENV, main
+from subgroupdlp.cli import DATA_DIR_ENV, build_parser, main
 from subgroupdlp.factoring import subgroup_generator
 from subgroupdlp.groups import CurveGroup, desk_curve, format_curve_params
 from subgroupdlp.parallel import draw_multipliers
@@ -196,11 +196,10 @@ def test_solve_campaign_count_ops_across_workers(run):
 @pytest.mark.parametrize("spec", ["4:2:-1", "56:45:-1", "2:4:0", "5:3",
                                   "1:2:3:4"])
 def test_bad_exponent_ranges_exit_2(run, spec):
-    for argv in (("prob-table", "--p", "65537", "--d-list", "16",
-                  "--m-exponents", spec), ("bench", "--sizes", spec)):
-        code, out, err = run(*argv)
-        assert code == 2 and out == ""
-        assert "bad exponent range %r" % spec in err
+    code, out, err = run("prob-table", "--p", "65537", "--d-list", "16",
+                         "--m-exponents", spec)
+    assert code == 2 and out == ""
+    assert "bad exponent range %r" % spec in err
 
 
 def test_solve_degenerate_exponent(run):
@@ -440,6 +439,13 @@ def test_keycheck_usage_errors(run):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_keycheck_rejects_a_non_divisor(run):
+    code, out, err = run("keycheck", "--curve", "desk", "--x", "5",
+                         "--d", "7")
+    assert code == 2 and out == ""
+    assert err == "error: d = 7 does not divide p-1 = 1998\n"
+
+
 def test_factor_command(run):
     code, out, _ = run("factor", "30")
     assert code == 0 and out.strip() == "30 = 2 * 3 * 5"
@@ -456,33 +462,12 @@ def test_factor_incomplete(run):
     assert "incomplete" in err
 
 
-def test_bench_csv(run):
-    code, out, _ = run("bench", "--sizes", "8:16:4", "--format", "csv",
-                       "--seed", "3")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "log2_d,steps,seconds,scalar_muls_per_sec"
-    assert len(lines) == 4
-    for line, k in zip(lines[1:], (8, 12, 16)):
-        fields = line.split(",")
-        assert int(fields[0]) == k
-        assert int(fields[1]) == theorem_budget(1 << k)
-
-
-def test_bench_text_reports_fit(run):
-    code, out, _ = run("bench", "--sizes", "8,10,12", "--seed", "1")
-    assert code == 0
-    assert "fitted exponent" in out
-
-
-def test_bench_empty_sizes(run):
-    assert run("bench", "--sizes", "")[0] == 2
-
-
 def test_options_only_where_a_command_reads_them(run):
-    # --format on factor, --seed on the commands that draw nothing and
-    # --workers anywhere are argparse errors, which exit 2 by SystemExit
-    for argv in (("factor", "12", "--format", "csv"),
+    # --format on factor, --seed on the commands that draw nothing,
+    # --workers anywhere and the retired bench command are argparse errors,
+    # which exit 2 by SystemExit
+    for argv in (("bench",), ("bench", "--sizes", "8:12:2"),
+                 ("factor", "12", "--format", "csv"),
                  ("solve", "--oracle-p", "31", "--d", "5", "--x", "3",
                   "--m", "2", "--workers", "2"),
                  ("audit", "P-256", "--seed", "1"),
@@ -492,6 +477,28 @@ def test_options_only_where_a_command_reads_them(run):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2, argv
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_leaks_nothing_between_calls(run, capsys):
+    # back-to-back calls share the one parser; each gets a fresh Namespace
+    base = ("solve", "--oracle-p", "31", "--d", "5", "--x", "8")
+    _, out, _ = run(*base, "--m", "2", "--count-ops", "--format", "csv")
+    assert out.startswith("outcome,x,a,b,index,steps,d,m,p,")
+    code, out, _ = run(*base)
+    assert code == 0 and out.startswith("group: ")
+    assert "outcome: Found x = 8  (a = " in out
+    assert "campaign:" not in out and "measured ops" not in out
+
+    fresh = run("factor", "30")
+    with pytest.raises(SystemExit) as exc:
+        run("factor", "12", "--format", "csv")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert run("factor", "30") == fresh == (0, "30 = 2 * 3 * 5\n", "")
 
 
 def test_console_entry_point():
