@@ -8,8 +8,10 @@ ceil(d/s)*s >= d consecutive integers), so
 
     zeta^b * Q  ==  (zeta^s)^a * P     for some such a, b.
 
-Each side is a sweep of one fixed point, keyed by encoding through the
-group's `sweep_keys`.  The solver tabulates the right side (giant steps) and
+Each side is a sweep of one fixed point: the group's `sweep_keys(P)` and
+`sweep_keys(Q)` run the loop and yield one key per multiple, canonical
+within that group object, so a table is only read by sweeps of the group
+that built it.  The solver tabulates the right side (giant steps) and
 streams the left side (baby steps) against it; on a table hit it recovers
 x = zeta^(a*s-b mod d) and accepts it only after re-verifying x*P == Q.
 A single solve takes the balanced split s = n = isqrt(d) + 1: a = 0..n and
@@ -17,6 +19,8 @@ b = 0..n, n+1 multiplies on each side, so that a member's first hit has
 b <= n-1 and the solve stays within theorem_budget(d).
 The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
 then gives x = y^(-1)*zeta^(a*s-b): that is a campaign thread's search.
+Q's sweep is prepared once per instance (`DlpInstance.sweep_q`), so every
+subgroup and every thread searched for one key reads it.
 The giant table depends only on (group, P, H, s), so `kept_giant` builds
 it once and keeps it with the group object for campaigns and audits,
 whose baby sweeps then need O(1) memory each.  A campaign whose table
@@ -28,6 +32,7 @@ requires knowing x.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import isqrt
 
 from .field import Residue
@@ -50,6 +55,8 @@ class DlpInstance:
 
     `p` reads the group's (prime) order, the modulus of every exponent
     statement; it is not stored, so it cannot disagree with the group.
+    `sweep_q` is `group.sweep_keys(Q)`, prepared on first use and kept
+    with the instance, so every baby sweep of Q reads one preparation.
     """
 
     group: object
@@ -59,6 +66,10 @@ class DlpInstance:
     @property
     def p(self):
         return self.group.order
+
+    @cached_property
+    def sweep_q(self):
+        return self.group.sweep_keys(self.Q)
 
     def __post_init__(self):
         if not self.group.contains(self.P) or not self.group.contains(self.Q):
@@ -102,22 +113,10 @@ def theorem_budget(d):
     return 2 * (isqrt(d) + 2)
 
 
-def _sweep(key, start, ratio, count, p):
-    """key(start * ratio^i mod p) for i < count, one scalar multiply each.
-
-    `key` is one `sweep_keys` function, so the point it multiplies is
-    checked once for the whole sweep.
-    """
-    t = start
-    for _ in range(count):
-        yield key(t)
-        t = t * ratio % p
-
-
 def giant_encodings(group, P, H, cap=None, step=None):
     """The giant table of (group, P, H, step) and the multiplies it cost.
 
-    The table maps the encoding of (zeta^s)^a * P to a, for a = 0 ..
+    The table maps the sweep key of (zeta^s)^a * P to a, for a = 0 ..
     ceil(d/s) - 1 when `step` = s is given (a campaign's split, against s
     baby keys), and for a = 0..n with s = n = isqrt(d) + 1 when it is not
     (a single solve's).  A key met again (zeta^s has order <= the last a,
@@ -133,9 +132,8 @@ def giant_encodings(group, P, H, cap=None, step=None):
         count = -(-H.d // step)
     built = count if cap is None else min(count, cap)
     table = {}
-    for a, key in enumerate(_sweep(group.sweep_keys(P), 1,
-                                   pow(H.zeta.value, step, H.p), built,
-                                   H.p)):
+    for a, key in enumerate(group.sweep_keys(P)(
+            1, pow(H.zeta.value, step, H.p), built)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
@@ -148,8 +146,9 @@ def kept_giant(group, P, H, step=None):
     The (table, cost) pair is kept in the group object's own `__dict__`,
     keyed by (P, H, step), so it lives as long as the group and every
     campaign and audit on that group reads it; a CountingGroup keeps its
-    own tables and never reads those of the group it wraps.  `cost` is
-    what the build took, charged to every search that reads the table.
+    own tables and never reads those of the group it wraps, whose keys
+    are another group object's.  `cost` is what the build took, charged
+    to every search that reads the table.
     """
     kept = vars(group).setdefault("_kept_giants", {})
     key = (P, H, step)
@@ -158,18 +157,19 @@ def kept_giant(group, P, H, step=None):
     return kept[key]
 
 
-def _baby_sweep(group, P, Q, key, H, table, y, step, count, cap=None):
-    """Stream key(y * zeta^b) for b < count against the giant `table`.
+def _baby_sweep(instance, H, table, y, step, count, cap=None):
+    """Stream the keys of (y * zeta^b) * Q for b < count against `table`.
 
-    `key` is `group.sweep_keys(Q)`, y a unit mod p and `step` the giant
-    step s the table was built with.  A hit (a, b) proposes
-    x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q.  A `cap` below
-    `count` sweeps only the first `cap` keys.
+    The keys come from `instance.sweep_q`, y is a unit mod p and `step`
+    the giant step s the table was built with, in the instance's group.
+    A hit (a, b) proposes x = y^(-1) * zeta^(a*s-b), accepted only if
+    x*P == Q.  A `cap` below `count` sweeps only the first `cap` keys.
     Returns Found / NotInSubgroup / Undecided with the baby steps alone.
     """
+    group, P, Q = instance.group, instance.P, instance.Q
     p, zeta, d = H.p, H.zeta.value, H.d
     swept = count if cap is None else min(count, cap)
-    for b, k in enumerate(_sweep(key, y, zeta, swept, p)):
+    for b, k in enumerate(instance.sweep_q(y, zeta, swept)):
         hit = table.get(k)
         if hit is not None:
             for a in hit if type(hit) is tuple else (hit,):
@@ -201,21 +201,19 @@ def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
     the number of scalar multiplications (the verification multiplies are
     not charged).  `shared_giant` is a (table, cost) pair from
-    `kept_giant` at the default step, built once elsewhere: the solve
-    then runs only the baby sweep, but charges `cost` in `steps` and
-    `step_cap` as if it had built the table, so its verdict and steps are
-    those of a fresh solve.
+    `kept_giant(instance.group, instance.P, H)`, built once elsewhere:
+    the solve then runs only the baby sweep, but charges `cost` in
+    `steps` and `step_cap` as if it had built the table, so its verdict
+    and steps are those of a fresh solve.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
-    group, P, Q = instance.group, instance.P, instance.Q
-    table, giant_steps = shared_giant or giant_encodings(group, P, H,
-                                                         step_cap)
+    table, giant_steps = shared_giant or giant_encodings(
+        instance.group, instance.P, H, step_cap)
     if step_cap is not None and step_cap < giant_steps:
         return Undecided(step_cap)
     cap = None if step_cap is None else step_cap - giant_steps
     n = isqrt(H.d) + 1
-    verdict = _baby_sweep(group, P, Q, group.sweep_keys(Q), H, table, 1,
-                          n, n + 1, cap=cap)
+    verdict = _baby_sweep(instance, H, table, 1, n, n + 1, cap=cap)
     return replace(verdict, steps=giant_steps + verdict.steps)

@@ -12,7 +12,6 @@ P-256 order costs 40 rounds the first time and a lookup afterwards.
 """
 
 import functools
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -93,7 +92,10 @@ def derive_seed(*parts):
 
     Lets one campaign seed fan out into independent streams (multiplier
     draws, key draws, per-trial campaigns) without correlated state.
+    Only campaigns call it, so hashlib (and OpenSSL) loads here, lazily.
     """
+    import hashlib
+
     text = "|".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

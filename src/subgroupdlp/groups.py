@@ -13,15 +13,18 @@ Three interchangeable backends share one element/group protocol:
 
 A group's `order` is always a verified (probable) prime p, so scalars live
 in the field Z/pZ and k*P depends only on k mod p.  Encodings are injective
-bytes with a distinguished identity encoding, giving hashable dictionary
-keys for collision search.
+bytes with a distinguished identity encoding.
 
 `sweep_keys(P)` serves the BSGS sweeps, which multiply one fixed point
-many times and keep only the encodings.  It checks P once and returns the
-function k -> encode(k*P): the oracle group does one mulmod per key,
-MultiplicativeGroup builds rows of powers that turn each exponentiation
-into a few modular multiplies, and CurveGroup a Lim-Lee comb table that
-makes each multiply ~3x cheaper on P-256.  scalar_mul reads no table.
+many times and keep only a key of each product.  It checks and prepares P
+once and returns `sweep(start, ratio, count)`, a generator of the keys of
+(start * ratio^i mod p) * P for i < count, looped by the backend itself.
+The oracle group's key is the product's int, the last key times the
+ratio: one mulmod per key.  MultiplicativeGroup yields the element's int
+from rows of powers that turn each exponentiation into a few modular
+multiplies; CurveGroup yields encodings from a Lim-Lee comb table that
+makes each multiply ~3x cheaper on P-256.  Keys are canonical only within
+one group object.  scalar_mul reads no table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
@@ -32,6 +35,7 @@ demos and tests use, validated by CurveGroup on construction.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .field import is_probable_prime, parse_int
 
@@ -41,6 +45,14 @@ __all__ = [
     "implicit_equal", "parse_curve_params", "format_curve_params",
     "load_curve_file", "desk_curve",
 ]
+
+
+def _scalars(start, ratio, count, p):
+    """start * ratio^i mod p for i < count, one mulmod each."""
+    k = start % p
+    for _ in range(count):
+        yield k
+        k = k * ratio % p
 
 
 class GroupElement:
@@ -161,7 +173,11 @@ class CyclicGroup:
         raise NotImplementedError
 
     def sweep_keys(self, e):
-        """The function k -> encode(scalar_mul(k, e)); e is checked here."""
+        """Check and prepare e once; return sweep(start, ratio, count).
+
+        The sweep yields a key of (start * ratio^i mod order) * e for each
+        i < count; keys are equal exactly when those points are.
+        """
         raise NotImplementedError
 
     # -- encodings -------------------------------------------------------------
@@ -216,8 +232,8 @@ class AdditiveOracleGroup(CyclicGroup):
 
     def sweep_keys(self, e):
         self._check(e)
-        p, v, width = self.order, e.data, self._width
-        return lambda k: (k * v % p).to_bytes(width, "big")
+        return lambda start, ratio, count: _scalars(start * e.data, ratio,
+                                                    count, self.order)
 
 
 # Digit bits of a multiplicative power table.  On the campaign
@@ -297,19 +313,18 @@ class MultiplicativeGroup(CyclicGroup):
 
     def sweep_keys(self, e):
         self._check(e)
-        r, w, order = self.modulus, POWER_WINDOW, self.order
-        mask, width = (1 << w) - 1, self._width
+        r, w, mask = self.modulus, POWER_WINDOW, (1 << POWER_WINDOW) - 1
         first, *rest = self._power_rows(e.data)
 
-        def key(k):
-            k %= order
-            acc = first[k & mask]
-            for row in rest:
-                k >>= w
-                acc = acc * row[k & mask] % r
-            return acc.to_bytes(width, "big")
+        def sweep(start, ratio, count):
+            for k in _scalars(start, ratio, count, self.order):
+                acc = first[k & mask]
+                for row in rest:
+                    k >>= w
+                    acc = acc * row[k & mask] % r
+                yield acc
 
-        return key
+        return sweep
 
 
 @dataclass(frozen=True)
@@ -527,9 +542,12 @@ class CurveGroup(CyclicGroup):
     def sweep_keys(self, e):
         self._check(e)
         if e.data is None:  # the comb has nothing to add: every key is O's
-            return lambda k, key=self._encode(None): key
+            return lambda start, ratio, count: repeat(self._encode(None),
+                                                      count)
         table, w = self._comb_table(e.data)
-        return lambda k: self._encode(self._comb_mul(k, table, w))
+        return lambda start, ratio, count: (
+            self._encode(self._comb_mul(k, table, w))
+            for k in _scalars(start, ratio, count, self.order))
 
     def _contains_data(self, data):
         if data is None:
@@ -569,9 +587,10 @@ class CountingGroup:
     """A counting layer: counts add and scalar_mul calls made through it.
 
     Solvers drive every group operation through the group object, so
-    wrapping one lets tests audit step counts independently.  A sweep key
-    is one counted scalar_mul and one encode, which subclasses may extend;
-    everything else passes through uncounted.
+    wrapping one lets tests audit step counts independently.  Its sweep
+    is the generic loop: each key is one counted scalar_mul and one
+    encode, which subclasses may extend; everything else passes through
+    uncounted.
     """
 
     def __init__(self, inner):
@@ -598,7 +617,10 @@ class CountingGroup:
         return self.inner.encode(e)
 
     def sweep_keys(self, e):
-        return lambda k: self.encode(self.scalar_mul(k, e))
+        self._check(e)
+        return lambda start, ratio, count: (
+            self.encode(self.scalar_mul(k, e))
+            for k in _scalars(start, ratio, count, self.order))
 
     def reset(self):
         self.scalar_muls = 0

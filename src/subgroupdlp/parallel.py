@@ -2,8 +2,8 @@
 
 One thread decides x in H at cost ~2*sqrt(d).  The campaign runs m threads
 that re-randomize the key by uniform units y_i: thread i decides whether
-z_i = x * y_i mod p lies in H by the baby sweep (y_i * zeta^b) * Q, read
-from the one `sweep_keys(Q)` function all threads share, and a hit yields
+z_i = x * y_i mod p lies in H by the baby sweep (y_i * zeta^b) * Q, run
+by the instance's one prepared sweep of Q (`sweep_q`), and a hit yields
 x = z_i * y_i^{-1} mod p, accepted once x*P == Q.  The giant table depends
 only on (group, P, H) and its step, so it is built once; each thread
 streams its own baby sweep against it (the independent-thread collision
@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from math import expm1, isqrt, log1p
 
-# bench/tracing.py patches giant_encodings and solve_in_subgroup by name here
+# bench/tracing.py reads and wraps giant_encodings and solve_in_subgroup here
 from .bsgs import (DlpInstance, Found, _baby_sweep, _check_solvable,
                    giant_encodings, kept_giant, solve_in_subgroup)
 from .factoring import factor, subgroup_generator
@@ -136,18 +136,16 @@ def randomized_solve(instance, H, config):
     Returns a CampaignResult whose success is None when every thread
     reported NotInSubgroup (or hit its step cap).  Thread i is the B-key
     baby sweep of Q started at y_i against the kept giant table of step
-    B; all of them read one `sweep_keys(Q)` function.
+    B; all of them run the instance's one prepared sweep of Q.
     """
     _check_solvable(instance, H)
-    group, P, Q, p = instance.group, instance.P, instance.Q, instance.p
+    p = instance.p
     ys = draw_multipliers(p, config.m, config.seed)
     B = baby_keys(p, H.d, config.m)
-    table, setup_steps = kept_giant(group, P, H, step=B)
-    key = group.sweep_keys(Q)
+    table, setup_steps = kept_giant(instance.group, instance.P, H, step=B)
     result = CampaignResult(total_steps=setup_steps)
     for i, y in enumerate(ys):
-        verdict = _baby_sweep(group, P, Q, key, H, table, y, B, B,
-                              config.step_cap)
+        verdict = _baby_sweep(instance, H, table, y, B, B, config.step_cap)
         result.threads_run += 1
         result.total_steps += verdict.steps
         result.per_thread_steps.append(verdict.steps)

@@ -16,6 +16,7 @@ from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
+from subgroupdlp.parallel import CampaignConfig, randomized_solve
 
 G31 = AdditiveOracleGroup(31)
 H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
@@ -244,9 +245,7 @@ def test_a_capped_baby_sweep_stops_at_its_cap():
 
     def sweep(x, cap):
         instance = _instance(G31, x)
-        return _baby_sweep(G31, instance.P, instance.Q,
-                           G31.sweep_keys(instance.Q), H5, table, 1, 3, 4,
-                           cap)
+        return _baby_sweep(instance, H5, table, 1, 3, 4, cap)
 
     assert sweep(3, None) == sweep(3, 4) == NotInSubgroup(steps=4)
     assert sweep(3, 3) == Undecided(steps=3)
@@ -268,9 +267,8 @@ def test_shared_giant_encodings():
         n = isqrt(d) + 1
         assert cost == n + 1
         zeta_n = pow(H.zeta.value, n, p)
-        for a in range(n + 1):  # the oracle group encodes k*1 as k
-            key = group.encode(group.element(pow(zeta_n, a, p)))
-            hit = table[key]
+        for a in range(n + 1):  # the oracle group keys k*1 by the int k
+            hit = table[pow(zeta_n, a, p)]
             assert a in (hit if isinstance(hit, tuple) else (hit,))
         # a shared table is charged at its cost, so the shared solve reads
         # the fresh solve's verdict and steps, under any cap: below the
@@ -313,11 +311,42 @@ def test_a_counting_layer_keeps_its_own_tables():
     H = subgroup_generator(211, 30)
     kept = kept_giant(inner, inner.generator, H)
     counted = kept_giant(counter, counter.generator, H)
-    assert counted is not kept and counted == kept
+    assert counted is not kept and counted[1] == kept[1]
+    # the layer keys by encodings, the group by its ints
+    assert counted[0] == {inner.encode(inner.element(k)): a
+                          for k, a in kept[0].items()}
     assert counter.scalar_muls == counted[1]   # built through the layer
     assert kept_giant(counter, counter.generator, H) is counted
     assert kept_giant(inner, inner.generator, H) is kept
     assert counter.scalar_muls == counted[1]   # and only once
+
+
+def test_both_sides_of_a_search_are_keyed_by_one_group_object():
+    # keys are canonical only within one group object: a counting layer
+    # over G sweeps Q through its own encodings, so it must build and read
+    # its own tables and never G's int-keyed ones
+    inner = AdditiveOracleGroup(211)
+    H = subgroup_generator(211, 30)
+    x = pow(H.zeta.value, 7, 211)
+    plain = _instance(inner, x)
+    kept = kept_giant(inner, plain.P, H)
+    found = solve_in_subgroup(plain, H, shared_giant=kept)
+    config = CampaignConfig(m=4, seed=1)
+    campaign = randomized_solve(plain, H, config)
+    counter = CountingGroup(inner)
+    counted = _instance(counter, x)
+    counter.reset()
+    assert solve_in_subgroup(counted, H, shared_giant=kept_giant(
+        counter, counted.P, H)) == found
+    assert randomized_solve(counted, H, config) == campaign
+    assert all(type(k) is int for k in kept[0])
+    for table, _ in vars(counter)["_kept_giants"].values():
+        assert all(type(k) is bytes for k in table)
+    # the layer built both of its tables: every step charged is a counted
+    # multiply, plus the two verifications
+    assert len(vars(counter)["_kept_giants"]) == 2
+    assert counter.scalar_muls == (found.steps + 1 + campaign.total_steps
+                                   + campaign.found)
 
 
 def test_duplicate_giant_keys_keep_every_a():

@@ -511,3 +511,28 @@ def test_console_entry_point():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "30 = 2 * 3 * 5"
+
+
+HASHLIB_PROBE = """
+import contextlib, io, sys
+from subgroupdlp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["solve", "--oracle-p", "65537", "--d", "4096", "--x", "61111"])
+    cli.main(["factor", "30"])
+    print("before", "hashlib" in sys.modules, file=sys.stderr)
+    cli.main(["solve", "--oracle-p", "65537", "--d", "4096", "--x", "12345",
+              "--m", "8", "--seed", "1"])
+    print("after", "hashlib" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_campaigns_import_hashlib():
+    # derive_seed imports hashlib (and OpenSSL) on first use, so a
+    # process that runs no campaign never loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HASHLIB_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["before", "False", "after", "True"]

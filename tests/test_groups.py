@@ -219,11 +219,18 @@ def test_scalar_mul_matches_affine_reference_on_p256():
     assert group.scalar_mul(group.order - 1, G) == -G
 
 
+def key_of(group, point):
+    """The key a backend's sweep gives a point: the curve's encoding, or
+    the element's int on the oracle and multiplicative groups."""
+    return group.encode(point) if group.kind == "curve" else point.data
+
+
 def keys_agree_with_scalar_mul(group, base, scalars):
-    """sweep_keys(base)(k) against the encoded plain multiply, for each k."""
-    keys = group.sweep_keys(base)
+    """A one-key sweep of base from each k against the plain multiply."""
+    sweep = group.sweep_keys(base)
     for k in scalars:
-        assert keys(k) == group.encode(group.scalar_mul(k, base)), k
+        assert list(sweep(k, 1, 1)) == [key_of(group, group.scalar_mul(
+            k, base))], k
 
 
 def comb_agrees_with_plain_multiply(group, base, scalars):
@@ -284,7 +291,7 @@ def test_sweep_keys_of_the_identity_and_other_backends():
     group = CurveGroup(DESK)
     O = group.identity
     keys_agree_with_scalar_mul(group, O, range(-3, 10))
-    assert group.sweep_keys(O)(7) == group.encode(O) == b"\x00"
+    assert list(group.sweep_keys(O)(7, 3, 4)) == [b"\x00"] * 4
     oracle = AdditiveOracleGroup(31)
     for base in (oracle.generator, oracle.element(17), oracle.identity):
         keys_agree_with_scalar_mul(oracle, base, range(-3, oracle.order + 3))
@@ -296,28 +303,62 @@ def test_sweep_keys_of_the_identity_and_other_backends():
     with pytest.raises(ValueError):
         oracle.sweep_keys(AdditiveOracleGroup(37).generator)
     counter = CountingGroup(group)
-    keys = counter.sweep_keys(group.generator)
+    sweep = counter.sweep_keys(group.generator)
     assert counter.scalar_muls == 0
-    assert keys(5) == group.encode(group.scalar_mul(5, group.generator))
+    assert list(sweep(5, 1, 1)) == [group.encode(group.scalar_mul(
+        5, group.generator))]
     assert counter.scalar_muls == 1
+
+
+SWEPT = {
+    "oracle": lambda: AdditiveOracleGroup(211),
+    "multiplicative": lambda: MultiplicativeGroup(227, 4, 113),
+    "curve": lambda: CurveGroup(DESK),
+}
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+@pytest.mark.parametrize("backend", sorted(SWEPT))
+def test_sweep_keys_are_equal_exactly_when_points_are(backend, counted):
+    inner = SWEPT[backend]()
+    group = CountingGroup(inner) if counted else inner
+    p = group.order
+    zeta = find_primitive_root(p, factor(p - 1)).value
+    rng = random.Random(p)
+    G = group.generator
+    for base in (G, group.scalar_mul(rng.randrange(2, p), G), group.identity):
+        sweep = group.sweep_keys(base)
+        # a primitive ratio runs through every unit and wraps round, -1
+        # repeats two points, and 0 sends every point after the first to O
+        for start, ratio, count in ((1, zeta, p + 3), (5, p - 1, 6),
+                                    (rng.randrange(1, p), 0, 3)):
+            points = [group.scalar_mul(start * pow(ratio, i, p), base)
+                      for i in range(count)]
+            keys = list(sweep(start, ratio, count))
+            assert len(set(keys)) == len(set(points)) == \
+                len(set(zip(keys, points)))
+            # the counting layer runs the generic loop, encode(scalar_mul)
+            assert keys == [inner.encode(P) if counted else key_of(inner, P)
+                            for P in points]
+        assert list(sweep(3, zeta, 0)) == []
+    with pytest.raises(ValueError):
+        group.sweep_keys(AdditiveOracleGroup(101).generator)
 
 
 @pytest.mark.parametrize("group", [
     AdditiveOracleGroup(65537), MultiplicativeGroup(227, 4, 113),
     CurveGroup(DESK)], ids=lambda g: g.kind)
 def test_keys_of_a_multiple_are_keys_of_the_point(group):
-    # A campaign thread sweeps y*zeta^b through Q's keys in place of
-    # zeta^b through the keys of y*Q; both must give the same bytes.
+    # A campaign thread sweeps y*zeta^b through Q's sweep in place of
+    # zeta^b through the sweep of y*Q; both must give the same keys.
     p = group.order
     zeta = find_primitive_root(p, factor(p - 1)).value
     rng = random.Random(p)
     Q = group.scalar_mul(rng.randrange(2, p), group.generator)
-    keys = group.sweep_keys(Q)
+    sweep = group.sweep_keys(Q)
     for y in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
-        keys_of_yQ = group.sweep_keys(group.scalar_mul(y, Q))
-        for b in range(6):
-            t = pow(zeta, b, p)
-            assert keys(y * t % p) == keys_of_yQ(t), (y, b)
+        sweep_of_yQ = group.sweep_keys(group.scalar_mul(y, Q))
+        assert list(sweep(y, zeta, 6)) == list(sweep_of_yQ(1, zeta, 6)), y
 
 
 def power_table_agrees_with_pow(group, base, scalars):
@@ -325,12 +366,12 @@ def power_table_agrees_with_pow(group, base, scalars):
     rows = -(-group.order.bit_length() // POWER_WINDOW)
     assert [len(row) for row in group._power_rows(base.data)] == \
         [1 << POWER_WINDOW] * rows
-    keys = group.sweep_keys(base)
+    sweep = group.sweep_keys(base)
     for k in scalars:
         reference = group.element(pow(base.data, k % group.order,
                                       group.modulus))
-        assert keys(k) == group.encode(reference) == \
-            group.encode(group.scalar_mul(k, base)), k
+        assert list(sweep(k, 1, 1)) == [reference.data] == \
+            [group.scalar_mul(k, base).data], k
 
 
 @pytest.mark.parametrize("group", [
@@ -379,14 +420,18 @@ def test_power_table_rejects_foreign_elements_and_is_not_counted():
         with pytest.raises(ValueError):
             group.sweep_keys(foreign)
     # through the counting layer each key is one counted scalar_mul and
-    # one encode, and building the key function costs neither
+    # one encode, made as the key is read, and preparing the sweep costs
+    # neither
+    G = group.generator
     counter = EncodeCountingGroup(group)
-    keys = counter.sweep_keys(group.generator)
+    sweep = counter.sweep_keys(G)
     assert (counter.scalar_muls, counter.encodes) == (0, 0)
-    for k in range(1, 6):
-        assert keys(k) == group.sweep_keys(group.generator)(k) == \
-            group.encode(group.scalar_mul(k, group.generator))
-        assert (counter.scalar_muls, counter.encodes) == (k, k)
+    scalars = [pow(2, i, 11) for i in range(5)]
+    assert list(group.sweep_keys(G)(1, 2, 5)) == \
+        [group.scalar_mul(k, G).data for k in scalars]
+    for i, (k, key) in enumerate(zip(scalars, sweep(1, 2, 5)), 1):
+        assert key == group.encode(group.scalar_mul(k, G))
+        assert (counter.scalar_muls, counter.encodes) == (i, i)
 
 
 def test_cofactor_membership_is_the_prime_order_subgroup():
@@ -519,8 +564,8 @@ def test_counting_layer_passes_the_protocol_through(backend):
         assert clone.scalar_mul(2, e) == g.scalar_mul(2, e)
         assert clone.scalar_muls == 2
     assert counter.scalar_muls == 1
-    assert counter.sweep_keys(e)(9) == g.sweep_keys(e)(9) == \
-        g.encode(g.scalar_mul(9, e))
+    assert list(counter.sweep_keys(e)(9, 1, 1)) == \
+        [g.encode(g.scalar_mul(9, e))]
     assert (counter.scalar_muls, counter.adds) == (2, 1)
 
 

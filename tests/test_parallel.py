@@ -9,8 +9,8 @@ import pytest
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, solve_in_subgroup,
                               theorem_budget)
-from subgroupdlp.catalog import load_builtin
-from subgroupdlp.factoring import SubgroupSpec, subgroup_generator
+from subgroupdlp.catalog import audit_key, load_builtin, record_from_params
+from subgroupdlp.factoring import SubgroupSpec, factor, subgroup_generator
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
@@ -341,31 +341,56 @@ def test_single_worker_campaign_does_only_accounted_work():
 
 
 class KeyFunctionCounter(CountingGroup):
-    """A counting layer that also counts `sweep_keys` calls."""
+    """A counting layer that also records the points it prepares sweeps of."""
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.key_functions = 0
+        self.prepared = []
+
+    @property
+    def key_functions(self):
+        return len(self.prepared)
 
     def sweep_keys(self, e):
-        self.key_functions += 1
+        self.prepared.append(e)
         return super().sweep_keys(e)
 
 
 @pytest.mark.parametrize("m", [1, 8, 64])
 def test_a_campaign_builds_two_key_functions(m):
-    # one for P's giant table and one for Q, read by every thread; the
-    # group keeps the table, so later campaigns build Q's alone
+    # one sweep of P for the giant table and one of Q, run by every
+    # thread; the group keeps the table and the instance Q's sweep, so
+    # later campaigns on the instance prepare none, and a fresh instance
+    # of the same key prepares Q's alone
     counter = KeyFunctionCounter(AdditiveOracleGroup(65537))
     instance = DlpInstance.from_secret(counter, 12345)
     H = subgroup_generator(65537, 4096)
     threads = []
     for seed in range(3):
-        counter.key_functions = 0
+        counter.prepared = []
         result = randomized_solve(instance, H, CampaignConfig(m=m, seed=seed))
-        assert counter.key_functions == (1 if seed else 2), (m, seed)
+        assert counter.key_functions == (0 if seed else 2), (m, seed)
         threads.append(result.threads_run)
-    assert m == 1 or max(threads) > 1  # several threads read Q's keys
+    assert m == 1 or max(threads) > 1  # several threads ran Q's sweep
+    counter.prepared = []
+    fresh = DlpInstance.from_secret(counter, 12345)
+    assert randomized_solve(fresh, H, CampaignConfig(m=m, seed=2)) == result
+    assert counter.prepared == [instance.Q]
+
+
+def test_a_two_subgroup_audit_prepares_one_sweep_of_q():
+    # a point-form audit over the default (d1, d2) pair searches Q in two
+    # subgroups; both baby sweeps run the instance's one sweep of Q, so a
+    # curve builds one comb table of Q, not one per subgroup
+    params = desk_curve()
+    rec = record_from_params(params, factor(params.order - 1))
+    counter = KeyFunctionCounter(rec.group)
+    object.__setattr__(rec, "group", counter)  # the record's cached group
+    Q = counter.scalar_mul(1130, counter.generator)
+    report = audit_key(rec, point=Q)
+    assert [e.status for e in report.entries] == ["member", "non-member"]
+    assert counter.prepared.count(Q) == 1
+    assert counter.prepared.count(counter.generator) == 2  # a table each
 
 
 def test_campaign_success_internals():
@@ -495,8 +520,8 @@ def test_a_corrupt_power_table_never_yields_a_wrong_answer(corrupt):
     # no table, so none of them may be accepted.
     group = CorruptPowerTables(corrupt)
     P = group.generator
-    keys = group.sweep_keys(P)
-    assert [keys(k) == group.encode(group.scalar_mul(k, P))
+    sweep = group.sweep_keys(P)
+    assert [list(sweep(k, 1, 1)) == [group.scalar_mul(k, P).data]
             for k in range(1, 113)].count(False) > 50
 
     def correct(x, Q):
