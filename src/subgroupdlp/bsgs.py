@@ -57,6 +57,7 @@ class DlpInstance:
     statement; it is not stored, so it cannot disagree with the group.
     `sweep_q` is `group.sweep_keys(Q)`, prepared on first use and kept
     with the instance, so every baby sweep of Q reads one preparation.
+    Q = O (x = 0, not a unit) raises DegenerateKeyError.
     """
 
     group: object
@@ -76,6 +77,8 @@ class DlpInstance:
             raise ValueError("P and Q must be members of the group")
         if self.P.is_identity():
             raise ValueError("P must generate the group, not be the identity")
+        if self.Q.is_identity():
+            raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
 
     @classmethod
     def from_secret(cls, group, x):
@@ -113,27 +116,24 @@ def theorem_budget(d):
     return 2 * (isqrt(d) + 2)
 
 
-def giant_encodings(group, P, H, cap=None, step=None):
+def giant_encodings(group, P, H, step=None):
     """The giant table of (group, P, H, step) and the multiplies it cost.
 
     The table maps the sweep key of (zeta^s)^a * P to a, for a = 0 ..
     ceil(d/s) - 1 when `step` = s is given (a campaign's split, against s
     baby keys), and for a = 0..n with s = n = isqrt(d) + 1 when it is not
-    (a single solve's).  A key met again (zeta^s has order <= the last a,
-    or a spec's zeta does not have the order it claims) keeps every a, as
-    a tuple in increasing order, so a candidate that fails verification
-    does not hide the next one.  A `cap` below the cost builds only the
-    first `cap` keys; the cost returned is still the whole table's.
+    (a single solve's).  A key met again (zeta^s has order <= the last a)
+    keeps every a, as a tuple in increasing order, so a candidate that
+    fails verification does not hide the next one.
     """
     if step is None:
         step = isqrt(H.d) + 1
         count = step + 1
     else:
         count = -(-H.d // step)
-    built = count if cap is None else min(count, cap)
     table = {}
     for a, key in enumerate(group.sweep_keys(P)(
-            1, pow(H.zeta.value, step, H.p), built)):
+            1, pow(H.zeta.value, step, H.p), count)):
         if table.setdefault(key, a) != a:
             first = table[key]
             table[key] = (first if type(first) is tuple else (first,)) + (a,)
@@ -181,12 +181,10 @@ def _baby_sweep(instance, H, table, y, step, count, cap=None):
 
 
 def _check_solvable(instance, H):
-    """The entry checks shared by a single solve and a campaign."""
+    """The entry check shared by a single solve and a campaign."""
     if H.p != instance.p:
         raise ValueError("subgroup lives mod %d, instance mod %d"
                          % (H.p, instance.p))
-    if instance.Q.is_identity():
-        raise DegenerateKeyError("Q is the identity; x = 0 is not a unit")
 
 
 def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
@@ -204,16 +202,17 @@ def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     `kept_giant(instance.group, instance.P, H)`, built once elsewhere:
     the solve then runs only the baby sweep, but charges `cost` in
     `steps` and `step_cap` as if it had built the table, so its verdict
-    and steps are those of a fresh solve.
+    and steps are those of a fresh solve.  A `step_cap` below the table's
+    cost returns Undecided before any multiply.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
-    table, giant_steps = shared_giant or giant_encodings(
-        instance.group, instance.P, H, step_cap)
-    if step_cap is not None and step_cap < giant_steps:
-        return Undecided(step_cap)
-    cap = None if step_cap is None else step_cap - giant_steps
     n = isqrt(H.d) + 1
+    if step_cap is not None and step_cap < n + 1:
+        return Undecided(step_cap)
+    table, giant_steps = shared_giant or giant_encodings(
+        instance.group, instance.P, H)
+    cap = None if step_cap is None else step_cap - giant_steps
     verdict = _baby_sweep(instance, H, table, 1, n, n + 1, cap=cap)
     return replace(verdict, steps=giant_steps + verdict.steps)

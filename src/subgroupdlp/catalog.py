@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .bsgs import (DegenerateKeyError, DlpInstance, Found, kept_giant,
-                   solve_in_subgroup, theorem_budget)
-from .factoring import (FactoredInteger, find_primitive_root,
+from .bsgs import (DlpInstance, Found, kept_giant, solve_in_subgroup,
+                   theorem_budget)
+from .factoring import (FactoredInteger, check_divisor, find_primitive_root,
                         subgroup_generator)
 from .field import is_probable_prime
 from .groups import AdditiveOracleGroup, CurveGroup
@@ -320,9 +320,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
     if subgroups is None:
         subgroups = (rec.d1, rec.d2)
     for d in subgroups:
-        if d < 1 or (rec.p - 1) % d:
-            raise ValueError("d = %d does not divide p-1 = %d"
-                             % (d, rec.p - 1))
+        check_divisor(rec.p, d)
 
     if point is not None:
         if rec.params is None:
@@ -333,38 +331,29 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         instance = DlpInstance(group=group, P=group.generator, Q=point)
         mechanism = "point"
     else:
-        if x % rec.p == 0:
-            raise DegenerateKeyError("x = 0 mod p has no unit representative")
         group = rec.oracle_group
         instance = DlpInstance(group=group, P=group.generator,
                                Q=group.element(x % rec.p))
         mechanism = "scalar"
 
-    root = rec.primitive_root
     entries = []
     for d in subgroups:
         required = theorem_budget(d)
-        if required > budget:
-            entries.append(SubgroupCheck(
-                d=d, log2_d=int_log2(d), required_steps=required,
-                feasible=False, status="infeasible", steps=0,
-                mechanism=mechanism))
-            continue
-        H = subgroup_generator(rec.p, d, generator=root)
-        # budget >= theorem_budget(d) covers the whole search: no cap binds
-        verdict = solve_in_subgroup(
-            instance, H, shared_giant=kept_giant(group, instance.P, H))
+        feasible, status, steps = required <= budget, "infeasible", 0
+        if feasible:
+            H = subgroup_generator(rec.p, d, generator=rec.primitive_root)
+            # budget >= theorem_budget(d) covers the whole search: no cap binds
+            verdict = solve_in_subgroup(
+                instance, H, shared_giant=kept_giant(group, instance.P, H))
+            status = "member" if isinstance(verdict, Found) else "non-member"
+            steps = verdict.steps
         entries.append(SubgroupCheck(
-            d=d, log2_d=int_log2(d), required_steps=required, feasible=True,
-            status="member" if isinstance(verdict, Found) else "non-member",
-            steps=verdict.steps, mechanism=mechanism))
-    statuses = {e.status for e in entries}
-    if "member" in statuses:
-        recommendation = "discard"
-    elif "non-member" in statuses:
-        recommendation = "keep"
-    else:
-        recommendation = "inconclusive"
+            d=d, log2_d=int_log2(d), required_steps=required,
+            feasible=feasible, status=status, steps=steps,
+            mechanism=mechanism))
+    recommendation = ("discard" if any(e.status == "member" for e in entries)
+                      else "keep" if any(e.feasible for e in entries)
+                      else "inconclusive")
     return KeyAuditReport(curve=rec.name, budget=budget,
                           entries=tuple(entries),
                           recommendation=recommendation)

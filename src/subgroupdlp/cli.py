@@ -8,8 +8,9 @@ incomplete factorization), 2 for any usage or runtime error.
 
 All numeric arguments accept decimal or 0x-prefixed hex.  `--seed` pins
 every random choice, so sequential runs are exactly reproducible.
-`--curve` and audit's target each take a built-in name, `desk` or a
-curve file, also looked up under $SUBGROUPDLP_DATA_DIR.
+solve's and keycheck's `--curve` and audit's target each take a built-in
+name, `desk` or a curve file, also looked up under $SUBGROUPDLP_DATA_DIR;
+prob-table's `--curve` takes a built-in name only.
 """
 
 import argparse
@@ -23,8 +24,8 @@ from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
-from .factoring import (DEFAULT_RHO_BUDGET, factor, nearest_divisor,
-                        subgroup_generator)
+from .factoring import (DEFAULT_RHO_BUDGET, check_divisor, factor,
+                        nearest_divisor, subgroup_generator)
 from .field import parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
                      CurveParams, desk_curve, load_curve_file)
@@ -226,9 +227,7 @@ def cmd_prob_table(args):
         if args.d_list is not None:
             divisors = [parse_int(tok) for tok in args.d_list.split(",")]
             for d in divisors:
-                if d < 1 or (p - 1) % d:
-                    raise CommandError("d = %d does not divide p-1 = %d"
-                                       % (d, p - 1))
+                check_divisor(p, d)
         else:
             if args.curve:
                 factored = load_builtin(args.curve).factors

@@ -135,11 +135,12 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     Trial division strips all primes below TRIAL_BOUND; Pollard rho (with
     at most `rho_budget` squarings in total, its polynomials drawn from a
     generator seeded by n) handles the rest.  A residual the budget cannot
-    split is reported honestly via complete=False.
+    split is reported honestly via complete=False.  The generator is only
+    seeded once rho is needed, so small n cost trial division alone.
     """
     if n < 1:
         raise ValueError("can only factor positive integers, got %d" % n)
-    rng = random.Random(n & 0xFFFFFFFF)
+    rng = None
     counts = {}
     m = n
     for p in _trial_primes():
@@ -158,6 +159,7 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
                 # below the trial bound squared, anything unsplit is prime
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
+            rng = rng or random.Random(n & 0xFFFFFFFF)
             split = pollard_rho_brent(chunk, rng, max_iters=budget) \
                 if budget > 0 else None
             if split is None:
@@ -192,31 +194,39 @@ def find_primitive_root(p, factored):
     raise ValueError("no primitive root found; is %d really prime?" % p)
 
 
+def check_divisor(p, d):
+    """Raise ValueError unless d is a positive divisor of p-1."""
+    if d < 1 or (p - 1) % d:
+        raise ValueError("d = %d does not divide p-1 = %d" % (d, p - 1))
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """The unique order-d subgroup of (Z/pZ)*, carried by a generator zeta.
 
-    p is read from zeta's modulus, so the two cannot disagree.
+    p is read from zeta's modulus, so the two cannot disagree.  Construction
+    proves that zeta has order exactly d -- zeta^d = 1 and zeta^(d/q) != 1
+    for each prime q | d, from `factor(d)` -- and raises ValueError if it
+    does not (or if d cannot be completely factored), so a search over a
+    spec covers every zeta^k and its "no" is sound.
     """
 
     d: int
     zeta: Residue
 
+    def __post_init__(self):
+        z, d, p = self.zeta.value, self.d, self.p
+        factored = factor(d)
+        if not factored.complete:
+            raise ValueError("cannot completely factor d = %d" % d)
+        if pow(z, d, p) != 1 or any(pow(z, d // q, p) == 1
+                                    for q, _ in factored.factors):
+            raise ValueError("zeta = %d does not have order %d mod %d"
+                             % (z, d, p))
+
     @property
     def p(self):
         return self.zeta.modulus
-
-    def verify(self, factored_d=None):
-        """zeta has order exactly d: zeta^d = 1 and zeta^(d/q) != 1 for q | d."""
-        z = self.zeta.value
-        if pow(z, self.d, self.p) != 1:
-            return False
-        if factored_d is None:
-            factored_d = factor(self.d)
-        if not factored_d.complete or factored_d.n != self.d:
-            raise ValueError("need the complete factorization of d")
-        return all(pow(z, self.d // q, self.p) != 1
-                   for q, _ in factored_d.factors)
 
     def elements(self):
         """Explicit enumeration {zeta^k}; desk scale only."""
@@ -235,10 +245,10 @@ def subgroup_generator(p, d, generator=None, factored=None):
 
     `generator` is a primitive root mod p, as `find_primitive_root` returns
     it (found via `factored`, the factorization of p-1, when omitted --
-    desk scale only for the latter).
+    desk scale only for the latter).  A `generator` that is not primitive
+    yields a zeta of order below d, which the spec refuses.
     """
-    if d < 1 or (p - 1) % d:
-        raise ValueError("d = %d does not divide p-1 = %d" % (d, p - 1))
+    check_divisor(p, d)
     if generator is None:
         if factored is None:
             factored = factor(p - 1)

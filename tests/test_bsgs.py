@@ -370,21 +370,48 @@ def test_trivial_subgroup():
 
 
 def test_verification_gate_rejects_bogus_collisions():
-    # zeta = 25 has true order 3 mod 31; claiming d = 4 makes the first
-    # collision recover zeta^3 = 1 instead of the real exponent.  The
-    # re-verification multiply must reject it and let the sweep continue.
-    H_lying = SubgroupSpec(d=4, zeta=Residue(25, 31))
-    assert pow(25, 3, 31) == 1
-    result = solve_in_subgroup(_instance(G31, 5), H_lying)
-    assert result == Found(x=Residue(5, 31), a=1, b=1, steps=6)
+    # a shared table that proposes a wrong a before the right one at every
+    # key: the first collision (b = 0, a = 2) recovers zeta^6 = 2 instead
+    # of 8.  The re-verification multiply must reject it and go on to a = 1.
+    group = CountingGroup(G31)
+    instance = _instance(group, 8)
+    table, cost = giant_encodings(group, group.generator, H5)
+    bogus = {key: ((a + 1) % len(table), a) for key, a in table.items()}
+    group.reset()
+    result = solve_in_subgroup(instance, H5, shared_giant=(bogus, cost))
+    assert result == Found(x=Residue(8, 31), a=1, b=0, steps=cost + 1)
+    # one baby key, then the rejected and the accepted verification
+    assert group.scalar_muls == 3
+
+
+def test_a_spec_that_lies_about_its_order_cannot_be_built():
+    # 2 has order 5 mod 31: a search over either spec claiming order 10
+    # would call x = 30 = -1, a member, a non-member
+    with pytest.raises(ValueError, match="does not have order 10"):
+        SubgroupSpec(d=10, zeta=Residue(2, 31))
+    with pytest.raises(ValueError, match="does not have order 10"):
+        subgroup_generator(31, 10, generator=Residue(2, 31))
+    found = solve_in_subgroup(_instance(G31, 30), subgroup_generator(31, 10))
+    assert isinstance(found, Found) and found.x == Residue(30, 31)
+
+
+def test_a_cap_below_the_table_cost_multiplies_nothing():
+    # the giant table costs n + 1 = 4 multiplies; a cap of 3 cannot pay
+    # for it, so the solve stops before building any of it
+    group = CountingGroup(G31)
+    instance = _instance(group, 3)
+    group.reset()
+    assert solve_in_subgroup(instance, H5, step_cap=3) == Undecided(steps=3)
+    assert group.scalar_muls == 0
 
 
 def test_degenerate_key_raises():
-    group = G31
-    instance = DlpInstance(group=group, P=group.generator,
-                           Q=group.identity)
-    with pytest.raises(DegenerateKeyError):
-        solve_in_subgroup(instance, H5)
+    # Q = O is refused where the instance is built, on every backend
+    for group in (G31, CountingGroup(G31), CurveGroup(desk_curve())):
+        with pytest.raises(DegenerateKeyError):
+            DlpInstance(group=group, P=group.generator, Q=group.identity)
+        with pytest.raises(DegenerateKeyError):
+            DlpInstance.from_secret(group, group.order)
 
 
 def test_subgroup_modulus_mismatch():

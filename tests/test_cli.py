@@ -203,8 +203,12 @@ def test_bad_exponent_ranges_exit_2(run, spec):
 
 
 def test_solve_degenerate_exponent(run):
-    code, _, err = run("solve", "--oracle-p", "31", "--d", "5", "--x", "0")
-    assert code == 2 and "error:" in err
+    # x = 0 is refused where the instance is built, by solve and keycheck
+    for argv in (("solve", "--oracle-p", "31", "--d", "5", "--x", "0"),
+                 ("keycheck", "--curve", "desk", "--x", "0")):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: Q is the identity; x = 0 is not a unit\n"
 
 
 def test_solve_on_desk_curve_by_name(run):

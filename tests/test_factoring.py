@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from subgroupdlp import factoring
 from subgroupdlp.catalog import builtin_names, load_builtin
 from subgroupdlp.factoring import (FactoredInteger, SubgroupSpec, divisors,
                                    factor, find_primitive_root,
@@ -165,13 +166,12 @@ def test_subgroup_generator_orders():
     for d in (1, 2, 3, 5, 6, 10, 15, 30):
         spec = subgroup_generator(p, d)
         assert spec.d == d and spec.p == p
-        assert spec.verify()
         # order exactly d, checked by enumeration
         elems = spec.elements()
         assert len(elems) == d
         assert all(pow(x, d, p) == 1 for x in elems)
-    with pytest.raises(ValueError):
-        subgroup_generator(31, 7)   # 7 does not divide 30
+    with pytest.raises(ValueError, match=r"^d = 7 does not divide p-1 = 30$"):
+        subgroup_generator(31, 7)
     with pytest.raises(ValueError):
         subgroup_generator(31, 0)
     with pytest.raises(ValueError):
@@ -180,14 +180,40 @@ def test_subgroup_generator_orders():
         subgroup_generator(31, 5, generator=Residue(3, 37))  # wrong modulus
 
 
-def test_subgroup_spec_verify_rejects_wrong_order():
-    # element of order 5 presented as an order-10 generator
-    bad = subgroup_generator(31, 5)
-    lying = type(bad)(d=10, zeta=bad.zeta)
-    assert not lying.verify()
-    # element whose power is not even 1
-    lying2 = type(bad)(d=7, zeta=bad.zeta)
-    assert not lying2.verify()
+def test_subgroup_spec_rejects_wrong_order(monkeypatch):
+    # an element of order 5 presented as an order-10 generator, and as an
+    # order-7 one, whose 7th power is not even 1: construction refuses both
+    zeta = subgroup_generator(31, 5).zeta
+    for d in (10, 7):
+        with pytest.raises(ValueError, match="does not have order %d" % d):
+            SubgroupSpec(d=d, zeta=zeta)
+    # without every prime of d the order is unproved, so it is refused too
+    monkeypatch.setattr(factoring, "factor", lambda n: FactoredInteger(
+        n=n, factors=[], complete=False, residual=n))
+    with pytest.raises(ValueError, match="cannot completely factor d = 5"):
+        SubgroupSpec(d=5, zeta=zeta)
+
+
+def test_subgroup_spec_builds_exactly_when_zeta_has_order_d():
+    # brute force: the order of z by repeated multiplication.  Half the z
+    # are drawn from the order-d subgroup, so order d is common.
+    rng = random.Random(23)
+    primes = [q for q in range(3, 3000) if is_probable_prime(q)]
+    for _ in range(400):
+        p = rng.choice(primes)
+        d = rng.choice(divisors(factor(p - 1)))
+        z = rng.randrange(1, p)
+        if rng.random() < 0.5:
+            z = pow(z, (p - 1) // d, p)
+        order, acc = 1, z
+        while acc != 1:
+            order, acc = order + 1, acc * z % p
+        try:
+            SubgroupSpec(d=d, zeta=Residue(z, p))
+            built = True
+        except ValueError:
+            built = False
+        assert built == (order == d), (p, d, z, order)
 
 
 def test_subgroup_spec_p_is_read_from_zeta():
@@ -199,9 +225,9 @@ def test_subgroup_spec_p_is_read_from_zeta():
 
 
 def test_subgroup_elements_refuses_huge_enumeration():
-    # the guard reads d alone, so zeta need not have that order
-    spec = SubgroupSpec(d=(1 << 22) + 1, zeta=Residue(3, 65537))
-    with pytest.raises(ValueError):
+    # 167772161 = 5 * 2^25 + 1, so the order-2^23 subgroup exists
+    spec = subgroup_generator(167772161, 1 << 23)
+    with pytest.raises(ValueError, match="refusing to enumerate"):
         spec.elements()
 
 

@@ -454,9 +454,9 @@ def test_config_validation():
 
 
 def test_degenerate_target_raises():
-    instance = DlpInstance.from_secret(G31, 0)  # Q = identity
+    # Q = identity: no campaign can be given such an instance
     with pytest.raises(DegenerateKeyError):
-        randomized_solve(instance, H5, CampaignConfig(m=2))
+        DlpInstance.from_secret(G31, 0)
 
 
 def test_modulus_mismatch_raises():
