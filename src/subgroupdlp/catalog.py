@@ -67,7 +67,13 @@ class CurveRecord:
 
     @cached_property
     def group(self):
-        """The validated CurveGroup of `params` (ValueError if invalid)."""
+        """The validated CurveGroup of `params`: ValueError if they are
+        invalid, or absent as on every built-in (the one refusal of
+        point-form work)."""
+        if self.params is None:
+            raise ValueError(self.name + " carries no point parameters, "
+                             "which point-form work needs: use desk or a "
+                             "curve file")
         return CurveGroup(self.params)
 
     @cached_property
@@ -323,10 +329,6 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         check_divisor(rec.p, d)
 
     if point is not None:
-        if rec.params is None:
-            raise ValueError(
-                "record %s has no curve parameters; point-form audit needs "
-                "a curve file" % rec.name)
         group = rec.group
         instance = DlpInstance(group=group, P=group.generator, Q=point)
         mechanism = "point"

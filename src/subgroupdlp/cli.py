@@ -8,9 +8,9 @@ incomplete factorization), 2 for any usage or runtime error.
 
 All numeric arguments accept decimal or 0x-prefixed hex.  `--seed` pins
 every random choice, so sequential runs are exactly reproducible.
-solve's and keycheck's `--curve` and audit's target each take a built-in
-name, `desk` or a curve file, also looked up under $SUBGROUPDLP_DATA_DIR;
-prob-table's `--curve` takes a built-in name only.
+solve's, prob-table's and keycheck's `--curve` and audit's target each
+take a built-in name, `desk` or a curve file, also looked up under
+$SUBGROUPDLP_DATA_DIR.
 """
 
 import argparse
@@ -27,8 +27,8 @@ from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
 from .factoring import (DEFAULT_RHO_BUDGET, check_divisor, factor,
                         nearest_divisor, subgroup_generator)
 from .field import parse_int
-from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,
-                     CurveParams, desk_curve, load_curve_file)
+from .groups import (AdditiveOracleGroup, CountingGroup, desk_curve,
+                     load_curve_file)
 from .parallel import CampaignConfig, baby_keys, randomized_solve
 from .probability import build_table, estimate, int_log2
 
@@ -58,20 +58,23 @@ def _resolve_path(path):
 
 
 def _find_curve(name_or_path):
-    """A built-in record, or the CurveParams of 'desk' or of a curve file.
+    """The CurveRecord of a built-in name, of 'desk' or of a curve file.
 
-    The one curve resolver behind solve, keycheck and audit.
+    The one curve resolver behind solve, prob-table, keycheck and audit;
+    for desk and a file, p-1 is factored here.
     """
     if name_or_path.upper() in builtin_names():
         return load_builtin(name_or_path)
     if name_or_path.lower() == "desk":
-        return desk_curve()
-    path = _resolve_path(name_or_path)
-    if not os.path.exists(path):
-        raise CommandError(
-            "%r is neither a built-in curve (%s, desk) nor a readable file"
-            % (name_or_path, ", ".join(builtin_names())))
-    return load_curve_file(path)
+        params = desk_curve()
+    else:
+        path = _resolve_path(name_or_path)
+        if not os.path.exists(path):
+            raise CommandError(
+                "%r is neither a built-in curve (%s, desk) nor a readable "
+                "file" % (name_or_path, ", ".join(builtin_names())))
+        params = load_curve_file(path)
+    return record_from_params(params, factor(params.order - 1))
 
 
 def _parse_exponent_spec(spec):
@@ -98,20 +101,18 @@ def _parse_exponent_spec(spec):
 
 
 def _load_group(args):
+    """The group to search, and the factorization of p-1 for its order p."""
     if bool(args.oracle_p) == bool(args.curve):
         raise CommandError("pick exactly one of --oracle-p, --curve")
     if args.oracle_p:
-        return AdditiveOracleGroup(parse_int(args.oracle_p))
-    curve = _find_curve(args.curve)
-    if not isinstance(curve, CurveParams):
-        raise CommandError(
-            "built-in %s carries no point parameters; pass --curve desk or "
-            "a curve file for group arithmetic" % curve.name)
-    return CurveGroup(curve)
+        group = AdditiveOracleGroup(parse_int(args.oracle_p))
+        return group, factor(group.order - 1)
+    record = _find_curve(args.curve)
+    return record.group, record.factors
 
 
 def _parse_element(group, text):
-    if isinstance(group, CurveGroup):
+    if group.kind == "curve":  # also through a counting wrapper
         parts = text.split(",")
         if len(parts) != 2:
             raise CommandError("curve points are written as x,y")
@@ -119,11 +120,7 @@ def _parse_element(group, text):
     return group.element(parse_int(text))
 
 
-def _build_subgroup(args, p):
-    factored = factor(p - 1)
-    if not factored.complete:
-        raise CommandError("cannot factor p-1 at this scale; p too large "
-                           "for a desk-scale solve")
+def _build_subgroup(args, p, factored):
     if (args.d is None) == (args.target_bits is None):
         raise CommandError("pick exactly one of --d, --target-bits")
     if args.d is not None:
@@ -141,10 +138,10 @@ def _print_csv(header, rows):
 
 
 def cmd_solve(args):
-    base_group = _load_group(args)
+    base_group, factored = _load_group(args)
     group = CountingGroup(base_group) if args.count_ops else base_group
     p = group.order
-    H = _build_subgroup(args, p)
+    H = _build_subgroup(args, p, factored)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x (embed a known "
                            "exponent) or --q (target element)")
@@ -220,7 +217,11 @@ def cmd_prob_table(args):
     else:
         if (args.curve is None) == (args.p is None):
             raise CommandError("pick exactly one of --curve, --p")
-        p = load_builtin(args.curve).p if args.curve else parse_int(args.p)
+        if args.curve:
+            record = _find_curve(args.curve)
+            p, factored = record.p, record.factors
+        else:
+            p, factored = parse_int(args.p), None
         if (args.d_list is None) == (args.target_bits_list is None):
             raise CommandError(
                 "pick exactly one of --d-list, --target-bits-list")
@@ -229,9 +230,7 @@ def cmd_prob_table(args):
             for d in divisors:
                 check_divisor(p, d)
         else:
-            if args.curve:
-                factored = load_builtin(args.curve).factors
-            else:
+            if factored is None:
                 factored = factor(p - 1)
                 if not factored.complete:
                     raise CommandError("cannot factor p-1 within budget; "
@@ -252,19 +251,8 @@ def cmd_prob_table(args):
     return 0
 
 
-def _record_for(name_or_path):
-    curve = _find_curve(name_or_path)
-    if not isinstance(curve, CurveParams):
-        return curve
-    factored = factor(curve.order - 1)
-    if not factored.complete:
-        raise CommandError("cannot completely factor order-1 within budget; "
-                           "record would be unauditable")
-    return record_from_params(curve, factored)
-
-
 def cmd_audit(args):
-    record = _record_for(args.target)
+    record = _find_curve(args.target)
     report = verify_record(record)
     if args.format == "csv":
         _print_csv(*report.table())
@@ -276,23 +264,17 @@ def cmd_audit(args):
 def cmd_keycheck(args):
     if not args.curve:
         raise CommandError("--curve is required")
-    record = _record_for(args.curve)
+    record = _find_curve(args.curve)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x, --q")
+    x = None if args.x is None else parse_int(args.x)
+    point = None if args.q is None else _parse_element(record.group, args.q)
     subgroups = None
     if args.d:
         subgroups = [parse_int(tok) for tok in args.d.split(",")]
     budget = parse_int(args.budget) if args.budget else DEFAULT_AUDIT_BUDGET
-    if args.x is not None:
-        report = audit_key(record, x=parse_int(args.x), subgroups=subgroups,
-                           budget=budget)
-    else:
-        if record.params is None:
-            raise CommandError("point-form keycheck needs point parameters: "
-                               "--curve desk or a curve file")
-        point = _parse_element(record.group, args.q)
-        report = audit_key(record, point=point, subgroups=subgroups,
-                           budget=budget)
+    report = audit_key(record, x=x, point=point, subgroups=subgroups,
+                       budget=budget)
     if args.format == "csv":
         _print_csv(*report.table())
     else:
@@ -344,7 +326,8 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("prob-table", help="success-probability grids")
-    p.add_argument("--curve", help="use this built-in curve's group order")
+    p.add_argument("--curve", help="use this curve's group order: a built-in "
+                                   "name, 'desk' or a curve file")
     p.add_argument("--p", help="explicit group order")
     p.add_argument("--d-list", help="comma-separated divisors")
     p.add_argument("--target-bits-list",

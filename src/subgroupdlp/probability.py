@@ -173,6 +173,9 @@ class ProbabilityTable:
 def build_table(p, divisors, thread_exponents):
     """AttackEstimate grid over divisors x 2^exponents (either may be empty)."""
     _check(1, 0, p)  # p alone, since an empty grid has no cell to check it
+    for e in thread_exponents:
+        if e < 0:
+            raise ValueError("thread exponent must be >= 0, got %d" % e)
     rows = tuple(
         tuple(estimate(p, d, 1 << e) for d in divisors)
         for e in thread_exponents)

@@ -15,7 +15,7 @@ from subgroupdlp.factoring import (FactoredInteger, factor,
                                    find_primitive_root, subgroup_generator)
 from subgroupdlp.field import parse_int
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
-                                CurveGroup, CurveParams, desk_curve)
+                                CurveGroup, desk_curve)
 from subgroupdlp.probability import int_log2
 from test_groups import P256
 
@@ -379,8 +379,15 @@ def test_audit_argument_validation():
         audit_key(rec)  # neither form
     with pytest.raises(ValueError):
         audit_key(desk_rec, x=3, point=group.generator)  # both forms
-    with pytest.raises(ValueError):
-        audit_key(rec, point=group.generator)  # builtin has no params
+    # a builtin has no params: its group, the one refusal of point-form
+    # work, raises for audit_key too
+    no_points = ("P-192 carries no point parameters, which point-form work "
+                 "needs: use desk or a curve file")
+    for refused in (lambda: rec.group,
+                    lambda: audit_key(rec, point=group.generator)):
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == no_points
     with pytest.raises(ValueError,
                        match=r"^d = 7 does not divide p-1 = 1998$"):
         audit_key(desk_rec, x=3, subgroups=(7,))

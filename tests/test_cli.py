@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from subgroupdlp import catalog, cli
 from subgroupdlp.bsgs import theorem_budget
 from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
 from subgroupdlp.cli import DATA_DIR_ENV, build_parser, main
-from subgroupdlp.factoring import subgroup_generator
-from subgroupdlp.groups import CurveGroup, desk_curve, format_curve_params
+from subgroupdlp.factoring import FactoredInteger, subgroup_generator
+from subgroupdlp.groups import (CountingGroup, CurveGroup, desk_curve,
+                                format_curve_params)
 from subgroupdlp.parallel import draw_multipliers
 from subgroupdlp.probability import int_log2
 
@@ -217,10 +219,26 @@ def test_solve_on_desk_curve_by_name(run):
     assert "group: curve (order 1999)" in out
 
 
+# the one refusal of point-form work, made by the curve record
+NO_POINTS = ("error: P-256 carries no point parameters, which point-form "
+             "work needs: use desk or a curve file\n")
+
+
 def test_solve_named_builtin_has_no_points(run):
-    code, _, err = run("solve", "--curve", "P-256", "--d", "16", "--x", "5")
-    assert code == 2
-    assert "no point parameters" in err
+    assert run("solve", "--curve", "P-256", "--d", "16", "--x", "5") == \
+        (2, "", NO_POINTS)
+
+
+def test_an_unfactorable_curve_order_is_refused_by_the_record(
+        run, monkeypatch):
+    # desk, as if factor gave up on its p-1 = 1998
+    monkeypatch.setattr(cli, "factor", lambda n: FactoredInteger(
+        n=n, factors=[], complete=False, residual=n))
+    for argv in (("solve", "--curve", "desk", "--d", "27", "--x", "5"),
+                 ("keycheck", "--curve", "desk", "--x", "5"),
+                 ("audit", "desk")):
+        assert run(*argv) == (2, "", "error: need the complete "
+                              "factorization of order-1\n")
 
 
 def test_solve_curve_file_and_point_target(run, tmp_path):
@@ -300,6 +318,26 @@ def test_prob_table_rejects_non_divisors(run):
     code, out, _ = run("prob-table", "--p", "1999", "--d-list", "1,1998",
                        "--m-exponents", "1")
     assert code == 0 and "1.00000" in out
+
+
+def test_prob_table_refuses_a_negative_thread_exponent(run):
+    for spec, bad in (("-1", -1), ("-2:0", -2)):
+        code, out, err = run("prob-table", "--p", "65537", "--d-list", "16",
+                             "--m-exponents=" + spec)
+        assert (code, out) == (2, "")
+        assert err == "error: thread exponent must be >= 0, got %d\n" % bad
+
+
+def test_prob_table_resolves_curve_names_like_solve(run, tmp_path):
+    # desk and a desk curve file give the grid of their order p = 1999
+    path = tmp_path / "desk.curve"
+    path.write_text(format_curve_params(desk_curve()))
+    for divisors in (("--d-list", "27,37"), ("--target-bits-list", "5,9")):
+        grid = ("--m-exponents", "0:2") + divisors
+        expected = run("prob-table", "--p", "1999", *grid)
+        assert expected[0] == 0 and expected[1]
+        for curve in ("desk", str(path)):
+            assert run("prob-table", "--curve", curve, *grid) == expected
 
 
 def test_prob_table_usage_errors(run):
@@ -406,6 +444,20 @@ def test_keycheck_point_form_builds_one_group(run, tmp_path, monkeypatch):
     assert built == [params]
 
 
+def test_points_parse_in_a_wrapped_curve_group(run, monkeypatch):
+    # a record's group may come wrapped (a CountingGroup, as tracing
+    # does); its points are still read as x,y
+    monkeypatch.setattr(catalog, "CurveGroup",
+                        lambda params: CountingGroup(CurveGroup(params)))
+    params = desk_curve()
+    point = "%d,%d" % (params.gx, params.gy)  # x = 1
+    code, out, _ = run("keycheck", "--curve", "desk", "--q", point,
+                       "--d", "37")
+    assert code == 0 and "[point] member" in out
+    code, out, _ = run("solve", "--curve", "desk", "--d", "37", "--q", point)
+    assert code == 0 and "Found x = 1 " in out
+
+
 def test_keycheck_and_audit_know_the_desk_curve(run):
     # solve, keycheck and audit resolve curve names the same way
     params = desk_curve()
@@ -436,8 +488,8 @@ def test_keycheck_csv(run):
 def test_keycheck_usage_errors(run):
     assert run("keycheck", "--x", "1")[0] == 2          # no record source
     assert run("keycheck", "--curve", "P-256")[0] == 2  # no key
-    code, _, err = run("keycheck", "--curve", "P-256", "--q", "1,2")
-    assert code == 2 and "point-form" in err
+    assert run("keycheck", "--curve", "P-256", "--q", "1,2") == \
+        (2, "", NO_POINTS)
     code, out, err = run("keycheck", "--curve", "P-256", "--x", "2",
                          "--d", "16,--3")                  # doubled sign
     assert code == 2 and out == "" and "error:" in err

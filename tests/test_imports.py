@@ -1,0 +1,71 @@
+"""Every imported name is read: a stdlib `ast` scan of src/, tests/ and demos/.
+
+A name counts as read when the module loads it anywhere (a bare name or
+the root of an attribute chain), lists it in `__all__`, or is a package
+`__init__.py`, whose imports are its re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "demos")
+
+# parallel.py never reads these two: it imports them so that the
+# benchmark's tracer (bench/tracing.py) can wrap them as attributes of
+# subgroupdlp.parallel, which is how it times a campaign's searches.
+KEPT_FOR_TRACING = {
+    ("src/subgroupdlp/parallel.py", "giant_encodings"),
+    ("src/subgroupdlp/parallel.py", "solve_in_subgroup"),
+}
+
+
+def _bound_names(tree):
+    """(line, name) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _read_names(tree):
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def _unread_imports(source, rel):
+    """'file:line: name' for each import of `source` (at path `rel`) that
+    is never read."""
+    if rel.endswith("__init__.py"):
+        return []
+    tree = ast.parse(source, filename=rel)
+    read = _read_names(tree)
+    return ["%s:%d: %s" % (rel, line, name)
+            for line, name in _bound_names(tree)
+            if name not in read and (rel, name) not in KEPT_FOR_TRACING]
+
+
+def test_every_imported_name_is_read():
+    files = sorted(f for top in SCANNED for f in (ROOT / top).rglob("*.py"))
+    assert files
+    unread = [hit for f in files for hit in
+              _unread_imports(f.read_text(), f.relative_to(ROOT).as_posix())]
+    assert unread == []
+
+
+def test_the_scan_sees_an_unread_import():
+    source = ("import os.path\nfrom sys import argv, path as p, version\n"
+              "__all__ = ['argv']\n\n\ndef f():\n    return os.sep\n")
+    assert _unread_imports(source, "m.py") == ["m.py:2: p", "m.py:2: version"]
+    assert _unread_imports(source, "pkg/__init__.py") == []

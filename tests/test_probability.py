@@ -183,6 +183,15 @@ def test_input_validation():
         threads_for_probability(5, 30, 0.5)
 
 
+def test_build_table_refuses_a_negative_thread_exponent():
+    # 2^e threads: a negative e names no thread count
+    for exponents, bad in (((-1,), -1), ((0, 1, -2), -2)):
+        with pytest.raises(ValueError) as caught:
+            build_table(65537, (16,), exponents)
+        assert str(caught.value) == \
+            "thread exponent must be >= 0, got %d" % bad
+
+
 def test_int_log2():
     mpmath = pytest.importorskip("mpmath")
     assert int_log2(1) == 0.0
