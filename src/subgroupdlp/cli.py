@@ -80,23 +80,28 @@ def _find_curve(name_or_path):
 def _parse_exponent_spec(spec):
     """'45,50,52:56' -> [45, 50, 52, 53, 54, 55, 56]; '' -> [].
 
-    A range lo:hi or lo:hi:step needs lo <= hi and step >= 1.
+    Each number is decimal or 0x-prefixed hex.  A range lo:hi or lo:hi:step
+    needs lo <= hi and step >= 1.
     """
     out = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            pieces = [int(x) for x in part.split(":")]
-            if len(pieces) == 2:
-                pieces.append(1)
-            if len(pieces) != 3 or pieces[2] < 1 or pieces[0] > pieces[1]:
-                raise CommandError("bad exponent range %r" % part)
-            lo, hi, step = pieces
-            out.extend(range(lo, hi + 1, step))
-        else:
-            out.append(int(part))
+        try:
+            pieces = [parse_int(x) for x in part.split(":")]
+        except ValueError:
+            raise CommandError(
+                "bad exponent %r: not an integer" % part) from None
+        if len(pieces) == 1:
+            out.append(pieces[0])
+            continue
+        if len(pieces) == 2:
+            pieces.append(1)
+        if len(pieces) != 3 or pieces[2] < 1 or pieces[0] > pieces[1]:
+            raise CommandError("bad exponent range %r" % part)
+        lo, hi, step = pieces
+        out.extend(range(lo, hi + 1, step))
     return out
 
 
@@ -320,7 +325,7 @@ def build_parser():
     p.add_argument("--budget", help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=parse_int, default=0,
                    help="PRNG seed (sequential runs are reproducible)")
     add_format(p)
     p.set_defaults(func=cmd_solve)

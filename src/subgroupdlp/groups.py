@@ -236,13 +236,18 @@ class AdditiveOracleGroup(CyclicGroup):
                                                     count, self.order)
 
 
-# Digit bits of a multiplicative power table.  On the campaign
-# benchmark's group (129-bit r, 24-bit p; 2-vCPU Xeon, Python 3.11) a plain
-# pow takes ~15 us; at 4, 6 and 8 bits a table takes ~60, ~150 and ~350 us
-# to build and ~4.4, ~2.4 and ~2.1 us per multiply.  6 and 8 tie on the
-# campaign benchmark (17.9 and 17.8 campaigns/s, medians of 5 alternating
-# runs), so 6 keeps the smaller table.
-POWER_WINDOW = 6
+# Digit bits of a multiplicative power table.  Rows are 2^w entries each,
+# ceil(bits(p) / w) of them, and a key costs one multiply fewer than there
+# are rows, so K keys read from one preparation cost rows*2^w + K*(rows-1)
+# multiplies.  On the campaign benchmark's 24-bit p that is 256 + 3K at
+# w = 6, 768 + 2K at w = 8 (break-even K = 512), 3072 + 2K at w = 10 and
+# 8192 + K at w = 12 (ahead of 8 only past K ~ 7,400).  One preparation of
+# Q serves every thread's baby keys, ~2,900 per campaign there.  With its
+# 129-bit r (2-vCPU Xeon, Python 3.11.7) a plain pow takes ~10 us; at 6 and
+# 8 bits a preparation takes ~90 and ~230 us and a key ~1.2 and ~0.85 us
+# (timeit minima), and the campaign benchmark ran 1.29x the items/s at 8
+# (BENCH_25.json).
+POWER_WINDOW = 8
 
 
 class MultiplicativeGroup(CyclicGroup):
@@ -252,7 +257,9 @@ class MultiplicativeGroup(CyclicGroup):
     Schnorr-style subgroup plugs into the same solvers as a curve does.
     scalar_mul is the built-in pow; `sweep_keys` builds the point's power
     rows once and raises it by a product of row entries (Brickell, Gordon,
-    McCurley and Wilson 1992).
+    McCurley and Wilson 1992): ceil(bits(p) / POWER_WINDOW) rows of
+    2^POWER_WINDOW entries, and rows - 1 modular multiplies per key (two on
+    a 24-bit p).
     """
 
     kind = "multiplicative"

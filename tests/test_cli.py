@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,40 @@ def test_bad_exponent_ranges_exit_2(run, spec):
                          "--m-exponents", spec)
     assert code == 2 and out == ""
     assert "bad exponent range %r" % spec in err
+
+
+def test_exponent_specs_take_hex(run):
+    def grid(spec):
+        code, out, err = run("prob-table", "--p", "65537", "--d-list", "16",
+                             "--m-exponents", spec)
+        assert (code, err) == (0, "")
+        return out
+
+    assert grid("0x2d") == grid("45")
+    assert grid("1:0x3") == grid("1:3")
+
+
+def test_a_non_integer_exponent_is_named_and_exits_2(run):
+    for spec, part in (("abc", "abc"), ("1,2:x", "2:x")):
+        code, out, err = run("prob-table", "--p", "65537", "--d-list", "16",
+                             "--m-exponents", spec)
+        assert (code, out) == (2, "")
+        assert err == "error: bad exponent %r: not an integer\n" % part
+
+
+def test_solve_seed_takes_hex(run):
+    def report(seed):
+        code, out, err = run("solve", "--oracle-p", "65537", "--d", "4096",
+                             "--x", "777", "--m", "8", "--seed", seed)
+        assert err == ""
+        return code, re.sub(r"elapsed: [0-9.]+", "elapsed: <s>", out)
+
+    hex_seed = report("0x10")
+    assert hex_seed == report("16") and "seed = 16" in hex_seed[1]
+    with pytest.raises(SystemExit) as exc:
+        run("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
+            "--m", "8", "--seed", "1.5")
+    assert exc.value.code == 2
 
 
 def test_solve_degenerate_exponent(run):

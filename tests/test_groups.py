@@ -398,9 +398,42 @@ def test_power_table_matches_pow_on_a_128_bit_modulus():
     group = MultiplicativeGroup(r, pow(2, (r - 1) // p, r), p)
     assert r.bit_length() in (128, 129) and p.bit_length() == 24
     base = group.scalar_mul(rng.randrange(2, p), group.generator)
+    # three rows of 256: two multiplies per key
+    assert len(group._power_rows(base.data)) == 3
     power_table_agrees_with_pow(
         group, base, [rng.randrange(-p, 2 * p) for _ in range(20)]
         + [0, 1, p - 1, p])
+
+
+def schnorr_group(p):
+    """The order-p subgroup of (Z/rZ)* for the least prime r = 2cp + 1."""
+    r = next(r for r in range(2 * p + 1, 1 << 64, 2 * p)
+             if is_probable_prime(r))
+    g = next(g for g in range(2, r) if pow(g, (r - 1) // p, r) != 1)
+    return MultiplicativeGroup(r, pow(g, (r - 1) // p, r), p)
+
+
+# orders whose bit length sits on and just past a row boundary
+@pytest.mark.parametrize("p, rows", [(251, 1), (257, 2), (65521, 2),
+                                     (65537, 3)])
+def test_power_rows_on_and_past_a_row_boundary(p, rows):
+    group = schnorr_group(p)
+    G = group.generator
+    base = group.scalar_mul(p // 3, G)
+    assert len(group._power_rows(base.data)) == rows
+    if p < 1 << 9:
+        scalars = range(-3, p + 3)
+    else:
+        rng = random.Random(p)
+        scalars = ([0, 1, 255, 256, 65535, 65536, p - 1]
+                   + [rng.randrange(p) for _ in range(200)])
+    for point in (G, base):
+        power_table_agrees_with_pow(group, point, scalars)
+    # a run of keys steps the scalar by the ratio, through every row
+    sweep = group.sweep_keys(base)
+    assert list(sweep(p - 2, 3, 40)) == [
+        pow(base.data, (p - 2) * pow(3, i, p) % p, group.modulus)
+        for i in range(40)]
 
 
 class EncodeCountingGroup(CountingGroup):
