@@ -6,8 +6,10 @@ factor.  Exit status is 0 for a positive result (found / all checks
 pass), 1 for a clean negative (not in subgroup / failed campaign /
 incomplete factorization), 2 for any usage or runtime error.
 
-All numeric arguments accept decimal or 0x-prefixed hex.  `--seed` pins
-every random choice, so sequential runs are exactly reproducible.
+All integer arguments accept decimal or 0x-prefixed hex, and a value
+that is not one exits 2 with an error naming the option and the forms it
+accepts.  `--seed` pins every random choice, so sequential runs are
+exactly reproducible.
 solve's, prob-table's and keycheck's `--curve` and audit's target each
 take a built-in name, `desk` or a curve file, also looked up under
 $SUBGROUPDLP_DATA_DIR.
@@ -16,6 +18,7 @@ $SUBGROUPDLP_DATA_DIR.
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 import time
@@ -44,6 +47,46 @@ _P256_PRESET = (
 
 class CommandError(Exception):
     """Maps to exit status 2 with the message on stderr."""
+
+
+def _integer(text):
+    """A decimal or 0x-hex integer: the type of every integer argument.
+
+    A bad value raises argparse.ArgumentTypeError naming the accepted
+    forms; argparse (for --seed) or `_option` prefixes the option.
+    """
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is not an integer (decimal or 0x hex)" % text) from None
+
+
+def _bits(text):
+    """A finite log2 size, the type of --target-bits(-list)."""
+    try:
+        bits = float(text)
+    except ValueError:
+        bits = math.inf
+    if not math.isfinite(bits):
+        raise argparse.ArgumentTypeError(
+            "%r is not a number of bits (decimal, e.g. 128 or 127.5)" % text)
+    return bits
+
+
+def _option(option, text, kind=_integer, listed=False):
+    """`kind(text)`, or a list of `kind` of each comma-separated part.
+
+    None stays None.  A bad value is a CommandError worded as argparse
+    words a bad --seed: "argument <option>: <value> is not <forms>".
+    """
+    if text is None:
+        return None
+    try:
+        return ([kind(part) for part in text.split(",")] if listed
+                else kind(text))
+    except argparse.ArgumentTypeError as e:
+        raise CommandError("argument %s: %s" % (option, e)) from None
 
 
 def _resolve_path(path):
@@ -107,31 +150,36 @@ def _parse_exponent_spec(spec):
 
 def _load_group(args):
     """The group to search, and the factorization of p-1 for its order p."""
-    if bool(args.oracle_p) == bool(args.curve):
+    if (args.oracle_p is None) == (args.curve is None):
         raise CommandError("pick exactly one of --oracle-p, --curve")
-    if args.oracle_p:
-        group = AdditiveOracleGroup(parse_int(args.oracle_p))
+    if args.oracle_p is not None:
+        group = AdditiveOracleGroup(_option("--oracle-p", args.oracle_p))
         return group, factor(group.order - 1)
     record = _find_curve(args.curve)
     return record.group, record.factors
 
 
 def _parse_element(group, text):
+    """--q: a point x,y on a curve, one integer in any other group."""
+    coords = _option("--q", text, listed=True)
     if group.kind == "curve":  # also through a counting wrapper
-        parts = text.split(",")
-        if len(parts) != 2:
+        if len(coords) != 2:
             raise CommandError("curve points are written as x,y")
-        return group.element((parse_int(parts[0]), parse_int(parts[1])))
-    return group.element(parse_int(text))
+        return group.element(tuple(coords))
+    if len(coords) != 1:
+        raise CommandError("argument --q: %r is not one integer, as "
+                           "%s group elements are written" % (text, group.kind))
+    return group.element(coords[0])
 
 
 def _build_subgroup(args, p, factored):
     if (args.d is None) == (args.target_bits is None):
         raise CommandError("pick exactly one of --d, --target-bits")
     if args.d is not None:
-        d = parse_int(args.d)
+        d = _option("--d", args.d)
     else:
-        d = nearest_divisor(factored, float(args.target_bits))
+        d = nearest_divisor(factored, _option("--target-bits",
+                                              args.target_bits, _bits))
     return subgroup_generator(p, d, factored=factored)
 
 
@@ -151,11 +199,11 @@ def cmd_solve(args):
         raise CommandError("supply exactly one of --x (embed a known "
                            "exponent) or --q (target element)")
     if args.x is not None:
-        instance = DlpInstance.from_secret(group, parse_int(args.x))
+        instance = DlpInstance.from_secret(group, _option("--x", args.x))
     else:
         instance = DlpInstance(group=group, P=group.generator,
                                Q=_parse_element(base_group, args.q))
-    cap = parse_int(args.budget) if args.budget else None
+    cap = _option("--budget", args.budget)
 
     started = time.perf_counter()
     if args.m is None:
@@ -174,7 +222,7 @@ def cmd_solve(args):
             % (steps, theorem_budget(H.d))]
         model = "single-draw success model: lower %.6g, exact %.6g"
     else:
-        m = parse_int(args.m)
+        m = _option("--m", args.m)
         config = CampaignConfig(m=m, seed=args.seed, step_cap=cap)
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
@@ -226,12 +274,12 @@ def cmd_prob_table(args):
             record = _find_curve(args.curve)
             p, factored = record.p, record.factors
         else:
-            p, factored = parse_int(args.p), None
+            p, factored = _option("--p", args.p), None
         if (args.d_list is None) == (args.target_bits_list is None):
             raise CommandError(
                 "pick exactly one of --d-list, --target-bits-list")
         if args.d_list is not None:
-            divisors = [parse_int(tok) for tok in args.d_list.split(",")]
+            divisors = _option("--d-list", args.d_list, listed=True)
             for d in divisors:
                 check_divisor(p, d)
         else:
@@ -240,8 +288,9 @@ def cmd_prob_table(args):
                 if not factored.complete:
                     raise CommandError("cannot factor p-1 within budget; "
                                        "pass --d-list instead")
-            divisors = [nearest_divisor(factored, float(tok))
-                        for tok in args.target_bits_list.split(",")]
+            divisors = [nearest_divisor(factored, bits) for bits in _option(
+                "--target-bits-list", args.target_bits_list, _bits,
+                listed=True)]
         if args.m_exponents is None:
             raise CommandError("--m-exponents is required without --paper-256")
         tables = [(divisors, _parse_exponent_spec(args.m_exponents))]
@@ -272,14 +321,11 @@ def cmd_keycheck(args):
     record = _find_curve(args.curve)
     if (args.x is None) == (args.q is None):
         raise CommandError("supply exactly one of --x, --q")
-    x = None if args.x is None else parse_int(args.x)
+    x = _option("--x", args.x)
     point = None if args.q is None else _parse_element(record.group, args.q)
-    subgroups = None
-    if args.d:
-        subgroups = [parse_int(tok) for tok in args.d.split(",")]
-    budget = parse_int(args.budget) if args.budget else DEFAULT_AUDIT_BUDGET
-    report = audit_key(record, x=x, point=point, subgroups=subgroups,
-                       budget=budget)
+    report = audit_key(record, x=x, point=point,
+                       subgroups=_option("--d", args.d, listed=True),
+                       budget=_option("--budget", args.budget))
     if args.format == "csv":
         _print_csv(*report.table())
     else:
@@ -288,9 +334,8 @@ def cmd_keycheck(args):
 
 
 def cmd_factor(args):
-    n = parse_int(args.n)
-    budget = parse_int(args.budget) if args.budget else DEFAULT_RHO_BUDGET
-    result = factor(n, rho_budget=budget)
+    n = _option("n", args.n)
+    result = factor(n, rho_budget=_option("--budget", args.budget))
     print(result.format())
     if not result.complete:
         print("incomplete: composite residual %d remains" % result.residual,
@@ -325,7 +370,7 @@ def build_parser():
     p.add_argument("--budget", help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")
-    p.add_argument("--seed", type=parse_int, default=0,
+    p.add_argument("--seed", type=_integer, default=0,
                    help="PRNG seed (sequential runs are reproducible)")
     add_format(p)
     p.set_defaults(func=cmd_solve)
@@ -357,13 +402,15 @@ def build_parser():
     p.add_argument("--q", help="public point x,y to audit")
     p.add_argument("--d", help="comma-separated subgroup orders "
                                "(default: the record's audit pair)")
-    p.add_argument("--budget", help="step budget (default 2^32)")
+    p.add_argument("--budget", default=str(DEFAULT_AUDIT_BUDGET),
+                   help="step budget (default 2^32)")
     add_format(p)
     p.set_defaults(func=cmd_keycheck)
 
     p = sub.add_parser("factor", help="factor n (trial division + rho)")
     p.add_argument("n")
-    p.add_argument("--budget", help="rho iteration budget")
+    p.add_argument("--budget", default=str(DEFAULT_RHO_BUDGET),
+                   help="rho iteration budget")
     p.set_defaults(func=cmd_factor)
     return parser
 

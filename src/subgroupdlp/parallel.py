@@ -22,6 +22,14 @@ The table is `bsgs.kept_giant`'s: built on a group's first campaign with
 that (P, H, B) and kept with the group object, so later campaigns charge
 its cost in total_steps without building it again.
 
+Thread i asks only whether y_i lies in the coset x^(-1) * H, so y_i
+matters only through its coset of H, keyed by y_i^d mod p (H is the kernel
+of y -> y^d).  A thread whose coset an earlier thread swept in full (all
+B keys, a sound NotInSubgroup) runs no sweep and is charged 0 steps; a
+capped (Undecided) sweep proves nothing and marks no coset.  The saving
+needs m of order (p-1)/d or more: with n = (p-1)/d cosets a campaign
+repeats about m^2/(2n) of them.
+
 The threads run one after another in the calling process, in index
 order, until the first verified hit, which wins.  So a fixed seed always
 gives the same winner, x, threads_run, total_steps and per_thread_steps,
@@ -33,8 +41,9 @@ from dataclasses import dataclass, field as dataclass_field
 from math import expm1, isqrt, log1p
 
 # bench/tracing.py reads and wraps giant_encodings and solve_in_subgroup here
-from .bsgs import (DlpInstance, Found, _baby_sweep, _check_solvable,
-                   giant_encodings, kept_giant, solve_in_subgroup)
+from .bsgs import (DlpInstance, Found, NotInSubgroup, _baby_sweep,
+                   _check_solvable, giant_encodings, kept_giant,
+                   solve_in_subgroup)
 from .factoring import factor, subgroup_generator
 from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup
@@ -88,7 +97,8 @@ class CampaignResult:
     full even when an earlier campaign on the group built it (see
     `bsgs.kept_giant`), plus each thread's baby steps (B =
     baby_keys(p, d, m), or the step cap if lower, for a thread that finds
-    nothing, b+1 for the winner); it respects
+    nothing, b+1 for the winner, 0 for a thread whose coset of H an
+    earlier thread swept in full and ran no sweep); it respects
     total_steps <= m * theorem_budget(d).  Threads stream their baby
     sweeps against the shared table, so each needs O(1) memory beyond it.
     The winner's verification multiply is not charged, as in a single
@@ -136,7 +146,9 @@ def randomized_solve(instance, H, config):
     Returns a CampaignResult whose success is None when every thread
     reported NotInSubgroup (or hit its step cap).  Thread i is the B-key
     baby sweep of Q started at y_i against the kept giant table of step
-    B; all of them run the instance's one prepared sweep of Q.
+    B; all of them run the instance's one prepared sweep of Q.  A thread
+    whose coset y_i^d an earlier thread swept in full is settled as a
+    0-step miss without sweeping.
     """
     _check_solvable(instance, H)
     p = instance.p
@@ -144,8 +156,16 @@ def randomized_solve(instance, H, config):
     B = baby_keys(p, H.d, config.m)
     table, setup_steps = kept_giant(instance.group, instance.P, H, step=B)
     result = CampaignResult(total_steps=setup_steps)
+    swept = set()  # y^d of every thread that swept all B keys and missed
     for i, y in enumerate(ys):
-        verdict = _baby_sweep(instance, H, table, y, B, B, config.step_cap)
+        coset = pow(y, H.d, p)  # y's coset of H, the kernel of y -> y^d
+        if coset in swept:
+            verdict = NotInSubgroup(0)
+        else:
+            verdict = _baby_sweep(instance, H, table, y, B, B,
+                                  config.step_cap)
+            if isinstance(verdict, NotInSubgroup):
+                swept.add(coset)
         result.threads_run += 1
         result.total_steps += verdict.steps
         result.per_thread_steps.append(verdict.steps)

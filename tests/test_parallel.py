@@ -7,8 +7,8 @@ from math import isqrt
 import pytest
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
-                              NotInSubgroup, Undecided, solve_in_subgroup,
-                              theorem_budget)
+                              NotInSubgroup, Undecided, _baby_sweep,
+                              kept_giant, solve_in_subgroup, theorem_budget)
 from subgroupdlp.catalog import audit_key, load_builtin, record_from_params
 from subgroupdlp.factoring import SubgroupSpec, factor, subgroup_generator
 from subgroupdlp.field import Residue
@@ -293,6 +293,97 @@ def test_a_table_whose_step_divides_d_covers_every_member(group):
             assert result.per_thread_steps == [2]
             assert randomized_solve(instance, H, CampaignConfig(
                 m=m, seed=0, workers=2)) == result
+
+
+def _repeated_cosets(ys, d, p):
+    """Indices whose coset key y^d mod p an earlier multiplier already has."""
+    seen, repeats = set(), set()
+    for i, y in enumerate(ys):
+        key = pow(y, d, p)
+        if key in seen:
+            repeats.add(i)
+        seen.add(key)
+    return repeats
+
+
+def _steps_sweeping_every_thread(instance, H, m, seed):
+    """Per-thread steps of the campaign loop with no thread skipped."""
+    p = instance.p
+    B = baby_keys(p, H.d, m)
+    table, _ = kept_giant(instance.group, instance.P, H, step=B)
+    steps = []
+    for y in draw_multipliers(p, m, seed):
+        verdict = _baby_sweep(instance, H, table, y, B, B)
+        steps.append(verdict.steps)
+        if isinstance(verdict, Found):
+            break
+    return steps
+
+
+@pytest.mark.parametrize("group, d", [
+    (AdditiveOracleGroup(65537), 4096),  # 16 cosets of H
+    (MultiplicativeGroup(19991, 15261, 1999), 222),  # 9 cosets
+    (CurveGroup(desk_curve()), 222),
+], ids=("oracle", "multiplicative", "curve"))
+def test_a_thread_of_a_swept_coset_runs_no_sweep(group, d):
+    # m >= (p-1)/d threads repeat cosets often.  A thread whose coset an
+    # earlier thread swept in full is a 0-step miss; the winner, x and
+    # threads_run are the brute-force first hit's, and every other thread
+    # is charged what it would be if every thread swept.
+    p = group.order
+    H = subgroup_generator(p, d)
+    rng = random.Random(d)
+    skipped = skipped_before_a_win = 0
+    for m in (8, 16, 64):
+        table_keys = -(-d // baby_keys(p, d, m))
+        for seed in range(10):
+            x = rng.randrange(1, p)
+            counter = CountingGroup(group)  # builds its own giant table
+            instance = DlpInstance.from_secret(counter, x)
+            counter.reset()
+            result = randomized_solve(instance, H,
+                                      CampaignConfig(m=m, seed=seed))
+            ys = draw_multipliers(p, m, seed)
+            hits = [i for i, y in enumerate(ys)
+                    if pow(x * y % p, d, p) == 1]
+            assert result.found == bool(hits)
+            assert result.threads_run == (hits[0] + 1 if hits else m)
+            if hits:
+                assert result.success.index == hits[0]
+                assert result.success.x == Residue(x, p)
+            repeats = _repeated_cosets(ys[:result.threads_run], d, p)
+            steps = result.per_thread_steps
+            assert len(steps) == result.threads_run
+            assert {i for i, s in enumerate(steps) if s == 0} == repeats
+            assert result.total_steps == table_keys + sum(steps)
+            # every multiply is a counted step, plus the winner's verify
+            assert counter.scalar_muls == result.total_steps + result.found
+            alone = _steps_sweeping_every_thread(
+                DlpInstance.from_secret(group, x), H, m, seed)
+            assert steps == [0 if i in repeats else s
+                             for i, s in enumerate(alone)]
+            skipped += len(repeats)
+            skipped_before_a_win += bool(repeats) and result.found
+    assert skipped > 30 and skipped_before_a_win > 3
+
+
+def test_a_capped_thread_marks_no_coset_swept():
+    # A cap below B leaves a thread Undecided: it covers part of H only, so
+    # a later thread of its coset, which covers another part, still sweeps.
+    p, d, m = 65537, 4096, 64
+    H = subgroup_generator(p, d)
+    cap = baby_keys(p, d, m) - 1
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 4321)
+    repeated = 0
+    for seed in range(10):
+        result = randomized_solve(instance, H, CampaignConfig(
+            m=m, seed=seed, step_cap=cap))
+        ys = draw_multipliers(p, m, seed)[:result.threads_run]
+        repeated += len(_repeated_cosets(ys, d, p))
+        winner = result.success.index if result.found else None
+        assert all(s == cap for i, s in enumerate(result.per_thread_steps)
+                   if i != winner)
+    assert repeated > 20
 
 
 def test_campaigns_on_one_group_build_its_table_once():
