@@ -131,11 +131,7 @@ def _parse_exponent_spec(spec):
         part = part.strip()
         if not part:
             continue
-        try:
-            pieces = [parse_int(x) for x in part.split(":")]
-        except ValueError:
-            raise CommandError(
-                "bad exponent %r: not an integer" % part) from None
+        pieces = [_option("--m-exponents", x) for x in part.split(":")]
         if len(pieces) == 1:
             out.append(pieces[0])
             continue

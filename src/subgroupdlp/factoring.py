@@ -289,10 +289,13 @@ def nearest_divisor(factored, target_bits):
     Exact even for factorizations too composite to enumerate outright:
     the factors are split into two balanced halves and the halves are
     matched meet-in-the-middle, so only ~sqrt(#divisors) values are built.
-    Ties in distance prefer the smaller divisor.
+    Ties in distance prefer the smaller divisor; a size that is not a
+    finite number (inf, nan) has no nearest divisor and raises ValueError.
     """
     if not factored.complete:
         raise ValueError("complete factorization required")
+    if not math.isfinite(target_bits):
+        raise ValueError("target size %r bits is not finite" % target_bits)
     left, right = [], []
     lcount = rcount = 1
     # balance the per-half divisor counts greedily, largest multiplicity first

@@ -22,9 +22,10 @@ once and returns `sweep(start, ratio, count)`, a generator of the keys of
 The oracle group's key is the product's int, the last key times the
 ratio: one mulmod per key.  MultiplicativeGroup yields the element's int
 from rows of powers that turn each exponentiation into a few modular
-multiplies; CurveGroup yields encodings from a Lim-Lee comb table that
-makes each multiply ~3x cheaper on P-256.  Keys are canonical only within
-one group object.  scalar_mul reads no table.
+multiplies; CurveGroup yields encodings from a Lim-Lee comb table, built
+at two field inversions, that makes each multiply ~3x cheaper than
+scalar_mul's sliding window on P-256.  Keys are canonical only within one
+group object.  scalar_mul reads no table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
@@ -34,6 +35,7 @@ and passes everything else through to the group it wraps.
 demos and tests use, validated by CurveGroup on construction.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -388,15 +390,19 @@ def load_curve_file(path):
         return parse_curve_params(fh.read())
 
 
-# Rows of a comb; its table holds 2^COMB_TEETH - 1 points.  Mean
-# P-256 audit times (2-vCPU Xeon, Python 3.11): 10.7, 9.6, 9.4 and 9.7 ms for
-# 3, 4, 5 and 6 rows, so 4 keeps the smaller table at no cost.
-COMB_TEETH = 4
-
+# Rows of a comb; its table holds 2^COMB_TEETH - 1 points.  With w =
+# ceil(256 / teeth), a P-256 key costs w doublings, <= w mixed additions and
+# an inversion, a build (teeth - 1) * w doublings, 2^teeth - teeth - 1
+# additions and two inversions.  A keyaudit-p256 item builds one comb and
+# reads ~4.8 keys.  At timeit minima of 4.0, 5.2 and 22 us per doubling,
+# addition and inversion, this op-count model gives 4.06, 3.79, 3.64 and
+# 3.79 ms of curve math per item at 4, 5, 6 and 7 teeth over 320 items.
+# Interleaved in-process audits of them (2-vCPU Xeon, Python 3.11.7, CPU-time
+# medians of 24 rounds of 80 items) took 6.60, 6.23, 5.32 and 7.00 ms.
+COMB_TEETH = 6
 
 # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and for the
-# identity when Z = 0.  `add` and both multiplies are built from these three
-# steps.
+# identity when Z = 0.  `add` and both multiplies are built from these steps.
 
 
 def _double(X, Y, Z, a, q):
@@ -436,12 +442,30 @@ def _to_affine(X, Y, Z, q):
     return (X * zi2 % q, Y * zi2 * zi % q)
 
 
+def _to_affine_all(points, q):
+    """_to_affine of each Jacobian point, at one inversion for them all.
+
+    Montgomery's trick (Math. Comp. 1987): invert the product of the
+    nonzero Zs, then peel each point's inverse off it, last point first.
+    """
+    prefix = [1]
+    for _, _, Z in points:
+        prefix.append(prefix[-1] * (Z or 1) % q)
+    inv = pow(prefix.pop(), -1, q)
+    out = []
+    for (X, Y, Z), before in zip(points[::-1], prefix[::-1]):
+        zi, inv = inv * before % q, inv * (Z or 1) % q
+        zi2 = zi * zi % q
+        out.append((X * zi2 % q, Y * zi2 * zi % q) if Z else None)
+    return out[::-1]
+
+
 class CurveGroup(CyclicGroup):
     """The prime-order subgroup generated by the base point of `params`.
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
     infinity) as None; `add` and the multiplies run in Jacobian
-    coordinates.  scalar_mul is double-and-add (`_mul`), as are
+    coordinates.  scalar_mul is a width-4 sliding window (`_mul`), as are
     construction and cofactor membership; `sweep_keys` builds the point's
     comb table once and multiplies from it (`_comb_mul`).  All of them
     share one doubling and one mixed addition.  Construction validates the
@@ -483,42 +507,59 @@ class CurveGroup(CyclicGroup):
         return self._base
 
     def _mul(self, k, data):
-        """k*P for an affine point P and k >= 0, without reducing k.
+        """k*P for an affine point P and any integer k, without reducing k.
 
         Construction and the cofactor membership check need k unreduced:
-        there the point is to test whether k kills the point.  Left-to-right
-        double-and-add on Jacobian coordinates, with P joined by mixed
-        addition and one inversion at the end to return to affine.
+        there the point is to test whether k kills the point.  A
+        left-to-right sliding window of width 4 over |k| on Jacobian
+        coordinates: P, 2P, ..., 15P are summed first and taken to affine at
+        one shared inversion, then each window is its doublings and one
+        mixed addition of its odd multiple.  One more inversion returns the
+        result, negated for k < 0, to affine.
         """
         if data is None or k == 0:
             return None
         q, a = self.q, self.params.a
-        px, py = data
-        X, Y, Z = px, py, 1
-        for bit in bin(k)[3:]:
-            X, Y, Z = _double(X, Y, Z, a, q)
-            if bit == "1":
-                X, Y, Z = _add_affine(X, Y, Z, px, py, a, q)
-        return _to_affine(X, Y, Z, q)
+        run = [(*data, 1)]
+        for _ in range(14):
+            run.append(_add_affine(*run[-1], *data, a, q))
+        multiples = [None] + _to_affine_all(run, q)  # jP for j < 16
+        X, Y, Z = 0, 1, 0
+        # windows of |k|: a lone 0, or up to 4 bits that begin and end in 1
+        for window in re.findall("1(?:[01]{0,2}1)?|0", bin(abs(k))[2:]):
+            for _ in window:
+                X, Y, Z = _double(X, Y, Z, a, q)
+            point = multiples[int(window, 2)]  # O for "0" and on tiny curves
+            if point is not None:
+                X, Y, Z = _add_affine(X, Y, Z, *point, a, q)
+        return _to_affine(X, -Y if k < 0 else Y, Z, q)
 
     def _comb_table(self, data):
         """The comb table of the affine point `data` (Lim and Lee 1994).
 
         With w = ceil(bits(order) / COMB_TEETH), entry j of the table is
-        the sum of 2^(i*w) * P over the set bits i of j, for j = 1 ..
-        2^COMB_TEETH - 1.  `_comb_mul` then reads k as COMB_TEETH rows of w
-        bits and does w doublings and at most w mixed additions, where the
-        plain multiply does bits(order) of each.  Returns (table, w).
+        the sum of 2^(i*w) * P over the set bits i of j (entry 0 is O).
+        `_comb_mul` then reads k as COMB_TEETH rows of w bits and does w
+        doublings and at most w mixed additions.  The teeth 2^(i*w) * P are
+        doubled in Jacobian, and each entry is a mixed addition to a smaller
+        one; each batch goes to affine at one inversion.  Returns (table, w).
         """
+        q, a = self.q, self.params.a
         w = -(-self.order.bit_length() // COMB_TEETH)
-        teeth = [data]
+        X, Y, Z = *data, 1
+        teeth = [(X, Y, Z)]
         for _ in range(COMB_TEETH - 1):
-            teeth.append(self._mul(1 << w, teeth[-1]))
-        table = [None]
+            for _ in range(w):
+                X, Y, Z = _double(X, Y, Z, a, q)
+            teeth.append((X, Y, Z))
+        teeth = _to_affine_all(teeth, q)  # O on small-order curves
+        sums = [(0, 1, 0)]
         for j in range(1, 1 << COMB_TEETH):
             top = j.bit_length() - 1
-            table.append(self._add(table[j ^ (1 << top)], teeth[top]))
-        return table, w
+            rest, tooth = sums[j ^ (1 << top)], teeth[top]
+            sums.append(rest if tooth is None
+                        else _add_affine(*rest, *tooth, a, q))
+        return _to_affine_all(sums, q), w
 
     def _comb_mul(self, k, table, w):
         """k*P for any integer k from P's comb table (see _comb_table).

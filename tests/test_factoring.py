@@ -281,6 +281,13 @@ def test_nearest_divisor_exact_ties_prefer_smaller():
     assert nearest_divisor(factor(2 ** 6), 1.5) == 2
 
 
+@pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+def test_nearest_divisor_refuses_a_size_that_is_not_finite(target):
+    # every distance would be inf or nan, so no divisor is nearest
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_divisor(factor(65536), target)
+
+
 def test_nearest_divisor_meet_in_the_middle_path():
     # 10 distinct primes -> 1024 divisors, split 32 x 32
     n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29

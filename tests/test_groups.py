@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from subgroupdlp import groups
 from subgroupdlp.catalog import load_builtin
 from subgroupdlp.factoring import factor, find_primitive_root
 from subgroupdlp.field import is_probable_prime
@@ -194,7 +195,8 @@ def test_scalar_mul_matches_affine_reference_on_desk_curve():
     for k in range(-n, 2 * n + 1):
         assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
     # the unreduced multiply behind construction and cofactor membership;
-    # k = n and k = n+2 reach the mixed additions R + P with R = -P and R = P
+    # k = n reaches a mixed addition R + jP with R = -jP, and building the
+    # window's multiples reaches P + P
     for k in range(3 * n + 1):
         assert group._mul(k, G.data) == reference_mul(group, k, G).data, k
     O = group.identity
@@ -274,6 +276,52 @@ def test_comb_matches_plain_multiply_when_table_sums_collide(
         group, group.generator, range(-2 * order, 3 * order))
     entries = table[1:]
     assert None in entries or len(set(entries)) < len(entries)
+
+
+def small_order_group(a, b, x, y, order, cofactor):
+    return CurveGroup(CurveParams(q=11, a=a, b=b, gx=x, gy=y, order=order,
+                                  cofactor=cofactor,
+                                  name="order-%d" % order))
+
+
+@pytest.mark.parametrize("curve", [None] + list(SMALL_ORDER_POINTS))
+def test_window_multiply_matches_affine_reference_unreduced(curve):
+    # unreduced and negative k; on these orders some of P, 3P, ..., 15P
+    # are O or repeat, so windows add nothing or meet the accumulator
+    group = CurveGroup(DESK) if curve is None else small_order_group(*curve)
+    G = group.generator
+    n = group.order
+    for k in range(-2 * n, 3 * n):
+        assert group._mul(k, G.data) == reference_mul(group, k, G).data, k
+
+
+def test_window_multiply_matches_affine_reference_on_p256():
+    group = CurveGroup(P256)
+    G = group.generator
+    n = group.order
+    rng = random.Random(4096)
+    for k in [0, 1, 2, 15, 16, 17, n - 1, n, n + 1] + [
+            rng.getrandbits(256) for _ in range(20)]:
+        assert group._mul(k, G.data) == reference_mul(group, k, G).data, k
+
+
+def test_p256_inversions_per_comb_build_sweep_key_and_multiply(monkeypatch):
+    group = CurveGroup(P256)
+    G = group.generator
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
+    sweep = group.sweep_keys(G)  # the comb build: teeth, then entries
+    assert len(inversions) == 2
+    keys = list(sweep(random.Random(7).getrandbits(256), 3, 10))
+    assert len(keys) == 10 and len(inversions) == 2 + 10
+    group.scalar_mul(group.order - 2, G)  # odd multiples, then the result
+    assert len(inversions) == 2 + 10 + 2
 
 
 def test_comb_matches_plain_multiply_on_p256():
