@@ -9,10 +9,10 @@ ceil(d/s)*s >= d consecutive integers), so
     zeta^b * Q  ==  (zeta^s)^a * P     for some such a, b.
 
 Each side is a sweep of one fixed point: the group's `sweep_keys(P)` and
-`sweep_keys(Q)` run the loop and yield one key per multiple, canonical
+`sweep_keys(Q)` run the loop and probe one key per multiple, canonical
 within that group object, so a table is only read by sweeps of the group
 that built it.  The solver tabulates the right side (giant steps) and
-streams the left side (baby steps) against it; on a table hit it recovers
+probes the left side (baby steps) with `table.get`; on a hit it recovers
 x = zeta^(a*s-b mod d) and accepts it only after re-verifying x*P == Q.
 A single solve takes the balanced split s = n = isqrt(d) + 1: a = 0..n and
 b = 0..n, n+1 multiplies on each side, so that a member's first hit has
@@ -122,21 +122,27 @@ def giant_encodings(group, P, H, step=None):
     The table maps the sweep key of (zeta^s)^a * P to a, for a = 0 ..
     ceil(d/s) - 1 when `step` = s is given (a campaign's split, against s
     baby keys), and for a = 0..n with s = n = isqrt(d) + 1 when it is not
-    (a single solve's).  A key met again (zeta^s has order <= the last a)
-    keeps every a, as a tuple in increasing order, so a candidate that
-    fails verification does not hide the next one.
+    (a single solve's), from keys the sweep probes into a list.  A key met
+    again (zeta^s has order <= the last a) keeps every a, as a tuple in
+    increasing order, so a candidate that fails verification does not hide
+    the next one.
     """
     if step is None:
         step = isqrt(H.d) + 1
         count = step + 1
     else:
         count = -(-H.d // step)
-    table = {}
-    for a, key in enumerate(group.sweep_keys(P)(
-            1, pow(H.zeta.value, step, H.p), count)):
-        if table.setdefault(key, a) != a:
-            first = table[key]
-            table[key] = (first if type(first) is tuple else (first,)) + (a,)
+    keys = []
+    for _ in group.sweep_keys(P)(1, pow(H.zeta.value, step, H.p), count,
+                                 keys.append):
+        pass
+    table = dict(zip(keys, range(count)))
+    if len(table) < count:  # a repeated key: the zip kept only its last a
+        every = {}
+        for a, key in enumerate(keys):
+            every.setdefault(key, []).append(a)
+        table = {key: tuple(a) if len(a) > 1 else a[0]
+                 for key, a in every.items()}
     return table, count
 
 
@@ -160,23 +166,22 @@ def kept_giant(group, P, H, step=None):
 def _baby_sweep(instance, H, table, y, step, count, cap=None):
     """Stream the keys of (y * zeta^b) * Q for b < count against `table`.
 
-    The keys come from `instance.sweep_q`, y is a unit mod p and `step`
-    the giant step s the table was built with, in the instance's group.
-    A hit (a, b) proposes x = y^(-1) * zeta^(a*s-b), accepted only if
-    x*P == Q.  A `cap` below `count` sweeps only the first `cap` keys.
-    Returns Found / NotInSubgroup / Undecided with the baby steps alone.
+    `instance.sweep_q` probes the keys with `table.get`, y is a unit mod p
+    and `step` the giant step s the table was built with.  A hit (a, b)
+    proposes x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q, else
+    the sweep goes on.  A `cap` below `count` sweeps only the first `cap`
+    keys.  Returns Found / NotInSubgroup / Undecided with the baby steps
+    alone.
     """
     group, P, Q = instance.group, instance.P, instance.Q
     p, zeta, d = H.p, H.zeta.value, H.d
     swept = count if cap is None else min(count, cap)
-    for b, k in enumerate(instance.sweep_q(y, zeta, swept)):
-        hit = table.get(k)
-        if hit is not None:
-            for a in hit if type(hit) is tuple else (hit,):
-                x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
-                # soundness gate: accept only a re-verified exponent
-                if group.scalar_mul(x, P) == Q:
-                    return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
+    for b, hit in instance.sweep_q(y, zeta, swept, table.get):
+        for a in hit if type(hit) is tuple else (hit,):
+            x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
+            # soundness gate: accept only a re-verified exponent
+            if group.scalar_mul(x, P) == Q:
+                return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
     return NotInSubgroup(count) if swept == count else Undecided(cap)
 
 

@@ -17,10 +17,10 @@ external curve file, while scalar-form audits (x supplied directly) work
 from the record alone.
 
 A record derives its validated curve group, its oracle group for
-scalar-form audits and the primitive root of (Z/pZ)* once, on first use.
-The giant table of each audited subgroup is kept with the group that
-searched it (`bsgs.kept_giant`), so repeated audits against one record
-build none of them again.
+scalar-form audits, the primitive root of (Z/pZ)* and the SubgroupSpec of
+each audited d once, on first use.  The giant table of each audited
+subgroup is kept with the group that searched it (`bsgs.kept_giant`), so
+repeated audits against one record derive and build none of them again.
 """
 
 from dataclasses import dataclass
@@ -51,10 +51,10 @@ class CurveRecord:
 
     q is the field prime when known (None otherwise); params is an optional
     CurveParams for point arithmetic, never set on built-ins.  `group`,
-    `oracle_group` and `primitive_root` are derived on first use and kept
-    for the life of the record, and with the two groups the giant tables
-    that audits build in them; `dataclasses.replace` gives a record that
-    derives them anew.
+    `oracle_group`, `primitive_root` and each `subgroup(d)` are derived on
+    first use and kept for the life of the record, and with the two groups
+    the giant tables that audits build in them; `dataclasses.replace`
+    gives a record that derives them anew.
     """
 
     name: str
@@ -85,6 +85,14 @@ class CurveRecord:
     def primitive_root(self):
         """A generator of (Z/pZ)*, from the listed factors of p-1."""
         return find_primitive_root(self.p, self.factors)
+
+    def subgroup(self, d):
+        """The SubgroupSpec of order d from `primitive_root`, kept per d."""
+        specs = vars(self).setdefault("_subgroups", {})
+        if d not in specs:
+            specs[d] = subgroup_generator(self.p, d,
+                                          generator=self.primitive_root)
+        return specs[d]
 
 
 def _fi(p, factors):
@@ -343,7 +351,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         required = theorem_budget(d)
         feasible, status, steps = required <= budget, "infeasible", 0
         if feasible:
-            H = subgroup_generator(rec.p, d, generator=rec.primitive_root)
+            H = rec.subgroup(d)
             # budget >= theorem_budget(d) covers the whole search: no cap binds
             verdict = solve_in_subgroup(
                 instance, H, shared_giant=kept_giant(group, instance.P, H))

@@ -16,14 +16,15 @@ in the field Z/pZ and k*P depends only on k mod p.  Encodings are injective
 bytes with a distinguished identity encoding.
 
 `sweep_keys(P)` serves the BSGS sweeps, which multiply one fixed point
-many times and keep only a key of each product.  It checks and prepares P
-once and returns `sweep(start, ratio, count)`, a generator of the keys of
-(start * ratio^i mod p) * P for i < count, looped by the backend itself.
+many times and only look up a key of each product.  It checks and prepares
+P once and returns `sweep(start, ratio, count, probe)`, whose own loop
+hands the key of (start * ratio^i mod p) * P for each i < count to
+`probe` and yields (i, hit) only for a hit that is not None (0 is one).
 The oracle group's key is the product's int, the last key times the
-ratio: one mulmod per key.  MultiplicativeGroup yields the element's int
-from rows of powers that turn each exponentiation into a few modular
-multiplies; CurveGroup yields encodings from a Lim-Lee comb table, built
-at two field inversions, that makes each multiply ~3x cheaper than
+ratio: one mulmod per key.  MultiplicativeGroup keys the element's int
+from rows of powers that turn each exponentiation into a few multiplies
+and a reduction; CurveGroup keys encodings from a Lim-Lee comb table,
+built at two field inversions, that makes each multiply ~3x cheaper than
 scalar_mul's sliding window on P-256.  Keys are canonical only within one
 group object.  scalar_mul reads no table.
 
@@ -37,7 +38,6 @@ demos and tests use, validated by CurveGroup on construction.
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 from .field import is_probable_prime, parse_int
 
@@ -49,12 +49,17 @@ __all__ = [
 ]
 
 
-def _scalars(start, ratio, count, p):
-    """start * ratio^i mod p for i < count, one mulmod each."""
-    k = start % p
-    for _ in range(count):
-        yield k
-        k = k * ratio % p
+def _sweep_of(key_of, p):
+    """The sweep (see CyclicGroup.sweep_keys) whose key of k*P is key_of(k),
+    for keys whose group arithmetic dwarfs a call."""
+    def sweep(start, ratio, count, probe):
+        k = start % p
+        for i in range(count):
+            hit = probe(key_of(k))
+            if hit is not None:
+                yield i, hit
+            k = k * ratio % p
+    return sweep
 
 
 class GroupElement:
@@ -175,10 +180,12 @@ class CyclicGroup:
         raise NotImplementedError
 
     def sweep_keys(self, e):
-        """Check and prepare e once; return sweep(start, ratio, count).
+        """Check and prepare e once; return sweep(start, ratio, count, probe).
 
-        The sweep yields a key of (start * ratio^i mod order) * e for each
-        i < count; keys are equal exactly when those points are.
+        For each i < count in turn the sweep calls probe on a key of
+        (start * ratio^i mod order) * e and yields (i, hit) if the hit is
+        not None, before the next key; keys are equal exactly when those
+        points are.
         """
         raise NotImplementedError
 
@@ -234,18 +241,27 @@ class AdditiveOracleGroup(CyclicGroup):
 
     def sweep_keys(self, e):
         self._check(e)
-        return lambda start, ratio, count: _scalars(start * e.data, ratio,
-                                                    count, self.order)
+        p = self.order
+
+        def sweep(start, ratio, count, probe):
+            k = start * e.data % p
+            for i in range(count):
+                hit = probe(k)
+                if hit is not None:
+                    yield i, hit
+                k = k * ratio % p
+
+        return sweep
 
 
 # Digit bits of a multiplicative power table.  Rows are 2^w entries each,
 # ceil(bits(p) / w) of them, and a key costs one multiply fewer than there
-# are rows, so K keys read from one preparation cost rows*2^w + K*(rows-1)
-# multiplies.  On the campaign benchmark's 24-bit p that is 256 + 3K at
-# w = 6, 768 + 2K at w = 8 (break-even K = 512), 3072 + 2K at w = 10 and
-# 8192 + K at w = 12 (ahead of 8 only past K ~ 7,400).  One preparation of
-# Q serves every thread's baby keys, ~2,900 per campaign there.  With its
-# 129-bit r (2-vCPU Xeon, Python 3.11.7) a plain pow takes ~10 us; at 6 and
+# are rows (and a reduction mod r per 8 rows), so K keys read from one
+# preparation cost rows*2^w + K*(rows-1) multiplies.  On the campaign
+# benchmark's 24-bit p that is 256 + 3K at w = 6, 768 + 2K at w = 8
+# (break-even K = 512), 3072 + 2K at w = 10 and 8192 + K at w = 12 (ahead
+# of 8 only past K ~ 7,400).  One preparation of Q serves every thread's
+# baby keys, ~2,900 per campaign there.  With its 129-bit r (2-vCPU Xeon, Python 3.11.7) a plain pow takes ~10 us; at 6 and
 # 8 bits a preparation takes ~90 and ~230 us and a key ~1.2 and ~0.85 us
 # (timeit minima), and the campaign benchmark ran 1.29x the items/s at 8
 # (BENCH_25.json).
@@ -260,8 +276,8 @@ class MultiplicativeGroup(CyclicGroup):
     scalar_mul is the built-in pow; `sweep_keys` builds the point's power
     rows once and raises it by a product of row entries (Brickell, Gordon,
     McCurley and Wilson 1992): ceil(bits(p) / POWER_WINDOW) rows of
-    2^POWER_WINDOW entries, and rows - 1 modular multiplies per key (two on
-    a 24-bit p).
+    2^POWER_WINDOW entries, and rows - 1 multiplies and a reduction mod r
+    per 8 rows for each key (two and one on a 24-bit p), probed inline.
     """
 
     kind = "multiplicative"
@@ -322,16 +338,30 @@ class MultiplicativeGroup(CyclicGroup):
 
     def sweep_keys(self, e):
         self._check(e)
-        r, w, mask = self.modulus, POWER_WINDOW, (1 << POWER_WINDOW) - 1
+        p, r = self.order, self.modulus
+        w, mask = POWER_WINDOW, (1 << POWER_WINDOW) - 1
         first, *rest = self._power_rows(e.data)
+        # a product is reduced after 8 rows and each further 8, so it stays
+        # a few words long: once per key on orders of up to 8 rows
+        head, runs = rest[:7], [rest[i:i + 8] for i in range(7, len(rest), 8)]
 
-        def sweep(start, ratio, count):
-            for k in _scalars(start, ratio, count, self.order):
-                acc = first[k & mask]
-                for row in rest:
-                    k >>= w
-                    acc = acc * row[k & mask] % r
-                yield acc
+        def sweep(start, ratio, count, probe):
+            k = start % p
+            for i in range(count):
+                j, acc = k, first[k & mask]
+                for row in head:
+                    j >>= w
+                    acc *= row[j & mask]
+                if runs:  # only orders of more than 8 rows
+                    for run in runs:
+                        acc %= r
+                        for row in run:
+                            j >>= w
+                            acc *= row[j & mask]
+                hit = probe(acc % r)
+                if hit is not None:
+                    yield i, hit
+                k = k * ratio % p
 
         return sweep
 
@@ -590,12 +620,10 @@ class CurveGroup(CyclicGroup):
     def sweep_keys(self, e):
         self._check(e)
         if e.data is None:  # the comb has nothing to add: every key is O's
-            return lambda start, ratio, count: repeat(self._encode(None),
-                                                      count)
+            return _sweep_of(lambda k: self._encode(None), self.order)
         table, w = self._comb_table(e.data)
-        return lambda start, ratio, count: (
-            self._encode(self._comb_mul(k, table, w))
-            for k in _scalars(start, ratio, count, self.order))
+        return _sweep_of(lambda k: self._encode(self._comb_mul(k, table, w)),
+                         self.order)
 
     def _contains_data(self, data):
         if data is None:
@@ -637,8 +665,8 @@ class CountingGroup:
     Solvers drive every group operation through the group object, so
     wrapping one lets tests audit step counts independently.  Its sweep
     is the generic loop: each key is one counted scalar_mul and one
-    encode, which subclasses may extend; everything else passes through
-    uncounted.
+    encode, which subclasses may extend, made as it is probed; everything
+    else passes through uncounted.
     """
 
     def __init__(self, inner):
@@ -666,9 +694,8 @@ class CountingGroup:
 
     def sweep_keys(self, e):
         self._check(e)
-        return lambda start, ratio, count: (
-            self.encode(self.scalar_mul(k, e))
-            for k in _scalars(start, ratio, count, self.order))
+        return _sweep_of(lambda k: self.encode(self.scalar_mul(k, e)),
+                         self.order)
 
     def reset(self):
         self.scalar_muls = 0

@@ -195,6 +195,37 @@ def test_backends_agree_at_the_edges():
                     Undecided(steps=0)
 
 
+@pytest.mark.parametrize("backend", range(3),
+                         ids=["oracle", "multiplicative", "curve"])
+def test_q_equal_to_p_hits_giant_index_zero(backend):
+    # x = 1 lies in every H; its first baby key is P's, whose table value
+    # is a = 0, a hit that a truthiness test would drop
+    p = 1999
+    group = _backends_of_order_1999()[backend]
+    instance = DlpInstance(group=group, P=group.generator, Q=group.generator)
+    for d in divisors(factor(p - 1)):
+        H = subgroup_generator(p, d)
+        assert solve_in_subgroup(instance, H) == Found(
+            x=Residue(1, p), a=0, b=0, steps=isqrt(d) + 3), d
+
+
+def test_a_hit_that_fails_verification_resumes_the_sweep():
+    # x = 4 first hits at b = 1 (zeta * Q = 8, a = 1); a bogus entry for
+    # Q's own key proposes x = 1 at b = 0, which is rejected, and the sweep
+    # goes on to the next key
+    group = CountingGroup(G31)
+    instance = _instance(group, 4)
+    table, cost = giant_encodings(group, group.generator, H5)
+    key = group.encode(instance.Q)  # the counting layer's keys are bytes
+    assert key not in table
+    group.reset()
+    result = solve_in_subgroup(instance, H5,
+                               shared_giant=({**table, key: 0}, cost))
+    assert result == Found(x=Residue(4, 31), a=1, b=1, steps=cost + 2)
+    # two baby keys, then the rejected and the accepted verification
+    assert group.scalar_muls == 4
+
+
 def test_curve_group_membership():
     group = CurveGroup(desk_curve())
     p = group.order  # 1999; p-1 = 2 * 3^3 * 37

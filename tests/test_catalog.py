@@ -307,6 +307,30 @@ def test_point_audits_derive_group_and_root_once_per_record(monkeypatch):
         audit_key(bad, point=points[0])
 
 
+def test_audits_derive_each_subgroup_once_per_record(monkeypatch):
+    rec = load_builtin("P-256")
+    calls = []
+
+    def counted_subgroup(p, d, **kwargs):
+        calls.append(d)
+        return subgroup_generator(p, d, **kwargs)
+
+    monkeypatch.setattr(catalog, "subgroup_generator", counted_subgroup)
+    x = 1 + 3 * 16 * 71
+    first = audit_key(rec, x=x, subgroups=(16, 71))
+    second = audit_key(rec, x=x, subgroups=(71, 16))
+    assert calls == [16, 71]
+    assert second.entries == first.entries[::-1]
+    assert audit_key(rec, x=x, subgroups=(16, 71)) == first
+    assert calls == [16, 71]
+    # a replaced record derives them anew
+    fresh = dataclasses.replace(rec)
+    assert audit_key(fresh, x=x, subgroups=(16, 71)) == first
+    assert calls == [16, 71, 16, 71]
+    assert fresh.subgroup(16) == rec.subgroup(16) == subgroup_generator(
+        rec.p, 16, generator=rec.primitive_root)
+
+
 def test_audit_default_pair_on_p256_is_inconclusive():
     rec = load_builtin("P-256")
     report = audit_key(rec, x=2)

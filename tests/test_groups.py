@@ -1,6 +1,7 @@
 """Group backends: oracle, multiplicative, curve; encodings; curve files."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -227,11 +228,19 @@ def key_of(group, point):
     return group.encode(point) if group.kind == "curve" else point.data
 
 
+def swept_keys(sweep, start, ratio, count):
+    """Every key a sweep computes, collected by the probe `keys.append`,
+    whose None is never a hit, so the sweep yields nothing."""
+    keys = []
+    assert list(sweep(start, ratio, count, keys.append)) == []
+    return keys
+
+
 def keys_agree_with_scalar_mul(group, base, scalars):
     """A one-key sweep of base from each k against the plain multiply."""
     sweep = group.sweep_keys(base)
     for k in scalars:
-        assert list(sweep(k, 1, 1)) == [key_of(group, group.scalar_mul(
+        assert swept_keys(sweep, k, 1, 1) == [key_of(group, group.scalar_mul(
             k, base))], k
 
 
@@ -318,7 +327,7 @@ def test_p256_inversions_per_comb_build_sweep_key_and_multiply(monkeypatch):
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
     sweep = group.sweep_keys(G)  # the comb build: teeth, then entries
     assert len(inversions) == 2
-    keys = list(sweep(random.Random(7).getrandbits(256), 3, 10))
+    keys = swept_keys(sweep, random.Random(7).getrandbits(256), 3, 10)
     assert len(keys) == 10 and len(inversions) == 2 + 10
     group.scalar_mul(group.order - 2, G)  # odd multiples, then the result
     assert len(inversions) == 2 + 10 + 2
@@ -339,7 +348,7 @@ def test_sweep_keys_of_the_identity_and_other_backends():
     group = CurveGroup(DESK)
     O = group.identity
     keys_agree_with_scalar_mul(group, O, range(-3, 10))
-    assert list(group.sweep_keys(O)(7, 3, 4)) == [b"\x00"] * 4
+    assert swept_keys(group.sweep_keys(O), 7, 3, 4) == [b"\x00"] * 4
     oracle = AdditiveOracleGroup(31)
     for base in (oracle.generator, oracle.element(17), oracle.identity):
         keys_agree_with_scalar_mul(oracle, base, range(-3, oracle.order + 3))
@@ -353,7 +362,7 @@ def test_sweep_keys_of_the_identity_and_other_backends():
     counter = CountingGroup(group)
     sweep = counter.sweep_keys(group.generator)
     assert counter.scalar_muls == 0
-    assert list(sweep(5, 1, 1)) == [group.encode(group.scalar_mul(
+    assert swept_keys(sweep, 5, 1, 1) == [group.encode(group.scalar_mul(
         5, group.generator))]
     assert counter.scalar_muls == 1
 
@@ -382,15 +391,51 @@ def test_sweep_keys_are_equal_exactly_when_points_are(backend, counted):
                                     (rng.randrange(1, p), 0, 3)):
             points = [group.scalar_mul(start * pow(ratio, i, p), base)
                       for i in range(count)]
-            keys = list(sweep(start, ratio, count))
+            keys = swept_keys(sweep, start, ratio, count)
             assert len(set(keys)) == len(set(points)) == \
                 len(set(zip(keys, points)))
             # the counting layer runs the generic loop, encode(scalar_mul)
             assert keys == [inner.encode(P) if counted else key_of(inner, P)
                             for P in points]
-        assert list(sweep(3, zeta, 0)) == []
+        assert swept_keys(sweep, 3, zeta, 0) == []
     with pytest.raises(ValueError):
         group.sweep_keys(AdditiveOracleGroup(101).generator)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+@pytest.mark.parametrize("backend", sorted(SWEPT))
+def test_a_sweep_yields_each_hit_of_its_probe_in_order(backend, counted):
+    group = CountingGroup(SWEPT[backend]()) if counted else SWEPT[backend]()
+    p = group.order
+    zeta = find_primitive_root(p, factor(p - 1)).value
+    rng = random.Random(p)
+    sweep = group.sweep_keys(group.scalar_mul(rng.randrange(2, p),
+                                              group.generator))
+    keys = swept_keys(sweep, 3, zeta, 40)
+    assert len(set(keys)) == 40
+    # every third key is marked, some with falsy hits; None is no hit
+    marks = {key: [0, "", None, 7, (0, 1), False][j % 6]
+             for j, key in enumerate(keys[::3])}
+    read = []
+
+    def probe(key):
+        read.append(key)
+        return marks.get(key)
+
+    hits = list(sweep(3, zeta, 40, probe))
+    assert hits == [(i, marks[key]) for i, key in enumerate(keys)
+                    if marks.get(key) is not None]
+    assert [hit for _, hit in hits[:2]] == [0, ""]
+    assert read == keys
+    # a sweep computes (and a counting layer charges) no key past a hit
+    # until it is resumed
+    read.clear()
+    before = group.scalar_muls if counted else 0
+    for i, _ in sweep(3, zeta, 40, probe):
+        assert len(read) == i + 1
+        if counted:
+            assert group.scalar_muls - before == i + 1
+    assert len(read) == 40
 
 
 @pytest.mark.parametrize("group", [
@@ -406,7 +451,8 @@ def test_keys_of_a_multiple_are_keys_of_the_point(group):
     sweep = group.sweep_keys(Q)
     for y in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
         sweep_of_yQ = group.sweep_keys(group.scalar_mul(y, Q))
-        assert list(sweep(y, zeta, 6)) == list(sweep_of_yQ(1, zeta, 6)), y
+        assert swept_keys(sweep, y, zeta, 6) == \
+            swept_keys(sweep_of_yQ, 1, zeta, 6), y
 
 
 def power_table_agrees_with_pow(group, base, scalars):
@@ -418,7 +464,7 @@ def power_table_agrees_with_pow(group, base, scalars):
     for k in scalars:
         reference = group.element(pow(base.data, k % group.order,
                                       group.modulus))
-        assert list(sweep(k, 1, 1)) == [reference.data] == \
+        assert swept_keys(sweep, k, 1, 1) == [reference.data] == \
             [group.scalar_mul(k, base).data], k
 
 
@@ -455,7 +501,7 @@ def test_power_table_matches_pow_on_a_128_bit_modulus():
 
 def schnorr_group(p):
     """The order-p subgroup of (Z/rZ)* for the least prime r = 2cp + 1."""
-    r = next(r for r in range(2 * p + 1, 1 << 64, 2 * p)
+    r = next(r for r in itertools.count(2 * p + 1, 2 * p)
              if is_probable_prime(r))
     g = next(g for g in range(2, r) if pow(g, (r - 1) // p, r) != 1)
     return MultiplicativeGroup(r, pow(g, (r - 1) // p, r), p)
@@ -479,9 +525,50 @@ def test_power_rows_on_and_past_a_row_boundary(p, rows):
         power_table_agrees_with_pow(group, point, scalars)
     # a run of keys steps the scalar by the ratio, through every row
     sweep = group.sweep_keys(base)
-    assert list(sweep(p - 2, 3, 40)) == [
+    assert swept_keys(sweep, p - 2, 3, 40) == [
         pow(base.data, (p - 2) * pow(3, i, p) % p, group.modulus)
         for i in range(40)]
+
+
+class Multiplicand(int):
+    """A row entry that records the widest product it is multiplied into."""
+
+    widest = 0
+
+    def __mul__(self, other):
+        Multiplicand.widest = max(Multiplicand.widest, other.bit_length())
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+class WidthRecordingRows(MultiplicativeGroup):
+    def _power_rows(self, base):
+        return [[Multiplicand(v) for v in row]
+                for row in super()._power_rows(base)]
+
+
+# A key's product is reduced once it holds 8 row entries: 8 rows make one
+# run, 9 a run of 8 and one of 1, 16 a run of 8 and one of 8, 17 three
+@pytest.mark.parametrize("bits, rows", [(64, 8), (72, 9), (128, 16),
+                                        (136, 17)])
+def test_power_rows_of_large_orders_reduce_between_runs(bits, rows):
+    p = next(p for p in range((1 << bits) - 1, 1, -2) if is_probable_prime(p))
+    plain = schnorr_group(p)
+    group = WidthRecordingRows(plain.modulus, plain.generator.data, p)
+    rng = random.Random(bits)
+    Multiplicand.widest = 0
+    base = group.scalar_mul(rng.randrange(2, p), group.generator)
+    assert len(group._power_rows(base.data)) == rows
+    power_table_agrees_with_pow(
+        group, base, [0, 1, p - 1, p, (1 << bits - 8) - 1]
+        + [rng.randrange(p) for _ in range(10)])
+    ratio = rng.randrange(2, p)
+    assert swept_keys(group.sweep_keys(base), 5, ratio, 12) == [
+        pow(base.data, 5 * pow(ratio, i, p) % p, group.modulus)
+        for i in range(12)]
+    # no product grows past 8 factors below r before it is reduced
+    assert 0 < Multiplicand.widest <= 8 * group.modulus.bit_length()
 
 
 class EncodeCountingGroup(CountingGroup):
@@ -508,11 +595,16 @@ def test_power_table_rejects_foreign_elements_and_is_not_counted():
     sweep = counter.sweep_keys(G)
     assert (counter.scalar_muls, counter.encodes) == (0, 0)
     scalars = [pow(2, i, 11) for i in range(5)]
-    assert list(group.sweep_keys(G)(1, 2, 5)) == \
+    assert swept_keys(group.sweep_keys(G), 1, 2, 5) == \
         [group.scalar_mul(k, G).data for k in scalars]
-    for i, (k, key) in enumerate(zip(scalars, sweep(1, 2, 5)), 1):
-        assert key == group.encode(group.scalar_mul(k, G))
-        assert (counter.scalar_muls, counter.encodes) == (i, i)
+    read = []  # each key with the counts as the probe reads it
+
+    def probe(key):
+        read.append((key, counter.scalar_muls, counter.encodes))
+
+    assert list(sweep(1, 2, 5, probe)) == []
+    assert read == [(group.encode(group.scalar_mul(k, G)), i, i)
+                    for i, k in enumerate(scalars, 1)]
 
 
 def test_cofactor_membership_is_the_prime_order_subgroup():
@@ -645,7 +737,7 @@ def test_counting_layer_passes_the_protocol_through(backend):
         assert clone.scalar_mul(2, e) == g.scalar_mul(2, e)
         assert clone.scalar_muls == 2
     assert counter.scalar_muls == 1
-    assert list(counter.sweep_keys(e)(9, 1, 1)) == \
+    assert swept_keys(counter.sweep_keys(e), 9, 1, 1) == \
         [g.encode(g.scalar_mul(9, e))]
     assert (counter.scalar_muls, counter.adds) == (2, 1)
 
