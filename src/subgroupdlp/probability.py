@@ -3,9 +3,9 @@
 With d | p-1 and m re-randomized threads, the chance that some z_i = y_i*x
 lands in the order-d subgroup is exactly 1-(1-d/(p-1))^m, bounded below by
 1-exp(-dm/(p-1)).  Both are evaluated here to full double precision even
-when d/(p-1) is around 2^-250: the ratio is formed as an exact rational
-first (never by dividing two big doubles) and the outer arithmetic uses
-expm1/log1p so nothing cancels.
+when d/(p-1) is around 2^-250: the ratio is a correctly rounded int
+division (never a division of two big doubles) and the outer arithmetic
+uses expm1/log1p so nothing cancels.
 
 The bound depends on d and m only through the product d*m, which is the
 whole trade-off story: at a fixed success target, doubling the subgroup
@@ -17,7 +17,6 @@ lookup after the first call (see `field.is_probable_prime`).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import is_probable_prime
 
@@ -27,8 +26,8 @@ __all__ = [
     "int_log2",
 ]
 
-# beyond this, 1 - e^-t is 1.0 in binary64 anyway
-_SATURATION = 64.0
+# once t = d*m/(p-1) reaches this, 1 - e^-t is 1.0 in binary64 anyway
+_SATURATION = 64
 
 
 def int_log2(n):
@@ -56,18 +55,23 @@ def success_lower_bound(d, m, p):
     _check(d, m, p)
     if m == 0:
         return 0.0
-    t = Fraction(d * m, p - 1)
-    if t >= _SATURATION:
+    if d * m >= _SATURATION * (p - 1):
         return 1.0
-    return -math.expm1(-float(t))
+    return -math.expm1(-(d * m / (p - 1)))
 
 
 def success_exact(d, m, p):
-    """1 - (1 - d/(p-1))^m: the exact probability of at least one hit."""
+    """1 - (1 - d/(p-1))^m: the exact probability of at least one hit.
+
+    Saturates where the lower bound does (exact >= bound, which is 1.0
+    there), so m never has to fit in a float once the answer is 1.0.
+    """
     _check(d, m, p)
     if m == 0:
         return 0.0
-    r = float(Fraction(d, p - 1))
+    if d * m >= _SATURATION * (p - 1):
+        return 1.0
+    r = d / (p - 1)
     if m == 1:
         return r
     if r >= 1.0:
@@ -87,9 +91,9 @@ def threads_for_probability(d, p, target):
     if not 0.0 < target < 1.0:
         raise ValueError("target probability must lie strictly in (0, 1)")
     _check(d, 1, p)
-    rate = Fraction(-math.log1p(-target))
-    guess = (rate * (p - 1) + d - 1) // d
-    hi = max(int(guess), 1)
+    num, den = (-math.log1p(-target)).as_integer_ratio()
+    guess = (num * (p - 1) + (d - 1) * den) // (d * den)
+    hi = max(guess, 1)
     while success_lower_bound(d, hi, p) < target:
         hi *= 2
     lo = 1

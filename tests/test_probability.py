@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
+from subgroupdlp.catalog import (P256_TABLE_DIVISORS, builtin_names,
+                                 load_builtin)
 from subgroupdlp.cli import main
 from subgroupdlp.probability import (build_table, estimate, int_log2,
                                      success_exact, success_lower_bound,
@@ -264,3 +265,123 @@ def test_table_csv_round_trips_floats(capsys):
             assert float(row["lower_bound"]) == est.lower_bound
             assert float(row["log2_d"]) == est.log2_d
             assert float(row["log2_sqrt_d"]) == est.log2_sqrt_d
+
+
+# Exact-rational references for the bit-identity tests below: each ratio
+# is float(Fraction(...)), the correctly rounded value, so the library's
+# int divisions must match them with ==, not within a tolerance.  The
+# exact formula has no saturation test, so these tests also show that
+# success_exact's shortcut at d*m >= 64*(p-1) changes no value (each case
+# keeps m below 2^1024, where m * log1p(-r) still converts m to float).
+def _ref_lower_bound(d, m, p):
+    if m == 0:
+        return 0.0
+    t = Fraction(d * m, p - 1)
+    if t >= 64:
+        return 1.0
+    return -math.expm1(-float(t))
+
+
+def _ref_exact(d, m, p):
+    if m == 0:
+        return 0.0
+    r = float(Fraction(d, p - 1))
+    if m == 1:
+        return r
+    if r >= 1.0:
+        return 1.0
+    t = m * math.log1p(-r)
+    if t <= -745.0:
+        return 1.0
+    return -math.expm1(t)
+
+
+def _ref_threads(d, p, target):
+    guess = (Fraction(-math.log1p(-target)) * (p - 1) + d - 1) // d
+    hi = max(int(guess), 1)
+    while _ref_lower_bound(d, hi, p) < target:
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _ref_lower_bound(d, mid, p) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _assert_bit_identical(p, d, m):
+    lower, exact = _ref_lower_bound(d, m, p), _ref_exact(d, m, p)
+    assert success_lower_bound(d, m, p) == lower, (p, d, m)
+    assert success_exact(d, m, p) == exact, (p, d, m)
+    est = estimate(p, d, m)
+    assert (est.lower_bound, est.exact) == (lower, exact), (p, d, m)
+
+
+NIST_ORDERS = [load_builtin(name).p for name in builtin_names()]
+
+
+def test_nist_orders_match_the_exact_rational_at_saturation():
+    for p in NIST_ORDERS:
+        edge = 64 * (p - 1)
+        for d, m in ((1, edge - 1), (1, edge), (1, edge + 1),
+                     (2, edge // 2 - 1), (2, edge // 2), (p - 1, 63),
+                     (p - 1, 64), (p - 1, 65)):
+            _assert_bit_identical(p, d, m)
+        assert success_exact(1, edge, p) == 1.0
+
+
+def test_nist_orders_match_the_exact_rational_on_a_thread_ladder():
+    for p in NIST_ORDERS:
+        bits = (p - 1).bit_length()
+        # (p-1)//7 on P-256 is a ratio where float(d) / float(p-1)
+        # rounds differently from the correctly rounded d / (p-1)
+        for d in (1, 3, (p - 1) >> 40, (p - 1) // 7, (p - 1) // 3, p - 1):
+            for m in [0, 1] + [1 << k for k in range(0, bits + 12, 3)]:
+                _assert_bit_identical(p, d, m)
+
+
+def test_threads_for_probability_matches_the_exact_rational():
+    for p in NIST_ORDERS:
+        for d in (1, 3, (p - 1) // 3, p - 1):
+            for target in (1e-9, 0.5, 0.99):
+                assert threads_for_probability(d, p, target) == \
+                    _ref_threads(d, p, target), (p, d, target)
+
+
+def test_paper_256_grids_match_the_exact_rational(capsys):
+    presets = (((D1, D2, D3), (45, 50, 52, 53, 54, 55, 56)),
+               ((D4,), (41, 42, 43, 44)),
+               ((D5,), (33, 34, 35, 36, 37)))
+    p = P256.p
+    assert main(["prob-table", "--paper-256", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    want = [(d, e) for divisors, exponents in presets
+            for e in exponents for d in divisors]
+    assert len(rows) == len(want) == 30
+    for row, (d, e) in zip(rows, want):
+        assert float(row["lower_bound"]) == _ref_lower_bound(d, 1 << e, p)
+        assert float(row["exact"]) == _ref_exact(d, 1 << e, p)
+        assert float(row["log2_m"]) == e
+    for divisors, exponents in presets:
+        table = build_table(p, divisors, exponents)
+        for i, e in enumerate(exponents):
+            for j, d in enumerate(divisors):
+                cell = table.cell(i, j)
+                assert cell.lower_bound == _ref_lower_bound(d, 1 << e, p)
+                assert cell.exact == _ref_exact(d, 1 << e, p)
+
+
+def test_thread_counts_past_the_float_range_saturate(capsys):
+    # 2^1024 threads cannot become a float; the probability is 1.0 anyway
+    p = P256.p
+    for m in (1 << 1024, 1 << 2000):
+        assert success_exact(3, m, p) == 1.0
+        assert success_lower_bound(3, m, p) == 1.0
+        est = estimate(p, 3, m)
+        assert (est.exact, est.lower_bound) == (1.0, 1.0)
+    assert main(["prob-table", "--curve", "P-256", "--d-list", "3",
+                 "--m-exponents", "1024"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == \
+        ["1024", "1.00000"]
