@@ -326,11 +326,13 @@ def audit_key(rec, x=None, point=None, subgroups=None,
     Exactly one of `x` (the secret scalar) or `point` (the public key, as
     a GroupElement on rec.params' curve) must be given.  `subgroups`
     defaults to the record's audit pair (d1, d2).  Subgroups whose
-    worst-case cost 2*(isqrt(d)+2) exceeds `budget` are reported as
-    infeasible, not attempted.
+    worst-case cost 2*(isqrt(d)+2) exceeds `budget` (>= 0) are reported
+    as infeasible, not attempted.
     """
     if (x is None) == (point is None):
         raise ValueError("supply exactly one of x= or point=")
+    if budget < 0:
+        raise ValueError("audit budget must be >= 0, got %d" % budget)
     if subgroups is None:
         subgroups = (rec.d1, rec.d2)
     for d in subgroups:

@@ -6,6 +6,10 @@ for a chosen divisor d | p-1, and the divisor of p-1 nearest a requested bit
 size.  Factorization is trial division below a bound plus Pollard rho with
 Brent's cycle finding, under an explicit iteration budget: results carry a
 `complete` flag and a composite residual instead of pretending to finish.
+Trial division walks the primes in runs and skips a run whose product is
+coprime to what is left with one gcd (Bernstein, "How to find smooth parts
+of integers", 2004), dividing prime by prime only in a run that shares a
+factor.
 """
 
 import functools
@@ -17,6 +21,12 @@ from dataclasses import dataclass, field as dataclass_field
 from .field import Residue, is_probable_prime
 
 TRIAL_BOUND = 1 << 16
+# primes per trial-division run.  Sized on p-1 = 2^e*a*b (a, b 27-bit
+# primes, so every run is scanned; 2-vCPU Xeon, Python 3.11.7): runs of
+# 32/64/128/256 primes scan one n in 196/143/112/114 us (675 us prime by
+# prime) and build all products once in 0.59/0.67/0.84/1.17 ms.  64 keeps
+# a one-shot call (build + one scan) at the 32-prime cost, ~0.8 ms.
+TRIAL_RUN = 64
 DEFAULT_RHO_BUDGET = 1 << 24
 _PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
 _ELEMENT_LIMIT = 1 << 22  # SubgroupSpec.elements enumerates no more
@@ -25,14 +35,17 @@ _HALF_LIMIT = 1 << 20  # nearest_divisor builds no larger half
 
 
 @functools.cache
-def _trial_primes():
-    """The primes below TRIAL_BOUND, sieved on first use."""
+def _trial_runs():
+    """The primes below TRIAL_BOUND as (product, run) pairs of TRIAL_RUN
+    ascending primes each, sieved on first use."""
     flags = bytearray([1]) * TRIAL_BOUND
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
         if flags[i]:
             flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    return [i for i in range(TRIAL_BOUND) if flags[i]]
+    primes = [i for i in range(TRIAL_BOUND) if flags[i]]
+    runs = [primes[i:i + TRIAL_RUN] for i in range(0, len(primes), TRIAL_RUN)]
+    return [(math.prod(run), run) for run in runs]
 
 
 @dataclass
@@ -87,7 +100,10 @@ def pollard_rho_brent(n, rng, max_iters=1 << 22):
     """A nontrivial factor of composite n, or None if the budget runs out.
 
     Brent's variant: batched gcd every 128 squarings, restart with a fresh
-    polynomial when a cycle closes on a trivial gcd.
+    polynomial when a cycle closes on a trivial gcd.  Both loops run four
+    squarings per pass and reduce the product q once per four differences;
+    the iterates, gcd checkpoints and budget are those of one squaring per
+    pass, so the same rng gives the same factor.
     """
     if n % 2 == 0:
         return 2
@@ -95,21 +111,32 @@ def pollard_rho_brent(n, rng, max_iters=1 << 22):
     while budget > 0:
         c = rng.randrange(1, n)
         y = rng.randrange(0, n)
-        m = 128
         r = 1
         q = 1
         g = 1
         x = ys = y
         while g == 1 and budget > 0:
             x = y
-            for _ in range(min(r, budget)):
+            steps = min(r, budget)
+            for _ in range(steps >> 2):
                 y = (y * y + c) % n
-            budget -= min(r, budget)
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(steps & 3):
+                y = (y * y + c) % n
+            budget -= steps
             k = 0
             while k < r and g == 1 and budget > 0:
                 ys = y
-                steps = min(m, r - k, budget)
-                for _ in range(steps):
+                steps = min(128, r - k, budget)
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -133,22 +160,27 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Factor n >= 1 within a work budget.
 
     Trial division strips all primes below TRIAL_BOUND; Pollard rho (with
-    at most `rho_budget` squarings in total, its polynomials drawn from a
-    generator seeded by n) handles the rest.  A residual the budget cannot
-    split is reported honestly via complete=False.  The generator is only
-    seeded once rho is needed, so small n cost trial division alone.
+    at most `rho_budget` >= 0 squarings in total, its polynomials drawn
+    from a generator seeded by n) handles the rest.  A residual the budget
+    cannot split is reported honestly via complete=False.  The generator
+    is only seeded once rho is needed, so small n cost trial division alone.
     """
     if n < 1:
         raise ValueError("can only factor positive integers, got %d" % n)
+    if rho_budget < 0:
+        raise ValueError("rho budget must be >= 0, got %d" % rho_budget)
     rng = None
     counts = {}
     m = n
-    for p in _trial_primes():
-        if p * p > m:
-            break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+    for product, run in _trial_runs():
+        if run[0] * run[0] > m:
+            break  # every smaller prime is tried: m is 1 or a prime
+        if math.gcd(m, product) == 1:
+            continue
+        for p in run:
+            while m % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
     residual = 1
     if m > 1:
         pending = [m]

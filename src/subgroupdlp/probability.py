@@ -11,8 +11,9 @@ The bound depends on d and m only through the product d*m, which is the
 whole trade-off story: at a fixed success target, doubling the subgroup
 halves the threads.
 
-Every public function checks its own inputs; proving p prime is a cache
-lookup after the first call (see `field.is_probable_prime`).
+Every public function checks its own inputs once, then evaluates through
+unchecked private cores; proving p prime is a cache lookup after the first
+call (see `field.is_probable_prime`).
 """
 
 import math
@@ -46,13 +47,7 @@ def _check(d, m, p):
         raise ValueError("thread count must be >= 0")
 
 
-def success_lower_bound(d, m, p):
-    """1 - exp(-d*m/(p-1)): the with-replacement collision bound.
-
-    A function of the product d*m alone (given p), so it is exactly
-    invariant under the doubling/halving trade-off.
-    """
-    _check(d, m, p)
+def _lower_bound(d, m, p):
     if m == 0:
         return 0.0
     if d * m >= _SATURATION * (p - 1):
@@ -60,13 +55,7 @@ def success_lower_bound(d, m, p):
     return -math.expm1(-(d * m / (p - 1)))
 
 
-def success_exact(d, m, p):
-    """1 - (1 - d/(p-1))^m: the exact probability of at least one hit.
-
-    Saturates where the lower bound does (exact >= bound, which is 1.0
-    there), so m never has to fit in a float once the answer is 1.0.
-    """
-    _check(d, m, p)
+def _exact(d, m, p):
     if m == 0:
         return 0.0
     if d * m >= _SATURATION * (p - 1):
@@ -82,6 +71,26 @@ def success_exact(d, m, p):
     return -math.expm1(t)
 
 
+def success_lower_bound(d, m, p):
+    """1 - exp(-d*m/(p-1)): the with-replacement collision bound.
+
+    A function of the product d*m alone (given p), so it is exactly
+    invariant under the doubling/halving trade-off.
+    """
+    _check(d, m, p)
+    return _lower_bound(d, m, p)
+
+
+def success_exact(d, m, p):
+    """1 - (1 - d/(p-1))^m: the exact probability of at least one hit.
+
+    Saturates where the lower bound does (exact >= bound, which is 1.0
+    there), so m never has to fit in a float once the answer is 1.0.
+    """
+    _check(d, m, p)
+    return _exact(d, m, p)
+
+
 def threads_for_probability(d, p, target):
     """Smallest m whose lower bound reaches `target`.
 
@@ -94,12 +103,12 @@ def threads_for_probability(d, p, target):
     num, den = (-math.log1p(-target)).as_integer_ratio()
     guess = (num * (p - 1) + (d - 1) * den) // (d * den)
     hi = max(guess, 1)
-    while success_lower_bound(d, hi, p) < target:
+    while _lower_bound(d, hi, p) < target:
         hi *= 2
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if success_lower_bound(d, mid, p) >= target:
+        if _lower_bound(d, mid, p) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -125,8 +134,8 @@ def estimate(p, d, m):
     log2_d = int_log2(d)
     return AttackEstimate(
         p=p, d=d, m=m,
-        lower_bound=success_lower_bound(d, m, p),
-        exact=success_exact(d, m, p),
+        lower_bound=_lower_bound(d, m, p),
+        exact=_exact(d, m, p),
         log2_d=log2_d,
         log2_m=int_log2(m) if m else float("-inf"),
         log2_sqrt_d=log2_d / 2.0,

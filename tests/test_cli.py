@@ -612,6 +612,23 @@ def test_factor_incomplete(run):
     assert "incomplete" in err
 
 
+def test_factor_and_keycheck_refuse_a_negative_budget(run):
+    # a usage error at exit 2, as solve's step cap, not a clean negative
+    # ("incomplete" / "inconclusive" at exit 1)
+    n = str(1000000007 * 1000000009)
+    assert run("factor", n, "--budget", "-7") == \
+        (2, "", "error: rho budget must be >= 0, got -7\n")
+    keycheck = ("keycheck", "--curve", "P-256", "--x", "5", "--d", "3")
+    assert run(*keycheck, "--budget", "-1") == \
+        (2, "", "error: audit budget must be >= 0, got -1\n")
+    # a zero budget still runs and tries nothing
+    code, out, err = run("factor", n, "--budget", "0")
+    assert code == 1 and out.strip() == "%s = %s" % (n, n)
+    assert "incomplete" in err
+    code, out, _ = run(*keycheck, "--budget", "0")
+    assert code == 1 and "recommendation: inconclusive" in out
+
+
 def test_options_only_where_a_command_reads_them(run):
     # --format on factor, --seed on the commands that draw nothing,
     # --workers anywhere and the retired bench command are argparse errors,

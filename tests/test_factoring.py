@@ -1,6 +1,7 @@
 """Factorization, subgroup generators, divisor search."""
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -94,6 +95,89 @@ def test_factor_finds_primes_between_the_trial_bound_and_a_million():
         assert got.factors == _trial_division(n), n
 
 
+@functools.cache
+def _primes_below(bound):
+    flags = bytearray([1]) * bound
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(flags[i * i::i]))
+    return [i for i in range(bound) if flags[i]]
+
+
+def _factor_one_prime_at_a_time(n, rho_budget=factoring.DEFAULT_RHO_BUDGET):
+    """factor as it was before trial division walked runs: every prime
+    below the trial bound in turn until p*p > m, then the same rho stage."""
+    counts = {}
+    m = n
+    for p in _primes_below(factoring.TRIAL_BOUND):
+        if p * p > m:
+            break
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+    rng = None
+    residual = 1
+    if m > 1:
+        pending = [m]
+        budget = rho_budget
+        while pending:
+            chunk = pending.pop()
+            if chunk < factoring.TRIAL_BOUND ** 2 or is_probable_prime(chunk):
+                counts[chunk] = counts.get(chunk, 0) + 1
+                continue
+            rng = rng or random.Random(n & 0xFFFFFFFF)
+            split = pollard_rho_brent(chunk, rng, max_iters=budget) \
+                if budget > 0 else None
+            if split is None:
+                residual *= chunk
+                continue
+            budget >>= 1
+            pending.append(split)
+            pending.append(chunk // split)
+    return FactoredInteger(n=n, factors=sorted(counts.items()),
+                           complete=residual == 1, residual=residual)
+
+
+def test_trial_runs_are_the_primes_below_the_bound_with_their_products():
+    runs = factoring._trial_runs()
+    assert [p for _, run in runs for p in run] == \
+        _primes_below(factoring.TRIAL_BOUND)
+    assert all(len(run) == factoring.TRIAL_RUN for _, run in runs[:-1])
+    assert all(product == math.prod(run) for product, run in runs)
+
+
+def test_factor_by_runs_matches_one_prime_at_a_time():
+    runs = [run for _, run in factoring._trial_runs()]
+    cases = list(range(1, 5000))
+    # a run's last prime next to the following run's first: the stop
+    # test reads run[0], so run[-1] must not end the scan early
+    cases += [a[-1] * b[0] for a, b in zip(runs, runs[1:])]
+    cases += [a[-1] ** 2 * b[0] for a, b in zip(runs, runs[1:])]
+    # two primes of one run, which the run's gcd sees together
+    cases += [run[i] * run[j] for run in runs
+              for i, j in ((0, 1), (0, -1), (-2, -1)) if len(run) > 1]
+    cases += [2 ** 40, 3 ** 25, 65521 ** 3,
+              65521 ** 2, 65521 * 65537, 65537 ** 2]
+    rng = random.Random(30)
+    shaped = [2 ** rng.randrange(1, 9) * _random_prime(rng, 1 << 26, 1 << 27)
+              * _random_prime(rng, 1 << 26, 1 << 27) for _ in range(12)]
+    for n in cases + shaped:
+        assert factor(n) == _factor_one_prime_at_a_time(n), n
+    for n in shaped + [65521 * 65537, 65537 ** 2]:  # rho starved or cut short
+        for budget in (0, 5):
+            assert factor(n, rho_budget=budget) == \
+                _factor_one_prime_at_a_time(n, rho_budget=budget), (n, budget)
+
+
+def test_factor_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="rho budget must be >= 0, got -7"):
+        factor(1000000007 * 1000000009, rho_budget=-7)
+    with pytest.raises(ValueError, match="rho budget must be >= 0, got -1"):
+        factor(30, rho_budget=-1)  # even where trial division alone finishes
+    assert factor(30, rho_budget=0).factors == [(2, 1), (3, 1), (5, 1)]
+
+
 def test_factor_reports_honest_residual():
     p, q = 1000000007, 1000000009
     got = factor(p * q, rho_budget=0)
@@ -115,6 +199,71 @@ def test_pollard_rho_splits_semiprime():
 def test_pollard_rho_budget_exhaustion_returns_none():
     n = 1000003 * 1000033
     assert pollard_rho_brent(n, random.Random(5), max_iters=4) is None
+
+
+def _rho_one_squaring_per_pass(n, rng, max_iters=1 << 22):
+    """pollard_rho_brent as it was before its loops were unrolled."""
+    if n % 2 == 0:
+        return 2
+    budget = max_iters
+    while budget > 0:
+        c = rng.randrange(1, n)
+        y = rng.randrange(0, n)
+        m = 128
+        r = 1
+        q = 1
+        g = 1
+        x = ys = y
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(min(r, budget)):
+                y = (y * y + c) % n
+            budget -= min(r, budget)
+            k = 0
+            while k < r and g == 1 and budget > 0:
+                ys = y
+                steps = min(m, r - k, budget)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+                budget -= steps
+            r <<= 1
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+            if g == n:
+                continue
+        if 1 < g < n:
+            return g
+    return None
+
+
+def test_pollard_rho_brent_matches_one_squaring_per_pass():
+    # same factor or None and the same polynomials drawn (rng state) for
+    # every budget, on and around the 4-way unroll and the 128-step gcd
+    rng = random.Random(31)
+    cases = [15, 21, 25, 35, 91, 143, 1000003 * 1000033]
+    for bits in (20, 24, 31, 40, 48, 55, 62):
+        low = bits // 2
+        cases.append(_random_prime(rng, 1 << low - 1, 1 << low)
+                     * _random_prime(rng, 1 << bits - low - 1,
+                                     1 << bits - low))
+    budgets = list(range(1, 10)) + [127, 128, 129, 1 << 22]
+    outcomes = set()
+    for n in cases:
+        for seed in range(3):
+            for budget in budgets:
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = pollard_rho_brent(n, got_rng, max_iters=budget)
+                assert got == _rho_one_squaring_per_pass(
+                    n, ref_rng, max_iters=budget), (n, seed, budget)
+                assert got_rng.getstate() == ref_rng.getstate()
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_factored_integer_format():

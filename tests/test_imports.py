@@ -5,7 +5,9 @@ the root of an attribute chain), lists it in `__all__`, or is a package
 `__init__.py`, whose imports are its re-exports.
 
 Also: a fresh interpreter that imports the CLI loads no module the
-library does not need (fractions pulls in decimal, ~3 ms of start-up).
+library does not need (fractions pulls in decimal, ~3 ms of start-up)
+and builds no trial-division runs (the sieve and its run products, ~4 ms,
+wait for the first `factor` call).
 """
 
 import ast
@@ -84,3 +86,14 @@ def test_the_cli_loads_neither_fractions_nor_decimal():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_the_cli_builds_no_trial_division_runs_at_import():
+    # one-shot commands that never factor (audit, prob-table) must not
+    # pay for the runs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import subgroupdlp.cli, subgroupdlp.factoring as f; "
+             "print(f._trial_runs.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
