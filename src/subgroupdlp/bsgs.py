@@ -14,18 +14,15 @@ within that group object, so a table is only read by sweeps of the group
 that built it.  The solver tabulates the right side (giant steps) and
 probes the left side (baby steps) with `table.get`; on a hit it recovers
 x = zeta^(a*s-b mod d) and accepts it only after re-verifying x*P == Q.
-A single solve takes the balanced split s = n = isqrt(d) + 1: a = 0..n and
-b = 0..n, n+1 multiplies on each side, so that a member's first hit has
-b <= n-1 and the solve stays within theorem_budget(d).
+The split (s and how many keys a and b) is decided in one place, `plan`:
+a single solve's balanced split, or a campaign's, sized for its threads.
 The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
 then gives x = y^(-1)*zeta^(a*s-b): that is a campaign thread's search.
 Q's sweep is prepared once per instance (`DlpInstance.sweep_q`), so every
 subgroup and every thread searched for one key reads it.
-The giant table depends only on (group, P, H, s), so `kept_giant` builds
-it once and keeps it with the group object for campaigns and audits,
-whose baby sweeps then need O(1) memory each.  A campaign whose table
-serves t threads takes a smaller s, about sqrt(d/t), and a larger table
-(see `parallel`).  In all, about
+The giant table depends only on (group, P, H, plan), so `kept_giant`
+builds it once and keeps it with the group object for campaigns and
+audits, whose baby sweeps then need O(1) memory each.  In all, about
 2*sqrt(d) group operations decide x in H -- with a certificate when it
 is, and a sound "no" when it is not.  Membership of x in H never
 requires knowing x.
@@ -37,11 +34,12 @@ from math import isqrt
 
 from .field import Residue
 from .groups import GroupElement
+from .probability import success_exact
 
 __all__ = [
     "DlpInstance", "Found", "NotInSubgroup", "Undecided",
-    "DegenerateKeyError", "solve_in_subgroup", "giant_encodings",
-    "kept_giant", "theorem_budget",
+    "DegenerateKeyError", "SearchPlan", "plan", "solve_in_subgroup",
+    "giant_encodings", "kept_giant", "theorem_budget",
 ]
 
 
@@ -111,27 +109,52 @@ class Undecided:
     steps: int
 
 
+@dataclass(frozen=True)
+class SearchPlan:
+    """A split: giant step s, giant keys a < giant, baby keys b < baby."""
+
+    step: int
+    giant: int
+    baby: int
+
+
+def plan(d, p=None, m=None):
+    """The split of a search in H of order d: the one place it is decided.
+
+    A single solve (m None) is balanced: s = n = isqrt(d) + 1 and n+1 keys
+    a side, so a member's first hit has b <= n-1, within theorem_budget(d).
+    An m-thread campaign mod p sizes its one table for the threads it
+    expects to run, t = success_exact(d, m, p)/f clamped to [1, m] (each
+    hits with chance f = d/(p-1) and the first hit ends it): B baby keys
+    each, B = isqrt(floor(d/t)) + 1, against ceil(d/B) giant keys, so
+    2*sqrt(t*d) multiplies in all, not (t+1)*sqrt(d) (the multi-target
+    trade-off of Bernstein and Lange, "Computing small discrete logarithms
+    faster", INDOCRYPT 2012).  At m = 1: n baby keys against ceil(d/n).
+    """
+    if m is None:
+        n = isqrt(d) + 1
+        return SearchPlan(step=n, giant=n + 1, baby=n + 1)
+    # divide by f itself: times (p-1)/d rounds B differently at some huge d
+    t = success_exact(d, m, p) / (d / (p - 1))
+    B = isqrt(int(d / min(max(t, 1.0), m))) + 1
+    return SearchPlan(step=B, giant=-(-d // B), baby=B)
+
+
 def theorem_budget(d):
     """Worst-case scalar multiplications for one constrained search."""
-    return 2 * (isqrt(d) + 2)
+    return 2 * plan(d).giant  # the single plan's two sweeps are equal
 
 
-def giant_encodings(group, P, H, step=None):
-    """The giant table of (group, P, H, step) and the multiplies it cost.
+def giant_encodings(group, P, H, split):
+    """The giant table of (group, P, H, split) and the multiplies it cost.
 
-    The table maps the sweep key of (zeta^s)^a * P to a, for a = 0 ..
-    ceil(d/s) - 1 when `step` = s is given (a campaign's split, against s
-    baby keys), and for a = 0..n with s = n = isqrt(d) + 1 when it is not
-    (a single solve's), from keys the sweep probes into a list.  A key met
-    again (zeta^s has order <= the last a) keeps every a, as a tuple in
-    increasing order, so a candidate that fails verification does not hide
-    the next one.
+    The table maps the sweep key of (zeta^s)^a * P to a, for s =
+    split.step and a < split.giant (`split` is a `plan`), from keys the
+    sweep probes into a list.  A key met again (zeta^s has order <= the
+    last a) keeps every a, as a tuple in increasing order, so a candidate
+    that fails verification does not hide the next one.
     """
-    if step is None:
-        step = isqrt(H.d) + 1
-        count = step + 1
-    else:
-        count = -(-H.d // step)
+    step, count = split.step, split.giant
     keys = []
     for _ in group.sweep_keys(P)(1, pow(H.zeta.value, step, H.p), count,
                                  keys.append):
@@ -146,43 +169,42 @@ def giant_encodings(group, P, H, step=None):
     return table, count
 
 
-def kept_giant(group, P, H, step=None):
-    """`giant_encodings(group, P, H, step=step)`, built once per group object.
+def kept_giant(group, P, H, split):
+    """`giant_encodings(group, P, H, split)`, built once per group object.
 
     The (table, cost) pair is kept in the group object's own `__dict__`,
-    keyed by (P, H, step), so it lives as long as the group and every
-    campaign and audit on that group reads it; a CountingGroup keeps its
-    own tables and never reads those of the group it wraps, whose keys
-    are another group object's.  `cost` is what the build took, charged
-    to every search that reads the table.
+    keyed by (P, H, split), so it lives as long as the group and every
+    campaign and audit on that group reads it (two plans with one step
+    keep two tables); a CountingGroup keeps its own tables and never reads
+    those of the group it wraps, whose keys are another group object's.
+    `cost` is what the build took, charged to every search that reads it.
     """
     kept = vars(group).setdefault("_kept_giants", {})
-    key = (P, H, step)
+    key = (P, H, split)
     if key not in kept:
-        kept[key] = giant_encodings(group, P, H, step=step)
+        kept[key] = giant_encodings(group, P, H, split)
     return kept[key]
 
 
-def _baby_sweep(instance, H, table, y, step, count, cap=None):
-    """Stream the keys of (y * zeta^b) * Q for b < count against `table`.
+def _baby_sweep(instance, H, table, y, split, cap=None):
+    """Stream the keys of (y * zeta^b) * Q for b < split.baby against `table`.
 
     `instance.sweep_q` probes the keys with `table.get`, y is a unit mod p
-    and `step` the giant step s the table was built with.  A hit (a, b)
+    and `split` the `plan` the table was built with.  A hit (a, b)
     proposes x = y^(-1) * zeta^(a*s-b), accepted only if x*P == Q, else
-    the sweep goes on.  A `cap` below `count` sweeps only the first `cap`
-    keys.  Returns Found / NotInSubgroup / Undecided with the baby steps
-    alone.
+    the sweep goes on.  A `cap` sweeps at most `cap` keys.  Returns
+    Found / NotInSubgroup / Undecided with the baby steps alone.
     """
     group, P, Q = instance.group, instance.P, instance.Q
     p, zeta, d = H.p, H.zeta.value, H.d
-    swept = count if cap is None else min(count, cap)
+    swept = split.baby if cap is None else min(split.baby, cap)
     for b, hit in instance.sweep_q(y, zeta, swept, table.get):
         for a in hit if type(hit) is tuple else (hit,):
-            x = pow(y, -1, p) * pow(zeta, (a * step - b) % d, p) % p
+            x = pow(y, -1, p) * pow(zeta, (a * split.step - b) % d, p) % p
             # soundness gate: accept only a re-verified exponent
             if group.scalar_mul(x, P) == Q:
                 return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
-    return NotInSubgroup(count) if swept == count else Undecided(cap)
+    return NotInSubgroup(swept) if swept == split.baby else Undecided(cap)
 
 
 def _check_solvable(instance, H):
@@ -195,29 +217,27 @@ def _check_solvable(instance, H):
 def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     """Decide whether the hidden exponent lies in H, recovering it if so.
 
-    Builds the balanced giant table (n+1 multiplies, n = isqrt(d) + 1),
-    then streams the baby steps zeta^b * Q for b = 0..n against it and
-    stops at the first hit that verifies.  A member's first verified hit
-    has b <= n-1, so the search plus its verify multiply stays within
-    theorem_budget(d).
+    Builds the giant table of the single solve's `plan(d)`, then streams
+    its baby steps zeta^b * Q against it and stops at the first hit that
+    verifies, within theorem_budget(d) with the verify multiply.
 
     Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
     the number of scalar multiplications (the verification multiplies are
     not charged).  `shared_giant` is a (table, cost) pair from
-    `kept_giant(instance.group, instance.P, H)`, built once elsewhere:
-    the solve then runs only the baby sweep, but charges `cost` in
-    `steps` and `step_cap` as if it had built the table, so its verdict
+    `kept_giant(instance.group, instance.P, H, plan(H.d))`, built once
+    elsewhere: the solve then runs only the baby sweep, but charges `cost`
+    in `steps` and `step_cap` as if it had built the table, so its verdict
     and steps are those of a fresh solve.  A `step_cap` below the table's
     cost returns Undecided before any multiply.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
         raise ValueError("step cap must be >= 0, got %d" % step_cap)
-    n = isqrt(H.d) + 1
-    if step_cap is not None and step_cap < n + 1:
+    split = plan(H.d)
+    if step_cap is not None and step_cap < split.giant:
         return Undecided(step_cap)
     table, giant_steps = shared_giant or giant_encodings(
-        instance.group, instance.P, H)
+        instance.group, instance.P, H, split)
     cap = None if step_cap is None else step_cap - giant_steps
-    verdict = _baby_sweep(instance, H, table, 1, n, n + 1, cap=cap)
+    verdict = _baby_sweep(instance, H, table, 1, split, cap=cap)
     return replace(verdict, steps=giant_steps + verdict.steps)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .bsgs import (DlpInstance, Found, kept_giant, solve_in_subgroup,
+from .bsgs import (DlpInstance, Found, kept_giant, plan, solve_in_subgroup,
                    theorem_budget)
 from .factoring import (FactoredInteger, check_divisor, find_primitive_root,
                         subgroup_generator)
@@ -272,8 +272,8 @@ def verify_record(rec):
 class SubgroupCheck:
     """Membership verdict for one subgroup order d.
 
-    `steps` is the search's logical cost: the giant table's n+1
-    multiplies plus the baby steps taken, so a non-member reads
+    `steps` is the search's logical cost: the giant table of the single
+    `bsgs.plan(d)` plus the baby steps taken, so a non-member reads
     theorem_budget(d).  The table is built once per group and subgroup
     and kept for later audits, which do only the baby steps but are
     charged the same.
@@ -326,8 +326,8 @@ def audit_key(rec, x=None, point=None, subgroups=None,
     Exactly one of `x` (the secret scalar) or `point` (the public key, as
     a GroupElement on rec.params' curve) must be given.  `subgroups`
     defaults to the record's audit pair (d1, d2).  Subgroups whose
-    worst-case cost 2*(isqrt(d)+2) exceeds `budget` (>= 0) are reported
-    as infeasible, not attempted.
+    worst-case cost theorem_budget(d), both sweeps of the single `plan`,
+    exceeds `budget` (>= 0) are reported as infeasible, not attempted.
     """
     if (x is None) == (point is None):
         raise ValueError("supply exactly one of x= or point=")
@@ -355,8 +355,8 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         if feasible:
             H = rec.subgroup(d)
             # budget >= theorem_budget(d) covers the whole search: no cap binds
-            verdict = solve_in_subgroup(
-                instance, H, shared_giant=kept_giant(group, instance.P, H))
+            verdict = solve_in_subgroup(instance, H, shared_giant=kept_giant(
+                group, instance.P, H, plan(d)))
             status = "member" if isinstance(verdict, Found) else "non-member"
             steps = verdict.steps
         entries.append(SubgroupCheck(

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
+from .bsgs import DlpInstance, Found, plan, solve_in_subgroup, theorem_budget
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
@@ -32,7 +32,7 @@ from .factoring import (DEFAULT_RHO_BUDGET, check_divisor, factor,
 from .field import parse_int
 from .groups import (AdditiveOracleGroup, CountingGroup, desk_curve,
                      load_curve_file)
-from .parallel import CampaignConfig, baby_keys, randomized_solve
+from .parallel import CampaignConfig, randomized_solve
 from .probability import build_table, estimate, int_log2
 
 DATA_DIR_ENV = "SUBGROUPDLP_DATA_DIR"
@@ -222,6 +222,7 @@ def cmd_solve(args):
         config = CampaignConfig(m=m, seed=args.seed, step_cap=cap)
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
+        split = plan(H.d, p, m)
         found, win = result.found, result.success
         outcome = "Found" if found else "Failed"
         steps = result.total_steps
@@ -234,8 +235,7 @@ def cmd_solve(args):
             else "outcome: Failed (no thread landed in the subgroup)",
             "steps: %d total over %d threads (%d baby keys per thread, "
             "%d-key giant table)"
-            % (steps, result.threads_run, baby_keys(p, H.d, m),
-               steps - sum(result.per_thread_steps))]
+            % (steps, result.threads_run, split.baby, split.giant)]
         model = "predicted success: lower %.5f, exact %.5f"
     est = estimate(p, H.d, m)
     if args.format == "csv":

@@ -4,23 +4,15 @@ One thread decides x in H at cost ~2*sqrt(d).  The campaign runs m threads
 that re-randomize the key by uniform units y_i: thread i decides whether
 z_i = x * y_i mod p lies in H by the baby sweep (y_i * zeta^b) * Q, run
 by the instance's one prepared sweep of Q (`sweep_q`), and a hit yields
-x = z_i * y_i^{-1} mod p, accepted once x*P == Q.  The giant table depends
-only on (group, P, H) and its step, so it is built once; each thread
-streams its own baby sweep against it (the independent-thread collision
-search of van Oorschot and Wiener, J. Cryptology 1999).  The campaign
-succeeds as soon as some x * y_i falls in H -- which is what the
-probability model prices.
-
-One table serves every thread, so a campaign sizes it for the t threads
-it expects to run, t = (1 - (1 - d/(p-1))^m) * (p-1)/d: B ~ sqrt(d/t)
-baby keys per thread against a table of ~d/B ~ sqrt(t*d) keys, 2*sqrt(t*d)
-multiplies in all instead of (t+1)*sqrt(d) for the balanced split (the
-multi-target trade-off of Bernstein and Lange, "Computing small discrete
-logarithms faster", INDOCRYPT 2012).  B is a function of (p, d, m) alone.
-
-The table is `bsgs.kept_giant`'s: built on a group's first campaign with
-that (P, H, B) and kept with the group object, so later campaigns charge
-its cost in total_steps without building it again.
+x = z_i * y_i^{-1} mod p, accepted once x*P == Q.  Each thread streams
+its own baby sweep against one giant table (the independent-thread
+collision search of van Oorschot and Wiener, J. Cryptology 1999), so the
+split -- B baby keys per thread against the table -- is the campaign case
+of `bsgs.plan(d, p, m)`, sized for the threads the campaign expects to
+run.  The table is `bsgs.kept_giant`'s: built on a group's first campaign
+and kept with the group object, so later campaigns charge its cost in
+total_steps without building it again.  The campaign succeeds as soon as
+some x * y_i falls in H -- which is what the probability model prices.
 
 Thread i asks only whether y_i lies in the coset x^(-1) * H, so y_i
 matters only through its coset of H, keyed by y_i^d mod p (H is the kernel
@@ -38,11 +30,10 @@ and no thread runs that the result does not account.
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from math import expm1, isqrt, log1p
 
 # bench/tracing.py reads and wraps giant_encodings and solve_in_subgroup here
 from .bsgs import (DlpInstance, Found, NotInSubgroup, _baby_sweep,
-                   _check_solvable, giant_encodings, kept_giant,
+                   _check_solvable, giant_encodings, kept_giant, plan,
                    solve_in_subgroup)
 from .factoring import factor, subgroup_generator
 from .field import Residue, derive_seed
@@ -93,17 +84,15 @@ class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
     total_steps counts constrained-search scalar multiplications: the
-    giant table of ceil(d/B) keys, shared by every thread and charged in
-    full even when an earlier campaign on the group built it (see
-    `bsgs.kept_giant`), plus each thread's baby steps (B =
-    baby_keys(p, d, m), or the step cap if lower, for a thread that finds
-    nothing, b+1 for the winner, 0 for a thread whose coset of H an
+    giant table of the campaign's `bsgs.plan(d, p, m)`, shared by every
+    thread and charged in full even when an earlier campaign on the group
+    built it (see `bsgs.kept_giant`), plus each thread's baby steps (all
+    of the plan's baby keys, or the step cap if lower, for a thread that
+    finds nothing, b+1 for the winner, 0 for a thread whose coset of H an
     earlier thread swept in full and ran no sweep); it respects
-    total_steps <= m * theorem_budget(d).  Threads stream their baby
-    sweeps against the shared table, so each needs O(1) memory beyond it.
-    The winner's verification multiply is not charged, as in a single
-    solve.  Threads 0..winner (all m on a failed campaign) run, and
-    per_thread_steps has one entry for each.
+    total_steps <= m * theorem_budget(d).  The winner's verification
+    multiply is not charged, as in a single solve.  Threads 0..winner (all
+    m on a failed campaign) run, each with one per_thread_steps entry.
     """
 
     success: object = None
@@ -127,42 +116,33 @@ def draw_multipliers(p, m, seed):
 
 
 def baby_keys(p, d, m):
-    """B, the baby keys per thread of an m-thread campaign on H of order d.
-
-    B = isqrt(floor(d/t)) + 1 for the expected number of threads run,
-    t = (1 - (1 - f)^m) / f with f = d/(p-1) (a thread hits with chance f
-    and the first hit ends the campaign), clamped to [1, m].  t is formed
-    with expm1/log1p, so it stays near m when f is tiny instead of
-    rounding to 0.
-    """
-    f = d / (p - 1)
-    t = 1.0 if f >= 1 else -expm1(m * log1p(-f)) / f
-    return isqrt(int(d / min(max(t, 1.0), m))) + 1
+    """B, the baby keys per thread of an m-thread campaign: the plan's."""
+    return plan(d, p, m).baby
 
 
 def randomized_solve(instance, H, config):
     """Run an m-thread campaign; the lowest-index verified hit wins.
 
     Returns a CampaignResult whose success is None when every thread
-    reported NotInSubgroup (or hit its step cap).  Thread i is the B-key
-    baby sweep of Q started at y_i against the kept giant table of step
-    B; all of them run the instance's one prepared sweep of Q.  A thread
-    whose coset y_i^d an earlier thread swept in full is settled as a
-    0-step miss without sweeping.
+    reported NotInSubgroup (or hit its step cap).  Thread i is the baby
+    sweep of Q started at y_i against the kept giant table, both of the
+    campaign's `plan`; all of them run the instance's one prepared sweep
+    of Q.  A thread whose coset y_i^d an earlier thread swept in full is
+    settled as a 0-step miss without sweeping.
     """
     _check_solvable(instance, H)
     p = instance.p
     ys = draw_multipliers(p, config.m, config.seed)
-    B = baby_keys(p, H.d, config.m)
-    table, setup_steps = kept_giant(instance.group, instance.P, H, step=B)
+    split = plan(H.d, p, config.m)
+    table, setup_steps = kept_giant(instance.group, instance.P, H, split)
     result = CampaignResult(total_steps=setup_steps)
-    swept = set()  # y^d of every thread that swept all B keys and missed
+    swept = set()  # y^d of every thread that swept all its keys and missed
     for i, y in enumerate(ys):
         coset = pow(y, H.d, p)  # y's coset of H, the kernel of y -> y^d
         if coset in swept:
             verdict = NotInSubgroup(0)
         else:
-            verdict = _baby_sweep(instance, H, table, y, B, B,
+            verdict = _baby_sweep(instance, H, table, y, split,
                                   config.step_cap)
             if isinstance(verdict, NotInSubgroup):
                 swept.add(coset)

@@ -8,15 +8,16 @@ import pytest
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, _baby_sweep,
-                              giant_encodings, kept_giant, solve_in_subgroup,
-                              theorem_budget)
-from subgroupdlp.catalog import load_builtin
+                              giant_encodings, kept_giant, plan,
+                              solve_in_subgroup, theorem_budget)
+from subgroupdlp.catalog import audit_key, load_builtin
 from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
                                    subgroup_generator)
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
-from subgroupdlp.parallel import CampaignConfig, randomized_solve
+from subgroupdlp.parallel import (CampaignConfig, draw_multipliers,
+                                  randomized_solve)
 
 G31 = AdditiveOracleGroup(31)
 H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
@@ -50,6 +51,25 @@ def test_theorem_budget_values():
     assert theorem_budget(5) == 8
     assert theorem_budget(256) == 36
     assert theorem_budget(255) == 34  # isqrt(255) = 15
+
+
+def _covered(split, d):
+    """The exponents a*s - b mod d that a split's giant and baby keys meet."""
+    return {(a * split.step - b) % d
+            for a in range(split.giant) for b in range(split.baby)}
+
+
+def test_every_plan_covers_the_subgroup():
+    # every exponent of H is some a*s - b, so a search that misses is a
+    # sound "no"; the single plan's two sweeps make the theorem budget
+    for d in range(1, 501):
+        single = plan(d)
+        assert single.giant + single.baby == 2 * (isqrt(d) + 2), d
+        assert _covered(single, d) == set(range(d)), d
+    for p in (31, 211, 1999, 65537, 39 * 2**18 + 1, 2**31 - 1):
+        for d in (d for d in divisors(factor(p - 1)) if d <= 3000):
+            for m in (1, 2, 3, 8, 64, 1000, 2**20, 2**40):
+                assert _covered(plan(d, p, m), d) == set(range(d)), (p, d, m)
 
 
 def test_exhaustive_small_prime():
@@ -215,7 +235,7 @@ def test_a_hit_that_fails_verification_resumes_the_sweep():
     # goes on to the next key
     group = CountingGroup(G31)
     instance = _instance(group, 4)
-    table, cost = giant_encodings(group, group.generator, H5)
+    table, cost = giant_encodings(group, group.generator, H5, plan(5))
     key = group.encode(instance.Q)  # the counting layer's keys are bytes
     assert key not in table
     group.reset()
@@ -263,7 +283,7 @@ def test_step_cap_returns_undecided():
     assert solve_in_subgroup(non_member, H5,
                              step_cap=theorem_budget(5)) == NotInSubgroup(8)
     # a negative cap is an error, with or without a shared table
-    for shared in (None, giant_encodings(G31, G31.generator, H5)):
+    for shared in (None, giant_encodings(G31, G31.generator, H5, plan(5))):
         with pytest.raises(ValueError, match="step cap"):
             solve_in_subgroup(non_member, H5, step_cap=-1,
                               shared_giant=shared)
@@ -272,11 +292,11 @@ def test_step_cap_returns_undecided():
 def test_a_capped_baby_sweep_stops_at_its_cap():
     # a cap at the sweep's count leaves the verdict alone; a cap below it
     # sweeps that many keys and is Undecided at the cap unless one hits
-    table, _ = giant_encodings(G31, G31.generator, H5)
+    table, _ = giant_encodings(G31, G31.generator, H5, plan(5))
 
     def sweep(x, cap):
         instance = _instance(G31, x)
-        return _baby_sweep(instance, H5, table, 1, 3, 4, cap)
+        return _baby_sweep(instance, H5, table, 1, plan(5), cap)
 
     assert sweep(3, None) == sweep(3, 4) == NotInSubgroup(steps=4)
     assert sweep(3, 3) == Undecided(steps=3)
@@ -292,8 +312,8 @@ def test_shared_giant_encodings():
     group = AdditiveOracleGroup(p)
     for d in (5, 30, 210):
         H = subgroup_generator(p, d, factored=f)
-        kept = kept_giant(group, group.generator, H)
-        assert kept_giant(group, group.generator, H) is kept
+        kept = kept_giant(group, group.generator, H, plan(d))
+        assert kept_giant(group, group.generator, H, plan(d)) is kept
         table, cost = kept
         n = isqrt(d) + 1
         assert cost == n + 1
@@ -325,7 +345,8 @@ def test_a_second_generator_of_a_subgroup_gets_its_own_table():
     P = group.generator
     H = subgroup_generator(rec.p, 71, generator=rec.primitive_root)
     H2 = SubgroupSpec(d=71, zeta=Residue(pow(H.zeta.value, 2, rec.p), rec.p))
-    kept, kept2 = kept_giant(group, P, H), kept_giant(group, P, H2)
+    kept, kept2 = (kept_giant(group, P, H, plan(71)),
+                   kept_giant(group, P, H2, plan(71)))
     assert kept2 is not kept and kept2[0] != kept[0]
     member = _instance(group, pow(H2.zeta.value, 40, rec.p))
     found = solve_in_subgroup(member, H2, shared_giant=kept2)
@@ -340,16 +361,57 @@ def test_a_counting_layer_keeps_its_own_tables():
     inner = AdditiveOracleGroup(211)
     counter = CountingGroup(inner)
     H = subgroup_generator(211, 30)
-    kept = kept_giant(inner, inner.generator, H)
-    counted = kept_giant(counter, counter.generator, H)
+    kept = kept_giant(inner, inner.generator, H, plan(30))
+    counted = kept_giant(counter, counter.generator, H, plan(30))
     assert counted is not kept and counted[1] == kept[1]
     # the layer keys by encodings, the group by its ints
     assert counted[0] == {inner.encode(inner.element(k)): a
                           for k, a in kept[0].items()}
     assert counter.scalar_muls == counted[1]   # built through the layer
-    assert kept_giant(counter, counter.generator, H) is counted
-    assert kept_giant(inner, inner.generator, H) is kept
+    assert kept_giant(counter, counter.generator, H, plan(30)) is counted
+    assert kept_giant(inner, inner.generator, H, plan(30)) is kept
     assert counter.scalar_muls == counted[1]   # and only once
+
+
+def test_a_single_and_a_one_thread_plan_keep_their_own_tables():
+    # at m = 1 a campaign's step is the single solve's n, but its table
+    # has ceil(d/n) keys, not n+1: one group keeps both, each search reads
+    # its own, and either order gives the verdicts and steps of fresh
+    # records
+    base = dataclasses.replace(load_builtin("P-256"))  # a group of its own
+    p, d, config = base.p, 71, CampaignConfig(m=1, seed=3)
+    single, one_thread = plan(d), plan(d, p, 1)
+    assert single.step == one_thread.step
+    assert single.giant != one_thread.giant
+    zeta = base.subgroup(d).zeta.value
+    y = draw_multipliers(p, 1, config.seed)[0]
+    keys = ([pow(zeta, k, p) for k in (0, 1, 35, 70)]  # members
+            # keys whose one campaign thread lands in H: z = x*y = zeta^k
+            + [pow(zeta, k, p) * pow(y, -1, p) % p for k in (0, 9, 70)]
+            + [2, p - 1])
+
+    def audit(rec, x):
+        return audit_key(rec, x=x, subgroups=(d,)).entries
+
+    def campaign(rec, x):
+        instance = DlpInstance.from_secret(rec.oracle_group, x)
+        return randomized_solve(instance, rec.subgroup(d), config)
+
+    outcomes = set()
+    for x in keys:
+        expected = (audit(dataclasses.replace(base), x),
+                    campaign(dataclasses.replace(base), x))
+        outcomes.add((expected[0][0].status, expected[1].found))
+        rec = dataclasses.replace(base)
+        assert (audit(rec, x), campaign(rec, x)) == expected, x
+        costs = sorted(c for _, c in vars(rec.oracle_group)[
+            "_kept_giants"].values())
+        assert costs == sorted((single.giant, one_thread.giant))
+        rec = dataclasses.replace(base)
+        assert campaign(rec, x) == expected[1], x
+        assert audit(rec, x) == expected[0], x
+    assert {("member", False), ("non-member", True),
+            ("non-member", False)} <= outcomes
 
 
 def test_both_sides_of_a_search_are_keyed_by_one_group_object():
@@ -360,7 +422,7 @@ def test_both_sides_of_a_search_are_keyed_by_one_group_object():
     H = subgroup_generator(211, 30)
     x = pow(H.zeta.value, 7, 211)
     plain = _instance(inner, x)
-    kept = kept_giant(inner, plain.P, H)
+    kept = kept_giant(inner, plain.P, H, plan(30))
     found = solve_in_subgroup(plain, H, shared_giant=kept)
     config = CampaignConfig(m=4, seed=1)
     campaign = randomized_solve(plain, H, config)
@@ -368,7 +430,7 @@ def test_both_sides_of_a_search_are_keyed_by_one_group_object():
     counted = _instance(counter, x)
     counter.reset()
     assert solve_in_subgroup(counted, H, shared_giant=kept_giant(
-        counter, counted.P, H)) == found
+        counter, counted.P, H, plan(30))) == found
     assert randomized_solve(counted, H, config) == campaign
     assert all(type(k) is int for k in kept[0])
     for table, _ in vars(counter)["_kept_giants"].values():
@@ -383,7 +445,7 @@ def test_both_sides_of_a_search_are_keyed_by_one_group_object():
 def test_duplicate_giant_keys_keep_every_a():
     # zeta = -1 and n = 2, so zeta^n = 1 and all three giant keys are P
     H2 = SubgroupSpec(d=2, zeta=Residue(30, 31))
-    table, _ = giant_encodings(G31, G31.generator, H2)
+    table, _ = giant_encodings(G31, G31.generator, H2, plan(2))
     assert list(table.values()) == [(0, 1, 2)]
     # b = 0 misses (Q = 30), b = 1 hits (zeta * Q = 1) and a = 0 verifies
     result = solve_in_subgroup(_instance(G31, 30), H2)
@@ -406,7 +468,7 @@ def test_verification_gate_rejects_bogus_collisions():
     # of 8.  The re-verification multiply must reject it and go on to a = 1.
     group = CountingGroup(G31)
     instance = _instance(group, 8)
-    table, cost = giant_encodings(group, group.generator, H5)
+    table, cost = giant_encodings(group, group.generator, H5, plan(5))
     bogus = {key: ((a + 1) % len(table), a) for key, a in table.items()}
     group.reset()
     result = solve_in_subgroup(instance, H5, shared_giant=(bogus, cost))

@@ -1,5 +1,6 @@
 """Randomized multi-thread campaigns over re-randomized targets."""
 
+import math
 import multiprocessing
 import random
 from math import isqrt
@@ -8,9 +9,11 @@ import pytest
 
 from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, _baby_sweep,
-                              kept_giant, solve_in_subgroup, theorem_budget)
+                              kept_giant, plan, solve_in_subgroup,
+                              theorem_budget)
 from subgroupdlp.catalog import audit_key, load_builtin, record_from_params
-from subgroupdlp.factoring import SubgroupSpec, factor, subgroup_generator
+from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
+                                   subgroup_generator)
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
@@ -195,6 +198,29 @@ def test_baby_keys_follow_the_expected_thread_count():
     assert baby_keys(65537, 256, 10**6) == isqrt(256 // 256) + 1
 
 
+def _baby_keys_from_expm1(p, d, m):
+    """B from the expected thread count t written out with expm1/log1p."""
+    f = d / (p - 1)
+    t = 1.0 if f >= 1 else -math.expm1(m * math.log1p(-f)) / f
+    return isqrt(int(d / min(max(t, 1.0), m))) + 1
+
+
+def test_baby_keys_match_the_expected_thread_formula():
+    # the plan reads t from probability.success_exact; on a grid from
+    # f ~ 2^-254 to f = 1 and m up to 2^40 it gives the formula's B
+    rec = load_builtin("P-256")
+    grid = [(q, factor(q - 1)) for q in (31, 211, 1999, 19991, 65537,
+                                         39 * 2**18 + 1, 2**31 - 1,
+                                         2**61 - 1)]
+    for p, factored in grid + [(rec.p, rec.factors)]:
+        ds = divisors(factored)
+        for d in sorted(set(ds[:100] + ds[-100:])):
+            for m in (1, 2, 3, 5, 7, 16, 64, 100, 1000, 4096, 10**5,
+                      2**20, 2**30, 2**40):
+                assert baby_keys(p, d, m) == _baby_keys_from_expm1(p, d, m), \
+                    (p, d, m)
+
+
 def test_campaign_on_p256_order_with_a_tiny_subgroup():
     # d/(p-1) ~ 2^-254.4: 1 - (1 - d/(p-1))^m rounds to 0.0 in floats, so
     # t must come from expm1/log1p, or floor(d/t) divides by zero
@@ -310,11 +336,11 @@ def _repeated_cosets(ys, d, p):
 def _steps_sweeping_every_thread(instance, H, m, seed):
     """Per-thread steps of the campaign loop with no thread skipped."""
     p = instance.p
-    B = baby_keys(p, H.d, m)
-    table, _ = kept_giant(instance.group, instance.P, H, step=B)
+    split = plan(H.d, p, m)
+    table, _ = kept_giant(instance.group, instance.P, H, split)
     steps = []
     for y in draw_multipliers(p, m, seed):
-        verdict = _baby_sweep(instance, H, table, y, B, B)
+        verdict = _baby_sweep(instance, H, table, y, split)
         steps.append(verdict.steps)
         if isinstance(verdict, Found):
             break
