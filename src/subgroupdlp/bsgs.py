@@ -20,12 +20,12 @@ The baby sweep may also start at a unit y, streaming (y*zeta^b)*Q; a hit
 then gives x = y^(-1)*zeta^(a*s-b): that is a campaign thread's search.
 Q's sweep is prepared once per instance (`DlpInstance.sweep_q`), so every
 subgroup and every thread searched for one key reads it.
-The giant table depends only on (group, P, H, plan), so `kept_giant`
-builds it once and keeps it with the group object for campaigns and
-audits, whose baby sweeps then need O(1) memory each.  In all, about
-2*sqrt(d) group operations decide x in H -- with a certificate when it
-is, and a sound "no" when it is not.  Membership of x in H never
-requires knowing x.
+The giant table, one a per key, depends only on (group, P, H, plan), so
+`kept_giant` builds it once and keeps it with the group object for
+campaigns and audits, whose baby sweeps then need O(1) memory each.  In
+all, about 2*sqrt(d) group operations decide x in H -- with a
+certificate when it is, and a sound "no" when it is not.  Membership of
+x in H never requires knowing x.
 """
 
 from dataclasses import dataclass, replace
@@ -39,7 +39,7 @@ from .probability import success_exact
 __all__ = [
     "DlpInstance", "Found", "NotInSubgroup", "Undecided",
     "DegenerateKeyError", "SearchPlan", "plan", "solve_in_subgroup",
-    "giant_encodings", "kept_giant", "theorem_budget",
+    "theorem_budget",
 ]
 
 
@@ -146,38 +146,30 @@ def theorem_budget(d):
 
 
 def giant_encodings(group, P, H, split):
-    """The giant table of (group, P, H, split) and the multiplies it cost.
+    """The giant table of (group, P, H, split): each key's least a.
 
     The table maps the sweep key of (zeta^s)^a * P to a, for s =
     split.step and a < split.giant (`split` is a `plan`), from keys the
     sweep probes into a list.  A key met again (zeta^s has order <= the
-    last a) keeps every a, as a tuple in increasing order, so a candidate
-    that fails verification does not hide the next one.
+    last a) is one point, so all its a propose one x at each b: the table
+    keeps the least, which trying them in increasing order verifies first.
     """
-    step, count = split.step, split.giant
     keys = []
-    for _ in group.sweep_keys(P)(1, pow(H.zeta.value, step, H.p), count,
-                                 keys.append):
+    for _ in group.sweep_keys(P)(1, pow(H.zeta.value, split.step, H.p),
+                                 split.giant, keys.append):
         pass
-    table = dict(zip(keys, range(count)))
-    if len(table) < count:  # a repeated key: the zip kept only its last a
-        every = {}
-        for a, key in enumerate(keys):
-            every.setdefault(key, []).append(a)
-        table = {key: tuple(a) if len(a) > 1 else a[0]
-                 for key, a in every.items()}
-    return table, count
+    # zipped in reverse, so a repeated key's least a is written last
+    return dict(zip(reversed(keys), range(split.giant - 1, -1, -1)))
 
 
 def kept_giant(group, P, H, split):
     """`giant_encodings(group, P, H, split)`, built once per group object.
 
-    The (table, cost) pair is kept in the group object's own `__dict__`,
-    keyed by (P, H, split), so it lives as long as the group and every
-    campaign and audit on that group reads it (two plans with one step
-    keep two tables); a CountingGroup keeps its own tables and never reads
-    those of the group it wraps, whose keys are another group object's.
-    `cost` is what the build took, charged to every search that reads it.
+    The table is kept in the group object's own `__dict__`, keyed by
+    (P, H, split), so it lives as long as the group and every campaign
+    and audit on that group reads it (two plans with one step keep two
+    tables); a CountingGroup keeps its own tables and never reads those
+    of the group it wraps, whose keys are another group object's.
     """
     kept = vars(group).setdefault("_kept_giants", {})
     key = (P, H, split)
@@ -198,12 +190,11 @@ def _baby_sweep(instance, H, table, y, split, cap=None):
     group, P, Q = instance.group, instance.P, instance.Q
     p, zeta, d = H.p, H.zeta.value, H.d
     swept = split.baby if cap is None else min(split.baby, cap)
-    for b, hit in instance.sweep_q(y, zeta, swept, table.get):
-        for a in hit if type(hit) is tuple else (hit,):
-            x = pow(y, -1, p) * pow(zeta, (a * split.step - b) % d, p) % p
-            # soundness gate: accept only a re-verified exponent
-            if group.scalar_mul(x, P) == Q:
-                return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
+    for b, a in instance.sweep_q(y, zeta, swept, table.get):
+        x = pow(y, -1, p) * pow(zeta, (a * split.step - b) % d, p) % p
+        # soundness gate: accept only a re-verified exponent
+        if group.scalar_mul(x, P) == Q:
+            return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
     return NotInSubgroup(swept) if swept == split.baby else Undecided(cap)
 
 
@@ -214,7 +205,7 @@ def _check_solvable(instance, H):
                          % (H.p, instance.p))
 
 
-def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
+def solve_in_subgroup(instance, H, step_cap=None, kept=False):
     """Decide whether the hidden exponent lies in H, recovering it if so.
 
     Builds the giant table of the single solve's `plan(d)`, then streams
@@ -223,12 +214,11 @@ def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
 
     Returns Found / NotInSubgroup / Undecided.  `step_cap` (>= 0) bounds
     the number of scalar multiplications (the verification multiplies are
-    not charged).  `shared_giant` is a (table, cost) pair from
-    `kept_giant(instance.group, instance.P, H, plan(H.d))`, built once
-    elsewhere: the solve then runs only the baby sweep, but charges `cost`
-    in `steps` and `step_cap` as if it had built the table, so its verdict
-    and steps are those of a fresh solve.  A `step_cap` below the table's
-    cost returns Undecided before any multiply.
+    not charged).  With `kept` the table is `kept_giant`'s, so later solves
+    of (group, P, H) run only the baby sweep; every solve charges the
+    plan's giant keys in `steps` and `step_cap`, so its verdict and steps
+    are a fresh solve's.  A `step_cap` below them returns Undecided before
+    any multiply.
     """
     _check_solvable(instance, H)
     if step_cap is not None and step_cap < 0:
@@ -236,8 +226,8 @@ def solve_in_subgroup(instance, H, step_cap=None, shared_giant=None):
     split = plan(H.d)
     if step_cap is not None and step_cap < split.giant:
         return Undecided(step_cap)
-    table, giant_steps = shared_giant or giant_encodings(
-        instance.group, instance.P, H, split)
-    cap = None if step_cap is None else step_cap - giant_steps
+    build = kept_giant if kept else giant_encodings
+    table = build(instance.group, instance.P, H, split)
+    cap = None if step_cap is None else step_cap - split.giant
     verdict = _baby_sweep(instance, H, table, 1, split, cap=cap)
-    return replace(verdict, steps=giant_steps + verdict.steps)
+    return replace(verdict, steps=split.giant + verdict.steps)

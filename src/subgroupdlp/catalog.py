@@ -19,7 +19,7 @@ from the record alone.
 A record derives its validated curve group, its oracle group for
 scalar-form audits, the primitive root of (Z/pZ)* and the SubgroupSpec of
 each audited d once, on first use.  The giant table of each audited
-subgroup is kept with the group that searched it (`bsgs.kept_giant`), so
+subgroup is kept with the group that searched it (a `kept=True` solve), so
 repeated audits against one record derive and build none of them again.
 """
 
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .bsgs import (DlpInstance, Found, kept_giant, plan, solve_in_subgroup,
-                   theorem_budget)
+from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
 from .factoring import (FactoredInteger, check_divisor, find_primitive_root,
                         subgroup_generator)
 from .field import is_probable_prime
@@ -96,7 +95,7 @@ class CurveRecord:
 
 
 def _fi(p, factors):
-    return FactoredInteger(n=p - 1, factors=factors, complete=True, residual=1)
+    return FactoredInteger(n=p - 1, factors=factors)
 
 
 _P192_P = 6277101735386680763835789423176059013767194773182842284081
@@ -272,11 +271,11 @@ def verify_record(rec):
 class SubgroupCheck:
     """Membership verdict for one subgroup order d.
 
-    `steps` is the search's logical cost: the giant table of the single
-    `bsgs.plan(d)` plus the baby steps taken, so a non-member reads
-    theorem_budget(d).  The table is built once per group and subgroup
-    and kept for later audits, which do only the baby steps but are
-    charged the same.
+    `steps` is the search's logical cost: the giant keys of its single
+    plan plus the baby steps taken, so a non-member reads
+    theorem_budget(d).  The search keeps its table with the group
+    (`solve_in_subgroup(kept=True)`), so later audits do only the baby
+    steps but are charged the same.
     """
 
     d: int
@@ -326,7 +325,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
     Exactly one of `x` (the secret scalar) or `point` (the public key, as
     a GroupElement on rec.params' curve) must be given.  `subgroups`
     defaults to the record's audit pair (d1, d2).  Subgroups whose
-    worst-case cost theorem_budget(d), both sweeps of the single `plan`,
+    worst-case cost theorem_budget(d), both sweeps of a single solve,
     exceeds `budget` (>= 0) are reported as infeasible, not attempted.
     """
     if (x is None) == (point is None):
@@ -339,14 +338,11 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         check_divisor(rec.p, d)
 
     if point is not None:
-        group = rec.group
-        instance = DlpInstance(group=group, P=group.generator, Q=point)
-        mechanism = "point"
+        group, mechanism = rec.group, "point"
     else:
-        group = rec.oracle_group
-        instance = DlpInstance(group=group, P=group.generator,
-                               Q=group.element(x % rec.p))
-        mechanism = "scalar"
+        group, mechanism = rec.oracle_group, "scalar"
+        point = group.element(x % rec.p)
+    instance = DlpInstance(group=group, P=group.generator, Q=point)
 
     entries = []
     for d in subgroups:
@@ -355,8 +351,7 @@ def audit_key(rec, x=None, point=None, subgroups=None,
         if feasible:
             H = rec.subgroup(d)
             # budget >= theorem_budget(d) covers the whole search: no cap binds
-            verdict = solve_in_subgroup(instance, H, shared_giant=kept_giant(
-                group, instance.P, H, plan(d)))
+            verdict = solve_in_subgroup(instance, H, kept=True)
             status = "member" if isinstance(verdict, Found) else "non-member"
             steps = verdict.steps
         entries.append(SubgroupCheck(

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from .bsgs import DlpInstance, Found, plan, solve_in_subgroup, theorem_budget
+from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
                       builtin_names, load_builtin, record_from_params,
                       verify_record)
@@ -222,7 +222,6 @@ def cmd_solve(args):
         config = CampaignConfig(m=m, seed=args.seed, step_cap=cap)
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
-        split = plan(H.d, p, m)
         found, win = result.found, result.success
         outcome = "Found" if found else "Failed"
         steps = result.total_steps
@@ -235,7 +234,8 @@ def cmd_solve(args):
             else "outcome: Failed (no thread landed in the subgroup)",
             "steps: %d total over %d threads (%d baby keys per thread, "
             "%d-key giant table)"
-            % (steps, result.threads_run, split.baby, split.giant)]
+            % (steps, result.threads_run, result.plan.baby,
+               result.plan.giant)]
         model = "predicted success: lower %.5f, exact %.5f"
     est = estimate(p, H.d, m)
     if args.format == "csv":

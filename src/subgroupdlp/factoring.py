@@ -5,7 +5,7 @@ a primitive root), a generator of the unique order-d subgroup of (Z/pZ)*
 for a chosen divisor d | p-1, and the divisor of p-1 nearest a requested bit
 size.  Factorization is trial division below a bound plus Pollard rho with
 Brent's cycle finding, under an explicit iteration budget: results carry a
-`complete` flag and a composite residual instead of pretending to finish.
+composite residual (`complete` when it is 1) instead of pretending to finish.
 Trial division walks the primes in runs and skips a run whose product is
 coprime to what is left with one gcd (Bernstein, "How to find smooth parts
 of integers", 2004), dividing prime by prime only in a run that shares a
@@ -52,15 +52,18 @@ def _trial_runs():
 class FactoredInteger:
     """n together with its (possibly partial) prime factorization.
 
-    factors is sorted [(prime, exponent), ...]; when `complete` is False the
-    unfactored composite remainder sits in `residual` (1 otherwise), so
-    product(p^e) * residual == n always holds.
+    factors is sorted [(prime, exponent), ...]; the unfactored composite
+    remainder sits in `residual` (1 when `complete`), so product(p^e) *
+    residual == n always holds.
     """
 
     n: int
     factors: list = dataclass_field(default_factory=list)
-    complete: bool = True
     residual: int = 1
+
+    @property
+    def complete(self):
+        return self.residual == 1
 
     def product(self):
         out = self.residual
@@ -75,9 +78,7 @@ class FactoredInteger:
         if any(not is_probable_prime(p) or e < 1 for p, e in self.factors):
             return False
         primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            return False
-        return self.complete == (self.residual == 1)
+        return primes == sorted(set(primes))
 
     def divisor_count(self):
         out = 1
@@ -162,7 +163,7 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     Trial division strips all primes below TRIAL_BOUND; Pollard rho (with
     at most `rho_budget` >= 0 squarings in total, its polynomials drawn
     from a generator seeded by n) handles the rest.  A residual the budget
-    cannot split is reported honestly via complete=False.  The generator
+    cannot split stays in `residual`, not pretending to finish.  The generator
     is only seeded once rho is needed, so small n cost trial division alone.
     """
     if n < 1:
@@ -201,7 +202,7 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
             pending.append(split)
             pending.append(chunk // split)
     return FactoredInteger(n=n, factors=sorted(counts.items()),
-                           complete=residual == 1, residual=residual)
+                           residual=residual)
 
 
 def find_primitive_root(p, factored):

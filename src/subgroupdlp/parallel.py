@@ -10,7 +10,7 @@ collision search of van Oorschot and Wiener, J. Cryptology 1999), so the
 split -- B baby keys per thread against the table -- is the campaign case
 of `bsgs.plan(d, p, m)`, sized for the threads the campaign expects to
 run.  The table is `bsgs.kept_giant`'s: built on a group's first campaign
-and kept with the group object, so later campaigns charge its cost in
+and kept with the group object, so later campaigns charge its keys in
 total_steps without building it again.  The campaign succeeds as soon as
 some x * y_i falls in H -- which is what the probability model prices.
 
@@ -84,25 +84,30 @@ class CampaignResult:
     """Outcome plus work accounting for a whole campaign.
 
     total_steps counts constrained-search scalar multiplications: the
-    giant table of the campaign's `bsgs.plan(d, p, m)`, shared by every
-    thread and charged in full even when an earlier campaign on the group
-    built it (see `bsgs.kept_giant`), plus each thread's baby steps (all
-    of the plan's baby keys, or the step cap if lower, for a thread that
-    finds nothing, b+1 for the winner, 0 for a thread whose coset of H an
-    earlier thread swept in full and ran no sweep); it respects
-    total_steps <= m * theorem_budget(d).  The winner's verification
-    multiply is not charged, as in a single solve.  Threads 0..winner (all
-    m on a failed campaign) run, each with one per_thread_steps entry.
+    giant keys of `plan`, the campaign's `bsgs.plan(d, p, m)`, whose one
+    table every thread shares, charged in full even when an earlier
+    campaign on the group built it (see `bsgs.kept_giant`), plus each
+    thread's baby steps (all of the plan's baby keys, or the step cap if
+    lower, for a thread that finds nothing, b+1 for the winner, 0 for a
+    thread whose coset of H an earlier thread swept in full and ran no
+    sweep); it respects total_steps <= m * theorem_budget(d).  The
+    winner's verification multiply is not charged, as in a single solve.
+    Threads 0..winner (all m on a failed campaign) run, each with one
+    per_thread_steps entry, which threads_run counts.
     """
 
     success: object = None
     total_steps: int = 0
-    threads_run: int = 0
     per_thread_steps: list = dataclass_field(default_factory=list)
+    plan: object = None
 
     @property
     def found(self):
         return self.success is not None
+
+    @property
+    def threads_run(self):
+        return len(self.per_thread_steps)
 
 
 def draw_multipliers(p, m, seed):
@@ -134,8 +139,8 @@ def randomized_solve(instance, H, config):
     p = instance.p
     ys = draw_multipliers(p, config.m, config.seed)
     split = plan(H.d, p, config.m)
-    table, setup_steps = kept_giant(instance.group, instance.P, H, split)
-    result = CampaignResult(total_steps=setup_steps)
+    table = kept_giant(instance.group, instance.P, H, split)
+    result = CampaignResult(total_steps=split.giant, plan=split)
     swept = set()  # y^d of every thread that swept all its keys and missed
     for i, y in enumerate(ys):
         coset = pow(y, H.d, p)  # y's coset of H, the kernel of y -> y^d
@@ -146,7 +151,6 @@ def randomized_solve(instance, H, config):
                                   config.step_cap)
             if isinstance(verdict, NotInSubgroup):
                 swept.add(coset)
-        result.threads_run += 1
         result.total_steps += verdict.steps
         result.per_thread_steps.append(verdict.steps)
         if isinstance(verdict, Found):

@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -16,8 +16,8 @@ from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
-from subgroupdlp.parallel import (CampaignConfig, draw_multipliers,
-                                  randomized_solve)
+from subgroupdlp.parallel import (CampaignConfig, CampaignSuccess,
+                                  draw_multipliers, randomized_solve)
 
 G31 = AdditiveOracleGroup(31)
 H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
@@ -235,13 +235,12 @@ def test_a_hit_that_fails_verification_resumes_the_sweep():
     # goes on to the next key
     group = CountingGroup(G31)
     instance = _instance(group, 4)
-    table, cost = giant_encodings(group, group.generator, H5, plan(5))
+    table = giant_encodings(group, group.generator, H5, plan(5))
     key = group.encode(instance.Q)  # the counting layer's keys are bytes
     assert key not in table
     group.reset()
-    result = solve_in_subgroup(instance, H5,
-                               shared_giant=({**table, key: 0}, cost))
-    assert result == Found(x=Residue(4, 31), a=1, b=1, steps=cost + 2)
+    result = _baby_sweep(instance, H5, {**table, key: 0}, 1, plan(5))
+    assert result == Found(x=Residue(4, 31), a=1, b=1, steps=2)
     # two baby keys, then the rejected and the accepted verification
     assert group.scalar_muls == 4
 
@@ -282,17 +281,16 @@ def test_step_cap_returns_undecided():
     # cap exactly at the theorem budget never triggers
     assert solve_in_subgroup(non_member, H5,
                              step_cap=theorem_budget(5)) == NotInSubgroup(8)
-    # a negative cap is an error, with or without a shared table
-    for shared in (None, giant_encodings(G31, G31.generator, H5, plan(5))):
+    # a negative cap is an error, with or without a kept table
+    for kept in (False, True):
         with pytest.raises(ValueError, match="step cap"):
-            solve_in_subgroup(non_member, H5, step_cap=-1,
-                              shared_giant=shared)
+            solve_in_subgroup(non_member, H5, step_cap=-1, kept=kept)
 
 
 def test_a_capped_baby_sweep_stops_at_its_cap():
     # a cap at the sweep's count leaves the verdict alone; a cap below it
     # sweeps that many keys and is Undecided at the cap unless one hits
-    table, _ = giant_encodings(G31, G31.generator, H5, plan(5))
+    table = giant_encodings(G31, G31.generator, H5, plan(5))
 
     def sweep(x, cap):
         instance = _instance(G31, x)
@@ -306,7 +304,7 @@ def test_a_capped_baby_sweep_stops_at_its_cap():
     assert sweep(4, 1) == Undecided(steps=1)
 
 
-def test_shared_giant_encodings():
+def test_kept_giant_encodings():
     p = 211
     f = factor(p - 1)
     group = AdditiveOracleGroup(p)
@@ -314,27 +312,32 @@ def test_shared_giant_encodings():
         H = subgroup_generator(p, d, factored=f)
         kept = kept_giant(group, group.generator, H, plan(d))
         assert kept_giant(group, group.generator, H, plan(d)) is kept
-        table, cost = kept
         n = isqrt(d) + 1
+        cost = plan(d).giant
         assert cost == n + 1
         zeta_n = pow(H.zeta.value, n, p)
+        least = {}
         for a in range(n + 1):  # the oracle group keys k*1 by the int k
-            hit = table[pow(zeta_n, a, p)]
-            assert a in (hit if isinstance(hit, tuple) else (hit,))
-        # a shared table is charged at its cost, so the shared solve reads
-        # the fresh solve's verdict and steps, under any cap: below the
-        # cost, at it, inside the baby sweep and at the theorem budget
+            least.setdefault(pow(zeta_n, a, p), a)
+        assert kept == least
+        # a kept table is charged at the plan's giant keys, so the kept
+        # solve reads the fresh solve's verdict and steps, under any cap:
+        # below the cost, at it, inside the baby sweep and at the theorem
+        # budget
         caps = (None, 0, cost - 1, cost, cost + 1, theorem_budget(d) - 1,
                 theorem_budget(d))
         for x in range(1, p):
             instance = _instance(group, x)
             for cap in caps:
                 plain = solve_in_subgroup(instance, H, step_cap=cap)
-                shared = solve_in_subgroup(instance, H, step_cap=cap,
-                                           shared_giant=kept)
-                assert shared == plain, (d, x, cap)
+                from_kept = solve_in_subgroup(instance, H, step_cap=cap,
+                                              kept=True)
+                assert from_kept == plain, (d, x, cap)
                 if cap is not None and cap <= cost:
-                    assert shared == Undecided(steps=cap)
+                    assert from_kept == Undecided(steps=cap)
+        # and every kept solve read the one table
+        assert vars(group)["_kept_giants"][
+            (group.generator, H, plan(d))] is kept
 
 
 def test_a_second_generator_of_a_subgroup_gets_its_own_table():
@@ -347,14 +350,13 @@ def test_a_second_generator_of_a_subgroup_gets_its_own_table():
     H2 = SubgroupSpec(d=71, zeta=Residue(pow(H.zeta.value, 2, rec.p), rec.p))
     kept, kept2 = (kept_giant(group, P, H, plan(71)),
                    kept_giant(group, P, H2, plan(71)))
-    assert kept2 is not kept and kept2[0] != kept[0]
+    assert kept2 is not kept and kept2 != kept
     member = _instance(group, pow(H2.zeta.value, 40, rec.p))
-    found = solve_in_subgroup(member, H2, shared_giant=kept2)
+    found = solve_in_subgroup(member, H2, kept=True)
     assert found == solve_in_subgroup(member, H2)
     assert isinstance(found, Found) and found.x.value == member.Q.data
-    # the table of the other generator would have hidden the member
-    assert isinstance(solve_in_subgroup(member, H2, shared_giant=kept),
-                      NotInSubgroup)
+    # the kept solve read kept2 and built no third table
+    assert list(vars(group)["_kept_giants"].values()) == [kept, kept2]
 
 
 def test_a_counting_layer_keeps_its_own_tables():
@@ -363,14 +365,15 @@ def test_a_counting_layer_keeps_its_own_tables():
     H = subgroup_generator(211, 30)
     kept = kept_giant(inner, inner.generator, H, plan(30))
     counted = kept_giant(counter, counter.generator, H, plan(30))
-    assert counted is not kept and counted[1] == kept[1]
+    assert counted is not kept
     # the layer keys by encodings, the group by its ints
-    assert counted[0] == {inner.encode(inner.element(k)): a
-                          for k, a in kept[0].items()}
-    assert counter.scalar_muls == counted[1]   # built through the layer
+    assert counted == {inner.encode(inner.element(k)): a
+                       for k, a in kept.items()}
+    cost = plan(30).giant
+    assert counter.scalar_muls == cost   # built through the layer
     assert kept_giant(counter, counter.generator, H, plan(30)) is counted
     assert kept_giant(inner, inner.generator, H, plan(30)) is kept
-    assert counter.scalar_muls == counted[1]   # and only once
+    assert counter.scalar_muls == cost   # and only once
 
 
 def test_a_single_and_a_one_thread_plan_keep_their_own_tables():
@@ -404,9 +407,9 @@ def test_a_single_and_a_one_thread_plan_keep_their_own_tables():
         outcomes.add((expected[0][0].status, expected[1].found))
         rec = dataclasses.replace(base)
         assert (audit(rec, x), campaign(rec, x)) == expected, x
-        costs = sorted(c for _, c in vars(rec.oracle_group)[
-            "_kept_giants"].values())
-        assert costs == sorted((single.giant, one_thread.giant))
+        splits = [split for _, _, split in vars(rec.oracle_group)[
+            "_kept_giants"]]
+        assert len(splits) == 2 and set(splits) == {single, one_thread}
         rec = dataclasses.replace(base)
         assert campaign(rec, x) == expected[1], x
         assert audit(rec, x) == expected[0], x
@@ -422,18 +425,17 @@ def test_both_sides_of_a_search_are_keyed_by_one_group_object():
     H = subgroup_generator(211, 30)
     x = pow(H.zeta.value, 7, 211)
     plain = _instance(inner, x)
+    found = solve_in_subgroup(plain, H, kept=True)
     kept = kept_giant(inner, plain.P, H, plan(30))
-    found = solve_in_subgroup(plain, H, shared_giant=kept)
     config = CampaignConfig(m=4, seed=1)
     campaign = randomized_solve(plain, H, config)
     counter = CountingGroup(inner)
     counted = _instance(counter, x)
     counter.reset()
-    assert solve_in_subgroup(counted, H, shared_giant=kept_giant(
-        counter, counted.P, H, plan(30))) == found
+    assert solve_in_subgroup(counted, H, kept=True) == found
     assert randomized_solve(counted, H, config) == campaign
-    assert all(type(k) is int for k in kept[0])
-    for table, _ in vars(counter)["_kept_giants"].values():
+    assert all(type(k) is int for k in kept)
+    for table in vars(counter)["_kept_giants"].values():
         assert all(type(k) is bytes for k in table)
     # the layer built both of its tables: every step charged is a counted
     # multiply, plus the two verifications
@@ -442,16 +444,118 @@ def test_both_sides_of_a_search_are_keyed_by_one_group_object():
                                    + campaign.found)
 
 
-def test_duplicate_giant_keys_keep_every_a():
-    # zeta = -1 and n = 2, so zeta^n = 1 and all three giant keys are P
+def test_duplicate_giant_keys_keep_the_least_a():
+    # zeta = -1 and n = 2, so zeta^n = 1 and all three giant keys are P,
+    # the oracle group's int 1: every a proposes one x, and a = 0 is kept
     H2 = SubgroupSpec(d=2, zeta=Residue(30, 31))
-    table, _ = giant_encodings(G31, G31.generator, H2, plan(2))
-    assert list(table.values()) == [(0, 1, 2)]
+    table = giant_encodings(G31, G31.generator, H2, plan(2))
+    assert table == {1: 0}
     # b = 0 misses (Q = 30), b = 1 hits (zeta * Q = 1) and a = 0 verifies
     result = solve_in_subgroup(_instance(G31, 30), H2)
     assert result == Found(x=Residue(30, 31), a=0, b=1, steps=5)
     assert solve_in_subgroup(_instance(G31, 2), H2) == NotInSubgroup(
         steps=theorem_budget(2))
+
+
+def _every_a_table(group, P, H, split):
+    """The giant table before one a per key: a repeated key kept every a,
+    as a tuple in increasing order."""
+    keys = []
+    for _ in group.sweep_keys(P)(1, pow(H.zeta.value, split.step, H.p),
+                                 split.giant, keys.append):
+        pass
+    table = dict(zip(keys, range(split.giant)))
+    if len(table) < split.giant:  # a repeated key: the zip kept its last a
+        every = {}
+        for a, key in enumerate(keys):
+            every.setdefault(key, []).append(a)
+        table = {key: tuple(a) if len(a) > 1 else a[0]
+                 for key, a in every.items()}
+    return table
+
+
+def _every_a_sweep(instance, H, table, y, split):
+    """The baby sweep that tried each a of a tuple-valued hit in turn."""
+    group, P, Q = instance.group, instance.P, instance.Q
+    p, zeta, d = H.p, H.zeta.value, H.d
+    for b, hit in instance.sweep_q(y, zeta, split.baby, table.get):
+        for a in hit if type(hit) is tuple else (hit,):
+            x = pow(y, -1, p) * pow(zeta, (a * split.step - b) % d, p) % p
+            if group.scalar_mul(x, P) == Q:
+                return Found(x=Residue(x, p), a=a, b=b, steps=b + 1)
+    return NotInSubgroup(split.baby)
+
+
+def _every_a_campaign(instance, H, table, split, config):
+    """The campaign loop on an every-a table: (success, total_steps,
+    threads_run, per_thread_steps), threads counted one by one."""
+    p = instance.p
+    success, total, threads, per_thread = None, split.giant, 0, []
+    swept = set()
+    for i, y in enumerate(draw_multipliers(p, config.m, config.seed)):
+        coset = pow(y, H.d, p)
+        if coset in swept:
+            verdict = NotInSubgroup(0)
+        else:
+            verdict = _every_a_sweep(instance, H, table, y, split)
+            if isinstance(verdict, NotInSubgroup):
+                swept.add(coset)
+        threads += 1
+        total += verdict.steps
+        per_thread.append(verdict.steps)
+        if isinstance(verdict, Found):
+            success = CampaignSuccess(x=verdict.x, index=i, y=Residue(y, p),
+                                      z=Residue(verdict.x.value * y % p, p))
+            break
+    return success, total, threads, per_thread
+
+
+def test_one_a_per_key_matches_every_a_per_key():
+    # a repeated giant key names one point, so the least a stands for all
+    # of them.  On the oracle groups mod 31, 211 and 1999, at every divisor
+    # d, single solves give what the every-a table and its tuple-trying
+    # sweep gave, at every x.  Campaigns (m = 1, 4, 16, seeds 0-3) do too,
+    # at x = 1, 1 + stride, ...: every x mod 31, every 5th mod 211 and
+    # every 67th mod 1999 (every x took ~50 s on a 2-vCPU Xeon).  No campaign
+    # plan repeats a key, so its one-a table is the every-a table itself.
+    repeating = set()
+    for p, stride in ((31, 1), (211, 5), (1999, 67)):
+        group = AdditiveOracleGroup(p)
+        f = factor(p - 1)
+        for d in divisors(f):
+            H = subgroup_generator(p, d, factored=f)
+            single = plan(d)
+            every = _every_a_table(group, group.generator, H, single)
+            if single.giant > d // gcd(d, single.step):  # ord(zeta^s)
+                repeating.add((p, d))
+                assert any(type(a) is tuple for a in every.values())
+            campaigns = []
+            for m in (1, 4, 16):
+                split = plan(d, p, m)
+                # ord(zeta^B) >= ceil(d/B)
+                assert d // gcd(d, split.step) >= split.giant, (p, d, m)
+                table = _every_a_table(group, group.generator, H, split)
+                assert table == giant_encodings(group, group.generator, H,
+                                                split)
+                campaigns += [(split, table, CampaignConfig(m=m, seed=seed))
+                              for seed in range(4)]
+            for x in range(1, p):
+                instance = _instance(group, x)
+                expected = _every_a_sweep(instance, H, every, 1, single)
+                expected = dataclasses.replace(
+                    expected, steps=single.giant + expected.steps)
+                assert solve_in_subgroup(instance, H) == expected, (p, d, x)
+                if (x - 1) % stride:
+                    continue
+                for split, table, config in campaigns:
+                    result = randomized_solve(instance, H, config)
+                    assert result.plan == split
+                    assert (result.success, result.total_steps,
+                            result.threads_run, result.per_thread_steps
+                            ) == _every_a_campaign(
+                                instance, H, table, split, config), \
+                        (p, d, x, config)
+    assert {(31, 2), (31, 6), (31, 30)} <= repeating
 
 
 def test_trivial_subgroup():
@@ -463,18 +567,20 @@ def test_trivial_subgroup():
 
 
 def test_verification_gate_rejects_bogus_collisions():
-    # a shared table that proposes a wrong a before the right one at every
-    # key: the first collision (b = 0, a = 2) recovers zeta^6 = 2 instead
-    # of 8.  The re-verification multiply must reject it and go on to a = 1.
+    # a table that maps the key of 8*P to a = 2, not 1: the first collision
+    # (b = 0, a = 2) recovers zeta^6 = 2 instead of 8.  The re-verification
+    # multiply must reject it, and the sweep goes on to b = 1, where
+    # zeta * Q = 16 hits a = 3 and zeta^8 = 8 verifies.
     group = CountingGroup(G31)
     instance = _instance(group, 8)
-    table, cost = giant_encodings(group, group.generator, H5, plan(5))
-    bogus = {key: ((a + 1) % len(table), a) for key, a in table.items()}
+    table = giant_encodings(group, group.generator, H5, plan(5))
+    key = group.encode(instance.Q)
+    assert table[key] == 1
     group.reset()
-    result = solve_in_subgroup(instance, H5, shared_giant=(bogus, cost))
-    assert result == Found(x=Residue(8, 31), a=1, b=0, steps=cost + 1)
-    # one baby key, then the rejected and the accepted verification
-    assert group.scalar_muls == 3
+    result = _baby_sweep(instance, H5, {**table, key: 2}, 1, plan(5))
+    assert result == Found(x=Residue(8, 31), a=3, b=1, steps=2)
+    # two baby keys, then the rejected and the accepted verification
+    assert group.scalar_muls == 4
 
 
 def test_a_spec_that_lies_about_its_order_cannot_be_built():

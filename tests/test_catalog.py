@@ -115,15 +115,13 @@ def test_verify_record_catches_mutations():
     assert "d1 * d2 equals p-1" in bad
 
     extra = FactoredInteger(
-        n=rec.p - 1, factors=sorted(rec.factors.factors + [(1009, 1)]),
-        complete=True, residual=1)
+        n=rec.p - 1, factors=sorted(rec.factors.factors + [(1009, 1)]))
     bad = failed_names(dataclasses.replace(rec, factors=extra))
     assert "factor product equals p-1" in bad
 
     composite = FactoredInteger(
         n=rec.p - 1,
-        factors=sorted(rec.factors.factors[2:] + [(48, 1)]),
-        complete=True, residual=1)
+        factors=sorted(rec.factors.factors[2:] + [(48, 1)]))
     bad = failed_names(dataclasses.replace(rec, factors=composite))
     assert "listed factors are prime" in bad
 
@@ -180,8 +178,7 @@ def test_record_from_params_desk_curve():
     assert (rec.d1, rec.d2) == (54, 37)
     assert rec.p == params.order and rec.q == params.q
     assert rec.params is params
-    incomplete = FactoredInteger(n=1998, factors=[(2, 1)], complete=False,
-                                 residual=999)
+    incomplete = FactoredInteger(n=1998, factors=[(2, 1)], residual=999)
     with pytest.raises(ValueError):
         record_from_params(params, incomplete)
     with pytest.raises(ValueError):

@@ -327,7 +327,7 @@ def test_an_unfactorable_curve_order_is_refused_by_the_record(
         run, monkeypatch):
     # desk, as if factor gave up on its p-1 = 1998
     monkeypatch.setattr(cli, "factor", lambda n: FactoredInteger(
-        n=n, factors=[], complete=False, residual=n))
+        n=n, factors=[], residual=n))
     for argv in (("solve", "--curve", "desk", "--d", "27", "--x", "5"),
                  ("keycheck", "--curve", "desk", "--x", "5"),
                  ("audit", "desk")):

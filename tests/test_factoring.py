@@ -136,7 +136,7 @@ def _factor_one_prime_at_a_time(n, rho_budget=factoring.DEFAULT_RHO_BUDGET):
             pending.append(split)
             pending.append(chunk // split)
     return FactoredInteger(n=n, factors=sorted(counts.items()),
-                           complete=residual == 1, residual=residual)
+                           residual=residual)
 
 
 def test_trial_runs_are_the_primes_below_the_bound_with_their_products():
@@ -276,8 +276,6 @@ def test_factored_integer_verify_negatives():
     assert not FactoredInteger(n=30, factors=[(2, 1), (3, 1)]).verify()
     assert not FactoredInteger(n=12, factors=[(4, 1), (3, 1)]).verify()
     assert not FactoredInteger(n=12, factors=[(3, 1), (2, 2)]).verify()  # unsorted
-    assert not FactoredInteger(n=12, factors=[(2, 2), (3, 1)],
-                               complete=False).verify()  # flag inconsistent
     assert FactoredInteger(n=12, factors=[(2, 2), (3, 1)]).verify()
 
 
@@ -300,8 +298,7 @@ def test_find_primitive_root_small_primes():
 
 
 def test_find_primitive_root_requires_complete_factorization():
-    partial = FactoredInteger(n=30, factors=[(2, 1), (3, 1)], complete=False,
-                              residual=5)
+    partial = FactoredInteger(n=30, factors=[(2, 1), (3, 1)], residual=5)
     with pytest.raises(ValueError):
         find_primitive_root(31, partial)
     with pytest.raises(ValueError):
@@ -338,7 +335,7 @@ def test_subgroup_spec_rejects_wrong_order(monkeypatch):
             SubgroupSpec(d=d, zeta=zeta)
     # without every prime of d the order is unproved, so it is refused too
     monkeypatch.setattr(factoring, "factor", lambda n: FactoredInteger(
-        n=n, factors=[], complete=False, residual=n))
+        n=n, factors=[], residual=n))
     with pytest.raises(ValueError, match="cannot completely factor d = 5"):
         SubgroupSpec(d=5, zeta=zeta)
 
@@ -396,8 +393,7 @@ def test_divisors_limit_guard():
     with pytest.raises(ValueError):
         divisors(_squarefree(21))  # 2^21 divisors
     with pytest.raises(ValueError):
-        divisors(FactoredInteger(n=30, factors=[(2, 1), (3, 1)],
-                                 complete=False, residual=5))
+        divisors(FactoredInteger(n=30, factors=[(2, 1), (3, 1)], residual=5))
 
 
 def _oracle_near(factored, target_bits):
@@ -450,7 +446,7 @@ def test_nearest_divisor_half_limit():
         nearest_divisor(_squarefree(41), 50.0)
     with pytest.raises(ValueError):
         nearest_divisor(FactoredInteger(n=30, factors=[(2, 1), (3, 1)],
-                                        complete=False, residual=5), 2.0)
+                                        residual=5), 2.0)
 
 
 def test_search_prime_with_divisor_even_and_odd():

@@ -7,7 +7,8 @@ the root of an attribute chain), lists it in `__all__`, or is a package
 Also: a fresh interpreter that imports the CLI loads no module the
 library does not need (fractions pulls in decimal, ~3 ms of start-up)
 and builds no trial-division runs (the sieve and its run products, ~4 ms,
-wait for the first `factor` call).
+wait for the first `factor` call).  And only the search modules, bsgs.py
+and parallel.py, name the search's plan and giant table.
 """
 
 import ast
@@ -77,6 +78,50 @@ def test_the_scan_sees_an_unread_import():
               "__all__ = ['argv']\n\n\ndef f():\n    return os.sep\n")
     assert _unread_imports(source, "m.py") == ["m.py:2: p", "m.py:2: version"]
     assert _unread_imports(source, "pkg/__init__.py") == []
+
+
+# The search owns its split and its giant table: no other module of src/
+# may name these, so no caller can rebuild a plan or hand a search a table.
+SEARCH_OWNED = {"plan", "kept_giant", "giant_encodings", "_baby_sweep"}
+SEARCH_OWNERS = {"src/subgroupdlp/bsgs.py", "src/subgroupdlp/parallel.py"}
+
+
+def _search_owned_names(source, rel):
+    """'file:line: name' for each search-owned name `source` imports (under
+    any alias), loads or reads off the bsgs or parallel module."""
+    tree = ast.parse(source, filename=rel)
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            hits.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("bsgs", "parallel")):
+            hits.append((node.lineno, node.attr))
+    return sorted({"%s:%d: %s" % (rel, line, name) for line, name in hits
+                   if name in SEARCH_OWNED})
+
+
+def test_only_the_search_names_its_plan_and_table():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    owners = {f.relative_to(ROOT).as_posix() for f in files} & SEARCH_OWNERS
+    assert owners == SEARCH_OWNERS
+    named = [hit for f in files
+             if f.relative_to(ROOT).as_posix() not in SEARCH_OWNERS
+             for hit in _search_owned_names(f.read_text(),
+                                            f.relative_to(ROOT).as_posix())]
+    assert named == []
+
+
+def test_the_ownership_scan_sees_a_plan_named_outside_the_search():
+    source = ("from .bsgs import kept_giant, plan as split\n"
+              "from . import bsgs\n\n\ndef f(result):\n"
+              "    return bsgs._baby_sweep, result.plan.baby, kept_giant\n")
+    assert _search_owned_names(source, "m.py") == [
+        "m.py:1: kept_giant", "m.py:1: plan", "m.py:6: _baby_sweep",
+        "m.py:6: kept_giant"]
 
 
 def test_the_cli_loads_neither_fractions_nor_decimal():

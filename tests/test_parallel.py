@@ -337,7 +337,7 @@ def _steps_sweeping_every_thread(instance, H, m, seed):
     """Per-thread steps of the campaign loop with no thread skipped."""
     p = instance.p
     split = plan(H.d, p, m)
-    table, _ = kept_giant(instance.group, instance.P, H, split)
+    table = kept_giant(instance.group, instance.P, H, split)
     steps = []
     for y in draw_multipliers(p, m, seed):
         verdict = _baby_sweep(instance, H, table, y, split)
