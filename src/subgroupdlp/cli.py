@@ -6,10 +6,12 @@ factor.  Exit status is 0 for a positive result (found / all checks
 pass), 1 for a clean negative (not in subgroup / failed campaign /
 incomplete factorization), 2 for any usage or runtime error.
 
-All integer arguments accept decimal or 0x-prefixed hex, and a value
-that is not one exits 2 with an error naming the option and the forms it
-accepts.  `--seed` pins every random choice, so sequential runs are
-exactly reproducible.
+Every value option is typed in the parser (integers decimal or 0x hex,
+sizes in bits, lists comma-separated), and every usage error -- a bad
+value, an unknown or missing argument or subcommand -- prints one
+`error: <message>` line and exits 2; a bad value's names the option and
+the forms it accepts.  `--seed` pins every random choice, so sequential
+runs are exactly reproducible.
 solve's, prob-table's and keycheck's `--curve` and audit's target each
 take a built-in name, `desk` or a curve file, also looked up under
 $SUBGROUPDLP_DATA_DIR.
@@ -45,15 +47,19 @@ _P256_PRESET = (
 )
 
 
-class CommandError(Exception):
-    """Maps to exit status 2 with the message on stderr."""
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, so `main`
+    reports them as it reports every other error."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _integer(text):
     """A decimal or 0x-hex integer: the type of every integer argument.
 
     A bad value raises argparse.ArgumentTypeError naming the accepted
-    forms; argparse (for --seed) or `_option` prefixes the option.
+    forms; argparse prefixes the option.
     """
     try:
         return parse_int(text)
@@ -74,19 +80,9 @@ def _bits(text):
     return bits
 
 
-def _option(option, text, kind=_integer, listed=False):
-    """`kind(text)`, or a list of `kind` of each comma-separated part.
-
-    None stays None.  A bad value is a CommandError worded as argparse
-    words a bad --seed: "argument <option>: <value> is not <forms>".
-    """
-    if text is None:
-        return None
-    try:
-        return ([kind(part) for part in text.split(",")] if listed
-                else kind(text))
-    except argparse.ArgumentTypeError as e:
-        raise CommandError("argument %s: %s" % (option, e)) from None
+def _listed(kind):
+    """The type of a comma-separated list of `kind` values."""
+    return lambda text: [kind(part) for part in text.split(",")]
 
 
 def _resolve_path(path):
@@ -113,7 +109,7 @@ def _find_curve(name_or_path):
     else:
         path = _resolve_path(name_or_path)
         if not os.path.exists(path):
-            raise CommandError(
+            raise ValueError(
                 "%r is neither a built-in curve (%s, desk) nor a readable "
                 "file" % (name_or_path, ", ".join(builtin_names())))
         params = load_curve_file(path)
@@ -131,14 +127,14 @@ def _parse_exponent_spec(spec):
         part = part.strip()
         if not part:
             continue
-        pieces = [_option("--m-exponents", x) for x in part.split(":")]
+        pieces = [_integer(x) for x in part.split(":")]
         if len(pieces) == 1:
             out.append(pieces[0])
             continue
         if len(pieces) == 2:
             pieces.append(1)
         if len(pieces) != 3 or pieces[2] < 1 or pieces[0] > pieces[1]:
-            raise CommandError("bad exponent range %r" % part)
+            raise argparse.ArgumentTypeError("bad exponent range %r" % part)
         lo, hi, step = pieces
         out.extend(range(lo, hi + 1, step))
     return out
@@ -147,35 +143,32 @@ def _parse_exponent_spec(spec):
 def _load_group(args):
     """The group to search, and the factorization of p-1 for its order p."""
     if (args.oracle_p is None) == (args.curve is None):
-        raise CommandError("pick exactly one of --oracle-p, --curve")
+        raise ValueError("pick exactly one of --oracle-p, --curve")
     if args.oracle_p is not None:
-        group = AdditiveOracleGroup(_option("--oracle-p", args.oracle_p))
+        group = AdditiveOracleGroup(args.oracle_p)
         return group, factor(group.order - 1)
     record = _find_curve(args.curve)
     return record.group, record.factors
 
 
-def _parse_element(group, text):
+def _parse_element(group, coords):
     """--q: a point x,y on a curve, one integer in any other group."""
-    coords = _option("--q", text, listed=True)
     if group.kind == "curve":  # also through a counting wrapper
         if len(coords) != 2:
-            raise CommandError("curve points are written as x,y")
+            raise ValueError("curve points are written as x,y")
         return group.element(tuple(coords))
     if len(coords) != 1:
-        raise CommandError("argument --q: %r is not one integer, as "
-                           "%s group elements are written" % (text, group.kind))
+        raise ValueError("argument --q: %r is not one integer, as %s "
+                         "group elements are written"
+                         % (",".join(map(str, coords)), group.kind))
     return group.element(coords[0])
 
 
 def _build_subgroup(args, p, factored):
     if (args.d is None) == (args.target_bits is None):
-        raise CommandError("pick exactly one of --d, --target-bits")
-    if args.d is not None:
-        d = _option("--d", args.d)
-    else:
-        d = nearest_divisor(factored, _option("--target-bits",
-                                              args.target_bits, _bits))
+        raise ValueError("pick exactly one of --d, --target-bits")
+    d = (args.d if args.d is not None
+         else nearest_divisor(factored, args.target_bits))
     return subgroup_generator(p, d, factored=factored)
 
 
@@ -192,19 +185,18 @@ def cmd_solve(args):
     p = group.order
     H = _build_subgroup(args, p, factored)
     if (args.x is None) == (args.q is None):
-        raise CommandError("supply exactly one of --x (embed a known "
-                           "exponent) or --q (target element)")
+        raise ValueError("supply exactly one of --x (embed a known "
+                         "exponent) or --q (target element)")
     if args.x is not None:
-        instance = DlpInstance.from_secret(group, _option("--x", args.x))
+        instance = DlpInstance.from_secret(group, args.x)
     else:
         instance = DlpInstance(group=group, P=group.generator,
                                Q=_parse_element(base_group, args.q))
-    cap = _option("--budget", args.budget)
 
     started = time.perf_counter()
     if args.m is None:
         m = 1
-        verdict = solve_in_subgroup(instance, H, step_cap=cap)
+        verdict = solve_in_subgroup(instance, H, step_cap=args.budget)
         elapsed = time.perf_counter() - started
         found = isinstance(verdict, Found)
         outcome, steps = type(verdict).__name__, verdict.steps
@@ -218,8 +210,8 @@ def cmd_solve(args):
             % (steps, theorem_budget(H.d))]
         model = "single-draw success model: lower %.6g, exact %.6g"
     else:
-        m = _option("--m", args.m)
-        config = CampaignConfig(m=m, seed=args.seed, step_cap=cap)
+        m = args.m
+        config = CampaignConfig(m=m, seed=args.seed, step_cap=args.budget)
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
         found, win = result.found, result.success
@@ -265,31 +257,30 @@ def cmd_prob_table(args):
         p = record.p
     else:
         if (args.curve is None) == (args.p is None):
-            raise CommandError("pick exactly one of --curve, --p")
+            raise ValueError("pick exactly one of --curve, --p")
         if args.curve:
             record = _find_curve(args.curve)
             p, factored = record.p, record.factors
         else:
-            p, factored = _option("--p", args.p), None
+            p, factored = args.p, None
         if (args.d_list is None) == (args.target_bits_list is None):
-            raise CommandError(
+            raise ValueError(
                 "pick exactly one of --d-list, --target-bits-list")
         if args.d_list is not None:
-            divisors = _option("--d-list", args.d_list, listed=True)
+            divisors = args.d_list
             for d in divisors:
                 check_divisor(p, d)
         else:
             if factored is None:
                 factored = factor(p - 1)
                 if not factored.complete:
-                    raise CommandError("cannot factor p-1 within budget; "
-                                       "pass --d-list instead")
-            divisors = [nearest_divisor(factored, bits) for bits in _option(
-                "--target-bits-list", args.target_bits_list, _bits,
-                listed=True)]
+                    raise ValueError("cannot factor p-1 within budget; "
+                                     "pass --d-list instead")
+            divisors = [nearest_divisor(factored, bits)
+                        for bits in args.target_bits_list]
         if args.m_exponents is None:
-            raise CommandError("--m-exponents is required without --paper-256")
-        tables = [(divisors, _parse_exponent_spec(args.m_exponents))]
+            raise ValueError("--m-exponents is required without --paper-256")
+        tables = [(divisors, args.m_exponents)]
 
     grids = [build_table(p, divisors, exponents)
              for divisors, exponents in tables]
@@ -313,15 +304,13 @@ def cmd_audit(args):
 
 def cmd_keycheck(args):
     if not args.curve:
-        raise CommandError("--curve is required")
+        raise ValueError("--curve is required")
     record = _find_curve(args.curve)
     if (args.x is None) == (args.q is None):
-        raise CommandError("supply exactly one of --x, --q")
-    x = _option("--x", args.x)
+        raise ValueError("supply exactly one of --x, --q")
     point = None if args.q is None else _parse_element(record.group, args.q)
-    report = audit_key(record, x=x, point=point,
-                       subgroups=_option("--d", args.d, listed=True),
-                       budget=_option("--budget", args.budget))
+    report = audit_key(record, x=args.x, point=point, subgroups=args.d,
+                       budget=args.budget)
     if args.format == "csv":
         _print_csv(*report.table())
     else:
@@ -330,8 +319,7 @@ def cmd_keycheck(args):
 
 
 def cmd_factor(args):
-    n = _option("n", args.n)
-    result = factor(n, rho_budget=_option("--budget", args.budget))
+    result = factor(args.n, rho_budget=args.budget)
     print(result.format())
     if not result.complete:
         print("incomplete: composite residual %d remains" % result.residual,
@@ -346,7 +334,7 @@ def build_parser():
 
     parse_args returns a fresh Namespace per call, so main reuses it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subgroupdlp",
         description="Constrained discrete-log search and subgroup key audits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,15 +343,20 @@ def build_parser():
         p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("solve", help="run the constrained search")
-    p.add_argument("--oracle-p", help="use the transparent group mod this prime")
+    p.add_argument("--oracle-p", type=_integer,
+                   help="use the transparent group mod this prime")
     p.add_argument("--curve", help="'desk', a curve file or a built-in name "
                                    "(built-ins carry no point data)")
-    p.add_argument("--x", help="embed this exponent and solve for it")
-    p.add_argument("--q", help="target element (int, or x,y for curves)")
-    p.add_argument("--d", help="subgroup order (divides p-1)")
-    p.add_argument("--target-bits", help="pick d | p-1 nearest this log2")
-    p.add_argument("--m", help="thread count: run a randomized campaign")
-    p.add_argument("--budget", help="per-search step cap")
+    p.add_argument("--x", type=_integer,
+                   help="embed this exponent and solve for it")
+    p.add_argument("--q", type=_listed(_integer),
+                   help="target element (int, or x,y for curves)")
+    p.add_argument("--d", type=_integer, help="subgroup order (divides p-1)")
+    p.add_argument("--target-bits", type=_bits,
+                   help="pick d | p-1 nearest this log2")
+    p.add_argument("--m", type=_integer,
+                   help="thread count: run a randomized campaign")
+    p.add_argument("--budget", type=_integer, help="per-search step cap")
     p.add_argument("--count-ops", action="store_true",
                    help="report measured group operations")
     p.add_argument("--seed", type=_integer, default=0,
@@ -374,11 +367,12 @@ def build_parser():
     p = sub.add_parser("prob-table", help="success-probability grids")
     p.add_argument("--curve", help="use this curve's group order: a built-in "
                                    "name, 'desk' or a curve file")
-    p.add_argument("--p", help="explicit group order")
-    p.add_argument("--d-list", help="comma-separated divisors")
-    p.add_argument("--target-bits-list",
+    p.add_argument("--p", type=_integer, help="explicit group order")
+    p.add_argument("--d-list", type=_listed(_integer),
+                   help="comma-separated divisors")
+    p.add_argument("--target-bits-list", type=_listed(_bits),
                    help="comma-separated log2 sizes; nearest divisors used")
-    p.add_argument("--m-exponents",
+    p.add_argument("--m-exponents", type=_parse_exponent_spec,
                    help="log2 thread counts, e.g. '45,50,52:56'")
     p.add_argument("--paper-256", action="store_true",
                    help="the built-in P-256 preset grids")
@@ -394,29 +388,30 @@ def build_parser():
                        help="test a key against small subgroups")
     p.add_argument("--curve", help="built-in record (scalar form only), "
                                    "'desk' or a curve file (point form too)")
-    p.add_argument("--x", help="secret scalar to audit")
-    p.add_argument("--q", help="public point x,y to audit")
-    p.add_argument("--d", help="comma-separated subgroup orders "
-                               "(default: the record's audit pair)")
-    p.add_argument("--budget", default=str(DEFAULT_AUDIT_BUDGET),
+    p.add_argument("--x", type=_integer, help="secret scalar to audit")
+    p.add_argument("--q", type=_listed(_integer),
+                   help="public point x,y to audit")
+    p.add_argument("--d", type=_listed(_integer),
+                   help="comma-separated subgroup orders "
+                        "(default: the record's audit pair)")
+    p.add_argument("--budget", type=_integer, default=DEFAULT_AUDIT_BUDGET,
                    help="step budget (default 2^32)")
     add_format(p)
     p.set_defaults(func=cmd_keycheck)
 
     p = sub.add_parser("factor", help="factor n (trial division + rho)")
-    p.add_argument("n")
-    p.add_argument("--budget", default=str(DEFAULT_RHO_BUDGET),
+    p.add_argument("n", type=_integer)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_RHO_BUDGET,
                    help="rho iteration budget")
     p.set_defaults(func=cmd_factor)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CommandError, ValueError, OSError, RuntimeError,
-            ArithmeticError) as e:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ factor.
 import functools
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 
 from .field import Residue, is_probable_prime
@@ -31,7 +30,6 @@ DEFAULT_RHO_BUDGET = 1 << 24
 _PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
 _ELEMENT_LIMIT = 1 << 22  # SubgroupSpec.elements enumerates no more
 _DIVISOR_LIMIT = 1 << 20  # divisors lists no more
-_HALF_LIMIT = 1 << 20  # nearest_divisor builds no larger half
 
 
 @functools.cache
@@ -307,50 +305,18 @@ def divisors(factored):
     return sorted(out)
 
 
-def _half_logs(prime_powers):
-    logs = [(0.0, 1)]
-    for p, e in prime_powers:
-        lp = math.log2(p)
-        logs = [(lg + i * lp, v * p ** i)
-                for lg, v in logs for i in range(e + 1)]
-    return logs
-
-
 def nearest_divisor(factored, target_bits):
     """The divisor of n whose log2 is closest to target_bits.
 
-    Exact even for factorizations too composite to enumerate outright:
-    the factors are split into two balanced halves and the halves are
-    matched meet-in-the-middle, so only ~sqrt(#divisors) values are built.
-    Ties in distance prefer the smaller divisor; a size that is not a
-    finite number (inf, nan) has no nearest divisor and raises ValueError.
+    Found by enumerating `divisors`, so up to 2^20 of them (P-256's p-1
+    has 10,240).  Ties in distance prefer the smaller divisor; a size that
+    is not a finite number (inf, nan) has no nearest divisor and raises
+    ValueError.
     """
-    if not factored.complete:
-        raise ValueError("complete factorization required")
     if not math.isfinite(target_bits):
         raise ValueError("target size %r bits is not finite" % target_bits)
-    left, right = [], []
-    lcount = rcount = 1
-    # balance the per-half divisor counts greedily, largest multiplicity first
-    for p, e in sorted(factored.factors, key=lambda t: -t[1]):
-        if lcount <= rcount:
-            left.append((p, e))
-            lcount *= e + 1
-        else:
-            right.append((p, e))
-            rcount *= e + 1
-    if max(lcount, rcount) > _HALF_LIMIT:
-        raise ValueError("factorization too composite for divisor search "
-                         "(half size %d)" % max(lcount, rcount))
-    rhs = sorted(_half_logs(right))
-    rhs_logs = [lg for lg, _ in rhs]
-    best = (math.inf, 0)  # (distance, divisor)
-    for lg, v in _half_logs(left):
-        i = bisect_left(rhs_logs, target_bits - lg)
-        # the nearest right-half log is one of the two bisect neighbours
-        for rlg, rv in rhs[max(0, i - 1):i + 1]:
-            best = min(best, (abs(lg + rlg - target_bits), v * rv))
-    return best[1]
+    return min(divisors(factored),
+               key=lambda v: (abs(math.log2(v) - target_bits), v))
 
 
 def search_prime_with_divisor(d, bits, rng):

@@ -1,10 +1,11 @@
 """Integer parsing, primality, seed derivation and the Residue record.
 
 The exponent arithmetic itself is Python's built-in `pow(x, e, p)` and
-`pow(y, -1, p)`; this module supplies what the built-ins do not: a
-Miller-Rabin test for the moduli that enter the package, a parser for
-decimal or hex input, stable sub-seeds, and `Residue`, the (value,
-modulus) record that results carry.
+`pow(y, -1, p)`, and input is read by the built-in `int(s, base)`; this
+module supplies what the built-ins do not: a Miller-Rabin test for the
+moduli that enter the package, the base (10, or 16 for 0x-prefixed
+input), stable sub-seeds, and `Residue`, the (value, modulus) record that
+results carry.
 
 The Miller-Rabin test is memoised (a bounded LRU cache), so every caller
 can prove every modulus it is handed: a catalog constant such as the
@@ -23,21 +24,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def parse_int(text):
     """Parse a decimal or 0x-prefixed hex integer, tolerating whitespace.
 
-    At most one leading sign is accepted: "--5" and "-+5" raise ValueError.
+    The built-in int() reads it, so one sign is allowed, "+0x1e" reads 30,
+    and "--5", "- 5" and "+ 5" raise ValueError.
 
     Round-trips bit-exactly: str(parse_int(s)) == s for canonical decimal s.
     """
     s = text.strip()
-    negative = s.startswith("-")
-    if negative:
-        s = s[1:].strip()
-        if s.startswith(("+", "-")):
-            raise ValueError("more than one sign in %r" % text)
-    if s.lower().startswith("0x"):
-        value = int(s, 16)
-    else:
-        value = int(s, 10)
-    return -value if negative else value
+    return int(s, 16 if s.lstrip("+-")[:2].lower() == "0x" else 10)
 
 
 # bounded: prime searches test many random candidates that never recur

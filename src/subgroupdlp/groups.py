@@ -398,6 +398,10 @@ def parse_curve_params(text):
             raise ValueError("bad curve-file line: %r" % raw)
         key, _, val = line.partition("=")
         key = key.strip().lower()
+        if key != "name" and key not in _CURVE_FIELDS:
+            raise ValueError("unknown curve-file key %r" % key)
+        if key in values:
+            raise ValueError("curve-file key %r is given twice" % key)
         values[key] = val.strip()
     missing = [f for f in ("q", "a", "b", "gx", "gy", "order") if f not in values]
     if missing:
@@ -499,7 +503,8 @@ class CurveGroup(CyclicGroup):
     construction and cofactor membership; `sweep_keys` builds the point's
     comb table once and multiplies from it (`_comb_mul`).  All of them
     share one doubling and one mixed addition.  Construction validates the
-    parameters: q and order prime, nonzero discriminant, base point on
+    parameters: q and order prime, nonzero discriminant, cofactor * order
+    within Hasse's bound ((q + 1 - #E)^2 <= 4q, in integers), base point on
     curve, order * base = identity.
     """
 
@@ -512,6 +517,8 @@ class CurveGroup(CyclicGroup):
             raise ValueError("field size %d is not an odd prime > 3" % q)
         if (4 * params.a ** 3 + 27 * params.b ** 2) % q == 0:
             raise ValueError("singular curve: discriminant is 0 mod q")
+        if (q + 1 - params.cofactor * params.order) ** 2 > 4 * q:
+            raise ValueError("cofactor * order is outside Hasse's bound")
         self.params = params
         self.q = q
         self._width = (q - 1).bit_length() + 7 >> 3

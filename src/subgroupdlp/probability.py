@@ -48,8 +48,6 @@ def _check(d, m, p):
 
 
 def _lower_bound(d, m, p):
-    if m == 0:
-        return 0.0
     if d * m >= _SATURATION * (p - 1):
         return 1.0
     return -math.expm1(-(d * m / (p - 1)))
@@ -65,10 +63,7 @@ def _exact(d, m, p):
         return r
     if r >= 1.0:
         return 1.0
-    t = m * math.log1p(-r)
-    if t <= -745.0:  # exp underflow: the miss probability is a strict 0
-        return 1.0
-    return -math.expm1(t)
+    return -math.expm1(m * math.log1p(-r))
 
 
 def success_lower_bound(d, m, p):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: arguments, output formats, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -233,10 +234,9 @@ def test_solve_seed_takes_hex(run):
 
     hex_seed = report("0x10")
     assert hex_seed == report("16") and "seed = 16" in hex_seed[1]
-    with pytest.raises(SystemExit) as exc:
-        run("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
-            "--m", "8", "--seed", "1.5")
-    assert exc.value.code == 2
+    assert run("solve", "--oracle-p", "65537", "--d", "4096", "--x", "777",
+               "--m", "8", "--seed", "1.5") == \
+        (2, "", "error: argument --seed: %s\n" % (INTEGER % "1.5"))
 
 
 INTEGER = "%r is not an integer (decimal or 0x hex)"
@@ -261,6 +261,8 @@ BAD_NUMBERS = [
      "--m", INTEGER % "zz"),
     (("solve", "--oracle-p", "31", "--d", "5", "--x", "3", "--budget",
       "1e3"), "--budget", INTEGER % "1e3"),
+    (("solve", "--oracle-p", "31", "--d", "5", "--x", "3", "--m", "2",
+      "--seed", "abc"), "--seed", INTEGER % "abc"),
     (("solve", "--oracle-p", "65537", "--target-bits", "z", "--x", "3"),
      "--target-bits", BITS % "z"),
     (("solve", "--oracle-p", "65537", "--target-bits", "nan", "--x", "3"),
@@ -288,15 +290,6 @@ def test_a_bad_number_names_its_option(run, argv, option, message):
     assert run(*argv) == (2, "", "error: argument %s: %s\n"
                           % (option, message))
 
-
-def test_a_bad_seed_names_its_option(run, capsys):
-    # --seed is converted by argparse, which adds its usage text
-    with pytest.raises(SystemExit) as exc:
-        run("solve", "--oracle-p", "31", "--d", "5", "--x", "3", "--m", "2",
-            "--seed", "abc")
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "subgroupdlp solve: error: argument --seed: " + INTEGER % "abc")
 
 def test_solve_degenerate_exponent(run):
     # x = 0 is refused where the instance is built, by solve and keycheck
@@ -631,8 +624,8 @@ def test_factor_and_keycheck_refuse_a_negative_budget(run):
 
 def test_options_only_where_a_command_reads_them(run):
     # --format on factor, --seed on the commands that draw nothing,
-    # --workers anywhere and the retired bench command are argparse errors,
-    # which exit 2 by SystemExit
+    # --workers anywhere and the retired bench command are usage errors:
+    # one error line, exit 2
     for argv in (("bench",), ("bench", "--sizes", "8:12:2"),
                  ("factor", "12", "--format", "csv"),
                  ("solve", "--oracle-p", "31", "--d", "5", "--x", "3",
@@ -641,16 +634,53 @@ def test_options_only_where_a_command_reads_them(run):
                  ("prob-table", "--paper-256", "--seed", "1"),
                  ("keycheck", "--curve", "P-256", "--x", "2", "--seed", "1"),
                  ("factor", "12", "--seed", "1")):
-        with pytest.raises(SystemExit) as exc:
-            run(*argv)
-        assert exc.value.code == 2, argv
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_every_value_option_declares_its_type():
+    # values are converted by the parser, so a bad one takes argparse's one
+    # error path; only curve names and the --format choices stay text
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    untyped = {(name, action.dest)
+               for name, parser in commands.items()
+               for action in parser._actions
+               if action.nargs != 0 and action.type is None
+               and action.choices is None}
+    assert untyped == {("solve", "curve"), ("prob-table", "curve"),
+                       ("keycheck", "curve"), ("audit", "target")}
+    assert set(commands) == {"solve", "prob-table", "audit", "keycheck",
+                             "factor"}
+
+
+def test_usage_errors_are_one_line_at_exit_2(run, capsys):
+    # a bad value, an unknown or missing argument and an unknown
+    # subcommand all print one error line; --help still prints the synopsis
+    for argv, message in (
+            ((), "the following arguments are required: command"),
+            (("bench",), "argument command: invalid choice: 'bench' "
+                         "(choose from 'solve', 'prob-table', 'audit', "
+                         "'keycheck', 'factor')"),
+            (("factor",), "the following arguments are required: n"),
+            (("factor", "30", "--budget"),
+             "argument --budget: expected one argument"),
+            (("audit", "P-256", "--format", "xml"),
+             "argument --format: invalid choice: 'xml' "
+             "(choose from 'text', 'csv')")):
+        assert run(*argv) == (2, "", "error: %s\n" % message), argv
+    with pytest.raises(SystemExit) as exc:
+        run("factor", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: subgroupdlp factor")
 
 
 def test_one_parser_per_process():
     assert build_parser() is build_parser()
 
 
-def test_reused_parser_leaks_nothing_between_calls(run, capsys):
+def test_reused_parser_leaks_nothing_between_calls(run):
     # back-to-back calls share the one parser; each gets a fresh Namespace
     base = ("solve", "--oracle-p", "31", "--d", "5", "--x", "8")
     _, out, _ = run(*base, "--m", "2", "--count-ops", "--format", "csv")
@@ -661,10 +691,8 @@ def test_reused_parser_leaks_nothing_between_calls(run, capsys):
     assert "campaign:" not in out and "measured ops" not in out
 
     fresh = run("factor", "30")
-    with pytest.raises(SystemExit) as exc:
-        run("factor", "12", "--format", "csv")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert run("factor", "12", "--format", "csv") == \
+        (2, "", "error: unrecognized arguments: --format csv\n")
     assert run("factor", "30") == fresh == (0, "30 = 2 * 3 * 5\n", "")
 
 

@@ -18,6 +18,7 @@ def test_parse_int_decimal_and_hex():
     assert parse_int("0X1E") == 30
     assert parse_int("-17") == -17
     assert parse_int("-0x1e") == -30
+    assert parse_int("+0x1e") == 30
     assert parse_int(str(P256_ORDER)) == P256_ORDER
 
 
@@ -29,7 +30,7 @@ def test_parse_int_round_trips_canonical_decimal():
 
 def test_parse_int_rejects_garbage():
     for bad in ("", "12m", "0x", "one", "--5", "-+5", "+-5", "- -5",
-                "--0x1e", "-"):
+                "--0x1e", "-", "- 5", "+ 5", "- 0x1e"):
         with pytest.raises(ValueError):
             parse_int(bad)
 

@@ -647,6 +647,16 @@ def test_curve_group_validation_errors():
     with pytest.raises(ValueError):  # composite order
         CurveGroup(CurveParams(q=DESK.q, a=DESK.a, b=DESK.b, gx=DESK.gx,
                                gy=DESK.gy, order=DESK.order * 2))
+    # y^2 = x^3 + x over F_11 has 12 points, so a point of order 3 has
+    # cofactor 4; cofactor 1 claims 3 points, which Hasse's bound
+    # (|12 - #E| <= 2 sqrt(11)) rules out, and would admit (0, 0), of order 2
+    with pytest.raises(ValueError, match="Hasse"):
+        CurveGroup(CurveParams(q=11, a=1, b=0, gx=5, gy=3, order=3,
+                               cofactor=1))
+    group = CurveGroup(CurveParams(q=11, a=1, b=0, gx=5, gy=3, order=3,
+                                   cofactor=4))
+    with pytest.raises(ValueError):
+        group.element((0, 0))
 
 
 def test_implicit_equality_iff_congruent():
@@ -692,6 +702,12 @@ def test_curve_file_missing_field():
         parse_curve_params("q = 7\na = 1\nb = 2\n")
     with pytest.raises(ValueError):
         parse_curve_params("nonsense line without equals")
+    # a misspelt key is not dropped, a repeated one does not overwrite
+    text = format_curve_params(DESK)
+    with pytest.raises(ValueError, match="'cofactr'"):
+        parse_curve_params(text.replace("cofactor", "cofactr"))
+    with pytest.raises(ValueError, match="'q'"):
+        parse_curve_params("q = 7\n" + text)
 
 
 def test_counting_group_counts():

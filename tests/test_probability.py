@@ -79,6 +79,7 @@ def test_single_thread_is_the_exact_ratio():
 
 def test_zero_threads():
     assert success_exact(256, 0, 65537) == 0.0
+    assert math.copysign(1.0, success_lower_bound(256, 0, 65537)) == 1.0
     assert success_lower_bound(256, 0, 65537) == 0.0
     est = estimate(65537, 256, 0)
     assert est.exact == 0.0 and est.log2_m == float("-inf")
@@ -90,7 +91,10 @@ def test_full_group_saturates():
     assert success_exact(65536, 1, 65537) == 1.0
     assert abs(success_lower_bound(65536, 1, 65537) - (1 - math.exp(-1))) < 1e-15
     assert success_lower_bound(65536, 200, 65537) == 1.0  # t >= 64 saturates
-    assert success_exact(32768, 2000, 65537) == 1.0       # exp underflow
+    assert success_exact(32768, 2000, 65537) == 1.0
+    # below saturation (63 < 64 threads), m*log1p(-r) ~ -873: exp underflows
+    # and the miss probability is a strict 0
+    assert success_exact(1048573 - 2, 63, 1048573) == 1.0
 
 
 def test_exact_dominates_lower_bound_strictly_at_desk_scale():
