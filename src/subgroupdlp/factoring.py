@@ -16,6 +16,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
+from itertools import compress
 
 from .field import Residue, is_probable_prime
 
@@ -41,7 +42,7 @@ def _trial_runs():
     for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
         if flags[i]:
             flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    primes = [i for i in range(TRIAL_BOUND) if flags[i]]
+    primes = list(compress(range(TRIAL_BOUND), flags))
     runs = [primes[i:i + TRIAL_RUN] for i in range(0, len(primes), TRIAL_RUN)]
     return [(math.prod(run), run) for run in runs]
 
@@ -64,10 +65,7 @@ class FactoredInteger:
         return self.residual == 1
 
     def product(self):
-        out = self.residual
-        for p, e in self.factors:
-            out *= p ** e
-        return out
+        return math.prod(p ** e for p, e in self.factors) * self.residual
 
     def verify(self):
         """Primality of every listed factor plus an exact product check."""
@@ -79,10 +77,7 @@ class FactoredInteger:
         return primes == sorted(set(primes))
 
     def divisor_count(self):
-        out = 1
-        for _, e in self.factors:
-            out *= e + 1
-        return out
+        return math.prod(e + 1 for _, e in self.factors)
 
     def format(self):
         """Printed form `n = p1^e1 * p2^e2 * ...` (^1 omitted)."""
@@ -217,12 +212,11 @@ def find_primitive_root(p, factored):
     if p == 2:
         return Residue(1, 2)
     exponents = [(p - 1) // q for q, _ in factored.factors]
-    g = 2
-    while g < p:
-        if all(pow(g, e, p) != 1 for e in exponents):
-            return Residue(g, p)
-        g += 1
-    raise ValueError("no primitive root found; is %d really prime?" % p)
+    g = next((g for g in range(2, p)
+              if all(pow(g, e, p) != 1 for e in exponents)), None)
+    if g is None:
+        raise ValueError("no primitive root found; is %d really prime?" % p)
+    return Residue(g, p)
 
 
 def check_divisor(p, d):

@@ -98,7 +98,7 @@ class GroupElement:
         return self.group.encode(self)
 
     def is_identity(self):
-        return self.data == self.group._identity_data()
+        return self.data == self.group._identity
 
     def __repr__(self):
         return "<%s %r>" % (self.group.kind, self.data)
@@ -107,11 +107,11 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement scalar_mul, sweep_keys and the raw hooks (_add,
-    _neg, _identity_data, _generator_data, _contains_data); this class
-    supplies validation, element wrapping and the default encoding of
-    integer data as `_width` big-endian bytes, which each integer backend
-    sizes.
+    Subclasses implement scalar_mul, sweep_keys and the raw hooks _add,
+    _neg and _contains_data, and set the raw data of the identity and the
+    generator as the attributes `_identity` and `_gen`; this class supplies
+    validation, element wrapping and the default encoding of integer data
+    as `_width` big-endian bytes, which each integer backend sizes.
     """
 
     kind = "abstract"
@@ -147,11 +147,11 @@ class CyclicGroup:
 
     @property
     def identity(self):
-        return self._wrap(self._identity_data())
+        return self._wrap(self._identity)
 
     @property
     def generator(self):
-        return self._wrap(self._generator_data())
+        return self._wrap(self._gen)
 
     def element(self, data):
         """Wrap raw data as an element, after a membership check."""
@@ -212,6 +212,7 @@ class AdditiveOracleGroup(CyclicGroup):
     """
 
     kind = "oracle"
+    _identity, _gen = 0, 1
 
     def __init__(self, p):
         super().__init__(p)
@@ -219,12 +220,6 @@ class AdditiveOracleGroup(CyclicGroup):
 
     def _key(self):
         return (self.order,)
-
-    def _identity_data(self):
-        return 0
-
-    def _generator_data(self):
-        return 1
 
     def _contains_data(self, data):
         return isinstance(data, int) and 0 <= data < self.order
@@ -281,6 +276,7 @@ class MultiplicativeGroup(CyclicGroup):
     """
 
     kind = "multiplicative"
+    _identity = 1
 
     def __init__(self, r, generator, p):
         super().__init__(p)
@@ -297,12 +293,6 @@ class MultiplicativeGroup(CyclicGroup):
 
     def _key(self):
         return (self.modulus, self._gen, self.order)
-
-    def _identity_data(self):
-        return 1
-
-    def _generator_data(self):
-        return self._gen
 
     def _contains_data(self, data):
         return (isinstance(data, int) and 0 < data < self.modulus
@@ -468,16 +458,9 @@ def _add_affine(X, Y, Z, px, py, a, q):
     return _double(X, Y, Z, a, q)  # the accumulator is P
 
 
-def _to_affine(X, Y, Z, q):
-    if not Z:
-        return None
-    zi = pow(Z, -1, q)
-    zi2 = zi * zi % q
-    return (X * zi2 % q, Y * zi2 * zi % q)
-
-
 def _to_affine_all(points, q):
-    """_to_affine of each Jacobian point, at one inversion for them all.
+    """The affine point (or None for O) of each Jacobian point in a list,
+    at one inversion for them all; a single point is a list of one.
 
     Montgomery's trick (Math. Comp. 1987): invert the product of the
     nonzero Zs, then peel each point's inverse off it, last point first.
@@ -509,6 +492,7 @@ class CurveGroup(CyclicGroup):
     """
 
     kind = "curve"
+    _identity = None
 
     def __init__(self, params):
         super().__init__(params.order)
@@ -522,26 +506,19 @@ class CurveGroup(CyclicGroup):
         self.params = params
         self.q = q
         self._width = (q - 1).bit_length() + 7 >> 3
-        base = (params.gx % q, params.gy % q)
-        if not self._on_curve(base):
+        self._gen = (params.gx % q, params.gy % q)
+        if not self._on_curve(self._gen):
             raise ValueError("base point is not on the curve")
-        self._base = base
-        if self._mul(params.order, base) is not None:
+        if self._mul(params.order, self._gen) is not None:
             raise ValueError("base point order does not divide %d" % params.order)
 
     def _key(self):
         p = self.params
-        return (p.q, p.a % p.q, p.b % p.q, p.gx % p.q, p.gy % p.q, p.order)
+        return (p.q, p.a % p.q, p.b % p.q, *self._gen, p.order)
 
     def _on_curve(self, data):
         x, y = data
         return (y * y - (x * x * x + self.params.a * x + self.params.b)) % self.q == 0
-
-    def _identity_data(self):
-        return None
-
-    def _generator_data(self):
-        return self._base
 
     def _mul(self, k, data):
         """k*P for an affine point P and any integer k, without reducing k.
@@ -569,7 +546,7 @@ class CurveGroup(CyclicGroup):
             point = multiples[int(window, 2)]  # O for "0" and on tiny curves
             if point is not None:
                 X, Y, Z = _add_affine(X, Y, Z, *point, a, q)
-        return _to_affine(X, -Y if k < 0 else Y, Z, q)
+        return _to_affine_all([(X, -Y if k < 0 else Y, Z)], q)[0]
 
     def _comb_table(self, data):
         """The comb table of the affine point `data` (Lim and Lee 1994).
@@ -618,7 +595,7 @@ class CurveGroup(CyclicGroup):
             j = int("".join(column), 2)
             if j:
                 X, Y, Z = _add_affine(X, Y, Z, *table[j], a, q)
-        return _to_affine(X, Y, Z, q)
+        return _to_affine_all([(X, Y, Z)], q)[0]
 
     def scalar_mul(self, k, e):
         self._check(e)
@@ -650,8 +627,8 @@ class CurveGroup(CyclicGroup):
             return p2
         if p2 is None:
             return p1
-        q = self.q
-        return _to_affine(*_add_affine(*p1, 1, *p2, self.params.a, q), q)
+        point = _add_affine(*p1, 1, *p2, self.params.a, self.q)
+        return _to_affine_all([point], self.q)[0]
 
     def _neg(self, data):
         if data is None:

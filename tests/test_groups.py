@@ -8,15 +8,17 @@ import random
 import pytest
 
 from subgroupdlp import groups
+from subgroupdlp.bsgs import (DlpInstance, Found, NotInSubgroup,
+                              solve_in_subgroup)
 from subgroupdlp.catalog import load_builtin
-from subgroupdlp.factoring import factor, find_primitive_root
-from subgroupdlp.field import is_probable_prime
+from subgroupdlp.factoring import SubgroupSpec, factor, find_primitive_root
+from subgroupdlp.field import Residue, is_probable_prime
 from subgroupdlp.groups import (COMB_TEETH, POWER_WINDOW,
                                 AdditiveOracleGroup, CountingGroup,
-                                CurveGroup, CurveParams, MultiplicativeGroup,
-                                desk_curve, format_curve_params,
-                                implicit_equal, load_curve_file,
-                                parse_curve_params)
+                                CurveGroup, CurveParams, CyclicGroup,
+                                MultiplicativeGroup, desk_curve,
+                                format_curve_params, implicit_equal,
+                                load_curve_file, parse_curve_params)
 
 
 def test_oracle_group_is_transparent():
@@ -767,3 +769,46 @@ def test_group_layer_is_written_once():
         assert "_encode" not in vars(cls)
     with pytest.raises(AttributeError):
         CountingGroup(AdditiveOracleGroup(31)).no_such_attribute
+
+
+class EvenResidues(CyclicGroup):
+    """The order-p subgroup 2Z/2pZ of Z/2pZ, written only against the
+    protocol CyclicGroup documents: its raw hooks and its two attributes."""
+
+    kind = "even"
+    _identity, _gen = 0, 2
+
+    def _key(self):
+        return (self.order,)
+
+    def _add(self, a, b):
+        return (a + b) % (2 * self.order)
+
+    def _neg(self, a):
+        return -a % (2 * self.order)
+
+    def _contains_data(self, data):
+        return (isinstance(data, int) and 0 <= data < 2 * self.order
+                and data % 2 == 0)
+
+    def scalar_mul(self, k, e):
+        self._check(e)
+        return self._wrap(k % self.order * e.data % (2 * self.order))
+
+    def sweep_keys(self, e):
+        self._check(e)
+        return groups._sweep_of(
+            lambda k: k * e.data % (2 * self.order), self.order)
+
+
+def test_a_backend_needs_only_the_documented_protocol():
+    group = EvenResidues(31)
+    G, O = group.generator, group.identity
+    assert (G.data, O.data) == (2, 0) and O.is_identity()
+    assert not G.is_identity() and (G + -G).is_identity()
+    assert group.element(16) + G == group.scalar_mul(9, G)
+    H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
+    assert solve_in_subgroup(DlpInstance.from_secret(group, 8), H5) == \
+        Found(x=Residue(8, 31), a=1, b=0, steps=5)
+    assert solve_in_subgroup(DlpInstance.from_secret(group, 3), H5) == \
+        NotInSubgroup(steps=8)
