@@ -215,7 +215,9 @@ def cmd_solve(args):
         result = randomized_solve(instance, H, config)
         elapsed = time.perf_counter() - started
         found, win = result.found, result.success
-        outcome = "Found" if found else "Failed"
+        # a thread stopped below its B baby keys proves nothing
+        capped = args.budget is not None and args.budget < result.plan.baby
+        outcome = "Found" if found else "Undecided" if capped else "Failed"
         steps = result.total_steps
         witness = ([win.x.value, None, None, win.index] if found
                    else [None] * 4)
@@ -223,6 +225,8 @@ def cmd_solve(args):
             "campaign: m = %d, seed = %d" % (m, args.seed),
             "outcome: Found x = %d on thread %d (y = %d, z = %d)"
             % (win.x.value, win.index, win.y.value, win.z.value) if found
+            else "outcome: Undecided (--budget %d is below the %d baby keys "
+            "a thread needs)" % (args.budget, result.plan.baby) if capped
             else "outcome: Failed (no thread landed in the subgroup)",
             "steps: %d total over %d threads (%d baby keys per thread, "
             "%d-key giant table)"

@@ -89,7 +89,9 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group == other.group and self.data == other.data
+        # identity first: the structural == builds _key() tuples
+        return ((self.group is other.group or self.group == other.group)
+                and self.data == other.data)
 
     def __hash__(self):
         return hash((self.group, self.data))
@@ -107,8 +109,8 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement scalar_mul, sweep_keys and the raw hooks _add,
-    _neg and _contains_data, and set the raw data of the identity and the
+    Subclasses implement scalar_mul, sweep_keys and the raw hooks _add and
+    _contains_data, and set the raw data of the identity and the
     generator as the attributes `_identity` and `_gen`; this class supplies
     validation, element wrapping and the default encoding of integer data
     as `_width` big-endian bytes, which each integer backend sizes.
@@ -172,8 +174,8 @@ class CyclicGroup:
         return self._wrap(self._add(e1.data, e2.data))
 
     def negate(self, e):
-        self._check(e)
-        return self._wrap(self._neg(e.data))
+        """-P, which is (order - 1) * P: the scalar multiple -1."""
+        return self.scalar_mul(-1, e)
 
     def scalar_mul(self, k, e):
         """k*P for any integer k; k acts through its residue mod the order."""
@@ -226,9 +228,6 @@ class AdditiveOracleGroup(CyclicGroup):
 
     def _add(self, a, b):
         return (a + b) % self.order
-
-    def _neg(self, a):
-        return -a % self.order
 
     def scalar_mul(self, k, e):
         self._check(e)
@@ -300,9 +299,6 @@ class MultiplicativeGroup(CyclicGroup):
 
     def _add(self, a, b):
         return a * b % self.modulus
-
-    def _neg(self, a):
-        return pow(a, -1, self.modulus)
 
     def scalar_mul(self, k, e):
         self._check(e)
@@ -524,26 +520,30 @@ class CurveGroup(CyclicGroup):
         """k*P for an affine point P and any integer k, without reducing k.
 
         Construction and the cofactor membership check need k unreduced:
-        there the point is to test whether k kills the point.  A
+        there the point is to test whether k kills the point; scalar_mul
+        passes the signed residue of k, so that -P is one window of 1.  A
         left-to-right sliding window of width 4 over |k| on Jacobian
-        coordinates: P, 2P, ..., 15P are summed first and taken to affine at
-        one shared inversion, then each window is its doublings and one
-        mixed addition of its odd multiple.  One more inversion returns the
-        result, negated for k < 0, to affine.
+        coordinates: P, 2P, ... up to the largest window's multiple (15P
+        at most) are summed first and taken to affine at one shared
+        inversion, then each window is its doublings and one mixed addition
+        of its odd multiple.  One more inversion returns the result,
+        negated for k < 0, to affine.
         """
         if data is None or k == 0:
             return None
         q, a = self.q, self.params.a
-        run = [(*data, 1)]
-        for _ in range(14):
-            run.append(_add_affine(*run[-1], *data, a, q))
-        multiples = [None] + _to_affine_all(run, q)  # jP for j < 16
-        X, Y, Z = 0, 1, 0
         # windows of |k|: a lone 0, or up to 4 bits that begin and end in 1
-        for window in re.findall("1(?:[01]{0,2}1)?|0", bin(abs(k))[2:]):
-            for _ in window:
+        windows = [(len(bits), int(bits, 2)) for bits
+                   in re.findall("1(?:[01]{0,2}1)?|0", bin(abs(k))[2:])]
+        run = [(*data, 1)]
+        for _ in range(max(j for _, j in windows) - 1):
+            run.append(_add_affine(*run[-1], *data, a, q))
+        multiples = [None] + _to_affine_all(run, q)  # jP up to the top window
+        X, Y, Z = 0, 1, 0
+        for doublings, j in windows:
+            for _ in range(doublings):
                 X, Y, Z = _double(X, Y, Z, a, q)
-            point = multiples[int(window, 2)]  # O for "0" and on tiny curves
+            point = multiples[j]  # O for "0" and on tiny curves
             if point is not None:
                 X, Y, Z = _add_affine(X, Y, Z, *point, a, q)
         return _to_affine_all([(X, -Y if k < 0 else Y, Z)], q)[0]
@@ -585,21 +585,20 @@ class CurveGroup(CyclicGroup):
         order, so the accumulator never meets the addend or its negative.
         """
         q, a = self.q, self.params.a
-        k %= self.order
-        mask = (1 << w) - 1
-        rows = [format(k >> (i * w) & mask, "0%db" % w)
-                for i in range(COMB_TEETH - 1, -1, -1)]
+        bits = format(k % self.order, "0%db" % (COMB_TEETH * w))
         X, Y, Z = 0, 1, 0
-        for column in zip(*rows):
+        for c in range(w):
             X, Y, Z = _double(X, Y, Z, a, q)
-            j = int("".join(column), 2)
+            j = int(bits[c::w], 2)
             if j:
                 X, Y, Z = _add_affine(X, Y, Z, *table[j], a, q)
         return _to_affine_all([(X, Y, Z)], q)[0]
 
     def scalar_mul(self, k, e):
         self._check(e)
-        return self._wrap(self._mul(k % self.order, e.data))
+        k %= self.order
+        return self._wrap(self._mul(k - self.order if 2 * k > self.order else k,
+                                    e.data))
 
     def sweep_keys(self, e):
         self._check(e)
@@ -629,12 +628,6 @@ class CurveGroup(CyclicGroup):
             return p1
         point = _add_affine(*p1, 1, *p2, self.params.a, self.q)
         return _to_affine_all([point], self.q)[0]
-
-    def _neg(self, data):
-        if data is None:
-            return None
-        x, y = data
-        return (x, -y % self.q)
 
     def _encode(self, data):
         if data is None:

@@ -81,7 +81,20 @@ def test_solve_rejects_a_negative_budget(run):
     code, out, _ = run(*base, "--budget", "0")
     assert code == 1 and "outcome: Undecided" in out and "steps: 0 " in out
     code, out, _ = run(*base, "--budget", "0", "--m", "4")
-    assert code == 1 and "outcome: Failed" in out
+    assert code == 1 and "outcome: Undecided" in out
+
+
+def test_a_capped_campaign_that_misses_is_undecided_not_failed(run):
+    # uncapped, seed 1 finds x = 8 on thread 2 (y = 16, z = 4 in H)
+    base = ("solve", "--oracle-p", "31", "--d", "5", "--x", "8", "--m", "3",
+            "--seed", "1")
+    code, out, _ = run(*base)
+    assert code == 0 and "Found x = 8 on thread 2" in out
+    # a budget below the plan's 2 baby keys proves nothing on any thread
+    code, out, _ = run(*base, "--budget", "0")
+    assert code == 1 and "outcome: Undecided" in out
+    code, out, _ = run(*base, "--budget", "0", "--format", "csv")
+    assert code == 1 and out.splitlines()[1].startswith("Undecided,")
 
 
 def test_solve_target_bits(run):

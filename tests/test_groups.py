@@ -221,7 +221,11 @@ def test_scalar_mul_matches_affine_reference_on_p256():
     assert group.scalar_mul(0, G) == O
     assert group.scalar_mul(group.order, G) == O
     assert group.scalar_mul(rng.getrandbits(256), O) == O
+    # -G is scalar_mul(-1, G) and order - 1 is its signed residue -1, so
+    # check both against the affine negation too
     assert group.scalar_mul(group.order - 1, G) == -G
+    assert (-G).data == (P256.gx, P256.q - P256.gy)
+    assert (G + -G) == O
 
 
 def key_of(group, point):
@@ -783,9 +787,6 @@ class EvenResidues(CyclicGroup):
 
     def _add(self, a, b):
         return (a + b) % (2 * self.order)
-
-    def _neg(self, a):
-        return -a % (2 * self.order)
 
     def _contains_data(self, data):
         return (isinstance(data, int) and 0 <= data < 2 * self.order
