@@ -7,11 +7,13 @@ pass), 1 for a clean negative (not in subgroup / failed campaign /
 incomplete factorization), 2 for any usage or runtime error.
 
 Every value option is typed in the parser (integers decimal or 0x hex,
-sizes in bits, lists comma-separated), and every usage error -- a bad
-value, an unknown or missing argument or subcommand -- prints one
-`error: <message>` line and exits 2; a bad value's names the option and
-the forms it accepts.  `--seed` pins every random choice, so sequential
-runs are exactly reproducible.
+sizes in bits, lists comma-separated), and so are the rules between
+options: those that exclude each other form argparse groups, which
+`--help` shows as `(--x X | --q Q)`.  Every usage error -- a bad value, an
+unknown or missing argument or subcommand, two options of one group --
+prints one `error: <message>` line and exits 2; a bad value's names the
+option and the forms it accepts.  `--seed` pins every random choice, so
+sequential runs are exactly reproducible.
 solve's, prob-table's and keycheck's `--curve` and audit's target each
 take a built-in name, `desk` or a curve file, also looked up under
 $SUBGROUPDLP_DATA_DIR.
@@ -140,17 +142,6 @@ def _parse_exponent_spec(spec):
     return out
 
 
-def _load_group(args):
-    """The group to search, and the factorization of p-1 for its order p."""
-    if (args.oracle_p is None) == (args.curve is None):
-        raise ValueError("pick exactly one of --oracle-p, --curve")
-    if args.oracle_p is not None:
-        group = AdditiveOracleGroup(args.oracle_p)
-        return group, factor(group.order - 1)
-    record = _find_curve(args.curve)
-    return record.group, record.factors
-
-
 def _parse_element(group, coords):
     """--q: a point x,y on a curve, one integer in any other group."""
     if group.kind == "curve":  # also through a counting wrapper
@@ -164,14 +155,6 @@ def _parse_element(group, coords):
     return group.element(coords[0])
 
 
-def _build_subgroup(args, p, factored):
-    if (args.d is None) == (args.target_bits is None):
-        raise ValueError("pick exactly one of --d, --target-bits")
-    d = (args.d if args.d is not None
-         else nearest_divisor(factored, args.target_bits))
-    return subgroup_generator(p, d, factored=factored)
-
-
 def _print_csv(header, rows):
     """The one CSV writer: a header, then rows (None prints as empty)."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -180,13 +163,17 @@ def _print_csv(header, rows):
 
 
 def cmd_solve(args):
-    base_group, factored = _load_group(args)
+    if args.oracle_p is not None:
+        base_group = AdditiveOracleGroup(args.oracle_p)
+        factored = factor(base_group.order - 1)
+    else:
+        record = _find_curve(args.curve)
+        base_group, factored = record.group, record.factors
     group = CountingGroup(base_group) if args.count_ops else base_group
     p = group.order
-    H = _build_subgroup(args, p, factored)
-    if (args.x is None) == (args.q is None):
-        raise ValueError("supply exactly one of --x (embed a known "
-                         "exponent) or --q (target element)")
+    d = (args.d if args.d is not None
+         else nearest_divisor(factored, args.target_bits))
+    H = subgroup_generator(p, d, factored=factored)
     if args.x is not None:
         instance = DlpInstance.from_secret(group, args.x)
     else:
@@ -260,21 +247,16 @@ def cmd_prob_table(args):
                   for idx, exps in _P256_PRESET]
         p = record.p
     else:
-        if (args.curve is None) == (args.p is None):
-            raise ValueError("pick exactly one of --curve, --p")
-        if args.curve:
+        if args.curve is not None:
             record = _find_curve(args.curve)
             p, factored = record.p, record.factors
         else:
             p, factored = args.p, None
-        if (args.d_list is None) == (args.target_bits_list is None):
-            raise ValueError(
-                "pick exactly one of --d-list, --target-bits-list")
         if args.d_list is not None:
             divisors = args.d_list
             for d in divisors:
                 check_divisor(p, d)
-        else:
+        elif args.target_bits_list is not None:
             if factored is None:
                 factored = factor(p - 1)
                 if not factored.complete:
@@ -282,6 +264,10 @@ def cmd_prob_table(args):
                                      "pass --d-list instead")
             divisors = [nearest_divisor(factored, bits)
                         for bits in args.target_bits_list]
+        else:
+            raise ValueError("one of the arguments --d-list "
+                             "--target-bits-list is required without "
+                             "--paper-256")
         if args.m_exponents is None:
             raise ValueError("--m-exponents is required without --paper-256")
         tables = [(divisors, args.m_exponents)]
@@ -307,11 +293,7 @@ def cmd_audit(args):
 
 
 def cmd_keycheck(args):
-    if not args.curve:
-        raise ValueError("--curve is required")
     record = _find_curve(args.curve)
-    if (args.x is None) == (args.q is None):
-        raise ValueError("supply exactly one of --x, --q")
     point = None if args.q is None else _parse_element(record.group, args.q)
     report = audit_key(record, x=args.x, point=point, subgroups=args.d,
                        budget=args.budget)
@@ -347,17 +329,20 @@ def build_parser():
         p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("solve", help="run the constrained search")
-    p.add_argument("--oracle-p", type=_integer,
-                   help="use the transparent group mod this prime")
-    p.add_argument("--curve", help="'desk', a curve file or a built-in name "
-                                   "(built-ins carry no point data)")
-    p.add_argument("--x", type=_integer,
-                   help="embed this exponent and solve for it")
-    p.add_argument("--q", type=_listed(_integer),
-                   help="target element (int, or x,y for curves)")
-    p.add_argument("--d", type=_integer, help="subgroup order (divides p-1)")
-    p.add_argument("--target-bits", type=_bits,
-                   help="pick d | p-1 nearest this log2")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--oracle-p", type=_integer,
+                     help="use the transparent group mod this prime")
+    one.add_argument("--curve", help="'desk', a curve file or a built-in "
+                                     "name (built-ins carry no point data)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--x", type=_integer,
+                     help="embed this exponent and solve for it")
+    one.add_argument("--q", type=_listed(_integer),
+                     help="target element (int, or x,y for curves)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--d", type=_integer, help="subgroup order (divides p-1)")
+    one.add_argument("--target-bits", type=_bits,
+                     help="pick d | p-1 nearest this log2")
     p.add_argument("--m", type=_integer,
                    help="thread count: run a randomized campaign")
     p.add_argument("--budget", type=_integer, help="per-search step cap")
@@ -369,17 +354,20 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("prob-table", help="success-probability grids")
-    p.add_argument("--curve", help="use this curve's group order: a built-in "
-                                   "name, 'desk' or a curve file")
-    p.add_argument("--p", type=_integer, help="explicit group order")
-    p.add_argument("--d-list", type=_listed(_integer),
-                   help="comma-separated divisors")
-    p.add_argument("--target-bits-list", type=_listed(_bits),
-                   help="comma-separated log2 sizes; nearest divisors used")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--paper-256", action="store_true",
+                     help="the built-in P-256 preset grids")
+    one.add_argument("--curve", help="use this curve's group order: a "
+                                     "built-in name, 'desk' or a curve file")
+    one.add_argument("--p", type=_integer, help="explicit group order")
+    # one of the two is also required without --paper-256 (cmd_prob_table)
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--d-list", type=_listed(_integer),
+                     help="comma-separated divisors")
+    one.add_argument("--target-bits-list", type=_listed(_bits),
+                     help="comma-separated log2 sizes; nearest divisors used")
     p.add_argument("--m-exponents", type=_parse_exponent_spec,
                    help="log2 thread counts, e.g. '45,50,52:56'")
-    p.add_argument("--paper-256", action="store_true",
-                   help="the built-in P-256 preset grids")
     add_format(p)
     p.set_defaults(func=cmd_prob_table)
 
@@ -390,11 +378,12 @@ def build_parser():
 
     p = sub.add_parser("keycheck",
                        help="test a key against small subgroups")
-    p.add_argument("--curve", help="built-in record (scalar form only), "
-                                   "'desk' or a curve file (point form too)")
-    p.add_argument("--x", type=_integer, help="secret scalar to audit")
-    p.add_argument("--q", type=_listed(_integer),
-                   help="public point x,y to audit")
+    p.add_argument("--curve", required=True, help="built-in record (scalar "
+                   "form only), 'desk' or a curve file (point form too)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--x", type=_integer, help="secret scalar to audit")
+    one.add_argument("--q", type=_listed(_integer),
+                     help="public point x,y to audit")
     p.add_argument("--d", type=_listed(_integer),
                    help="comma-separated subgroup orders "
                         "(default: the record's audit pair)")

@@ -255,10 +255,12 @@ class AdditiveOracleGroup(CyclicGroup):
 # benchmark's 24-bit p that is 256 + 3K at w = 6, 768 + 2K at w = 8
 # (break-even K = 512), 3072 + 2K at w = 10 and 8192 + K at w = 12 (ahead
 # of 8 only past K ~ 7,400).  One preparation of Q serves every thread's
-# baby keys, ~2,900 per campaign there.  With its 129-bit r (2-vCPU Xeon, Python 3.11.7) a plain pow takes ~10 us; at 6 and
-# 8 bits a preparation takes ~90 and ~230 us and a key ~1.2 and ~0.85 us
-# (timeit minima), and the campaign benchmark ran 1.29x the items/s at 8
-# (BENCH_25.json).
+# baby keys, 1,726 per campaign there (mean of 420 items at seed 1: threads
+# whose coset was already swept skip theirs, and the winner stops early).
+# With its 129-bit r (2-vCPU Xeon, Python 3.11.7) a plain pow takes ~10 us;
+# at 6 and 8 bits a preparation takes ~90 and ~230 us and a key ~1.2 and
+# ~0.85 us (timeit minima), and the campaign benchmark ran 1.29x the items/s
+# at 8 (BENCH_25.json).
 POWER_WINDOW = 8
 
 
@@ -611,7 +613,8 @@ class CurveGroup(CyclicGroup):
     def _contains_data(self, data):
         if data is None:
             return True
-        if not (isinstance(data, tuple) and len(data) == 2):
+        if not (isinstance(data, tuple) and len(data) == 2
+                and all(isinstance(c, int) for c in data)):
             return False
         x, y = data
         if not (0 <= x < self.q and 0 <= y < self.q) or not self._on_curve(data):

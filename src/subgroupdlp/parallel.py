@@ -110,14 +110,17 @@ class CampaignResult:
         return len(self.per_thread_steps)
 
 
-def draw_multipliers(p, m, seed):
-    """The campaign's uniform unit multipliers y_1..y_m, as plain ints.
-
-    Drawn from a dedicated stream derived from the seed, so the same
-    (p, m, seed) always yields the same list.
-    """
+def _multipliers(p, m, seed):
+    """The campaign's uniform unit multipliers y_1..y_m, as plain ints, each
+    drawn when it is asked for from a dedicated stream derived from the
+    seed, so the same (p, m, seed) always yields the same sequence."""
     rng = random.Random(derive_seed(seed, "multipliers", p, m))
-    return [rng.randrange(1, p) for _ in range(m)]
+    return (rng.randrange(1, p) for _ in range(m))
+
+
+def draw_multipliers(p, m, seed):
+    """All m multipliers as a list; `randomized_solve` draws them lazily."""
+    return list(_multipliers(p, m, seed))
 
 
 def baby_keys(p, d, m):
@@ -133,11 +136,12 @@ def randomized_solve(instance, H, config):
     sweep of Q started at y_i against the kept giant table, both of the
     campaign's `plan`; all of them run the instance's one prepared sweep
     of Q.  A thread whose coset y_i^d an earlier thread swept in full is
-    settled as a 0-step miss without sweeping.
+    settled as a 0-step miss without sweeping.  y_i is drawn when thread i
+    starts, so a campaign draws threads_run multipliers, not m.
     """
     _check_solvable(instance, H)
     p = instance.p
-    ys = draw_multipliers(p, config.m, config.seed)
+    ys = _multipliers(p, config.m, config.seed)
     split = plan(H.d, p, config.m)
     table = kept_giant(instance.group, instance.P, H, split)
     result = CampaignResult(total_steps=split.giant, plan=split)

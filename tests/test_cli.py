@@ -448,6 +448,15 @@ def test_prob_table_usage_errors(run):
     assert run("prob-table", "--p", "65537", "--d-list", "16")[0] == 2
 
 
+def test_an_empty_curve_name_is_looked_up_like_any_other(run):
+    # `--curve ""` fills the group's slot, so it is resolved, not skipped
+    for command in (("prob-table", "--d-list", "16", "--m-exponents", "1"),
+                    ("keycheck", "--x", "1")):
+        code, out, err = run(*command, "--curve", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: '' is neither a built-in curve")
+
+
 def test_audit_builtins(run):
     for name in ("P-256", "P-384"):
         code, out, _ = run("audit", name)
@@ -687,6 +696,67 @@ def test_usage_errors_are_one_line_at_exit_2(run, capsys):
         run("factor", "--help")
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: subgroupdlp factor")
+
+
+def test_the_parser_holds_the_rules_between_options():
+    # options that exclude each other are argparse groups, so --help shows
+    # them and no command body checks them
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    groups = {name: {(tuple(a.option_strings[0] for a in g._group_actions),
+                      g.required)
+                     for g in parser._mutually_exclusive_groups}
+              for name, parser in commands.items()}
+    assert groups == {
+        "solve": {(("--oracle-p", "--curve"), True), (("--x", "--q"), True),
+                  (("--d", "--target-bits"), True)},
+        "prob-table": {(("--paper-256", "--curve", "--p"), True),
+                       (("--d-list", "--target-bits-list"), False)},
+        "audit": set(),
+        "keycheck": {(("--x", "--q"), True)},
+        "factor": set()}
+    assert {(name, a.dest) for name, parser in commands.items()
+            for a in parser._actions
+            if a.required and a.option_strings} == {("keycheck", "curve")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--x", "3", "--d", "5"),
+     "one of the arguments --oracle-p --curve is required"),
+    (("solve", "--oracle-p", "31", "--curve", "desk", "--x", "3", "--d", "5"),
+     "argument --curve: not allowed with argument --oracle-p"),
+    (("solve", "--oracle-p", "31", "--d", "5"),
+     "one of the arguments --x --q is required"),
+    (("solve", "--oracle-p", "31", "--x", "3", "--q", "8", "--d", "5"),
+     "argument --q: not allowed with argument --x"),
+    (("solve", "--oracle-p", "31", "--x", "3"),
+     "one of the arguments --d --target-bits is required"),
+    (("solve", "--oracle-p", "31", "--x", "3", "--d", "5",
+      "--target-bits", "2"),
+     "argument --target-bits: not allowed with argument --d"),
+    (("prob-table", "--d-list", "16", "--m-exponents", "1"),
+     "one of the arguments --paper-256 --curve --p is required"),
+    (("prob-table", "--p", "65537", "--curve", "P-256", "--d-list", "16",
+      "--m-exponents", "1"),
+     "argument --curve: not allowed with argument --p"),
+    (("prob-table", "--paper-256", "--p", "31"),
+     "argument --p: not allowed with argument --paper-256"),
+    (("prob-table", "--p", "65537", "--m-exponents", "1"),
+     "one of the arguments --d-list --target-bits-list is required without "
+     "--paper-256"),
+    (("prob-table", "--p", "65537", "--d-list", "16", "--target-bits-list",
+      "4", "--m-exponents", "1"),
+     "argument --target-bits-list: not allowed with argument --d-list"),
+    (("keycheck", "--x", "1"),
+     "the following arguments are required: --curve"),
+    (("keycheck", "--curve", "P-256"),
+     "one of the arguments --x --q is required"),
+    (("keycheck", "--curve", "P-256", "--x", "1", "--q", "2,3"),
+     "argument --q: not allowed with argument --x"),
+])
+def test_both_or_neither_of_two_options_is_one_error_line(run, argv,
+                                                           message):
+    assert run(*argv) == (2, "", "error: %s\n" % message)
 
 
 def test_one_parser_per_process():

@@ -663,6 +663,12 @@ def test_curve_group_validation_errors():
                                    cofactor=4))
     with pytest.raises(ValueError):
         group.element((0, 0))
+    # coordinates are ints: float copies of the generator's are no point
+    desk = CurveGroup(DESK)
+    for data in ((float(DESK.gx), float(DESK.gy)), (DESK.gx, float(DESK.gy))):
+        with pytest.raises(ValueError):
+            desk.element(data)
+        assert not desk.contains(groups.GroupElement(desk, data))
 
 
 def test_implicit_equality_iff_congruent():

@@ -458,6 +458,29 @@ def test_single_worker_campaign_does_only_accounted_work():
                                        - (table_keys if seed else 0))
 
 
+def test_a_campaign_draws_only_the_multipliers_of_the_threads_it_runs(
+        monkeypatch):
+    # y_i is drawn as thread i starts, so an early win of a 1,000-thread
+    # campaign draws threads_run multipliers: draw_multipliers' first ones
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(super().randrange(*args))
+            return draws[-1]
+
+    p, m = 65537, 1000
+    instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 12345)
+    H = subgroup_generator(p, 4096)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    result = randomized_solve(instance, H, CampaignConfig(m=m, seed=1))
+    monkeypatch.undo()
+    assert result.found and result.threads_run < 100
+    assert len(draws) == result.threads_run
+    assert draws == draw_multipliers(p, m, 1)[:result.threads_run]
+    assert result.success.y.value == draws[-1]
+
+
 class KeyFunctionCounter(CountingGroup):
     """A counting layer that also records the points it prepares sweeps of."""
 
