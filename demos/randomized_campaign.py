@@ -16,7 +16,7 @@ from subgroupdlp import (AdditiveOracleGroup, CampaignConfig, DlpInstance,
                          draw_multipliers, empirical_success_rate, factor,
                          randomized_solve, subgroup_generator, success_exact,
                          success_lower_bound)
-from subgroupdlp.parallel import baby_keys
+from subgroupdlp.bsgs import plan
 
 p = 65537
 d = 4096          # d/(p-1) = 1/16: each thread has a 1-in-16 chance
@@ -24,9 +24,9 @@ m = 8
 group = AdditiveOracleGroup(p)
 H = subgroup_generator(p, d, factored=factor(p - 1))
 print("p = %d, subgroup order d = %d, %d threads per campaign" % (p, d, m))
-B = baby_keys(p, d, m)  # sized for the threads a campaign expects to run
+split = plan(d, p, m)  # sized for the threads a campaign expects to run
 print("%d baby keys per thread against a %d-key giant table; exact success "
-      "probability %.5f" % (B, -(-d // B), success_exact(d, m, p)))
+      "probability %.5f" % (split.baby, split.giant, success_exact(d, m, p)))
 print()
 
 # One campaign in detail.  The secret is 12345; the solver never sees it.

@@ -224,6 +224,9 @@ class ConsistencyReport:
 
 
 def _valuation(n, f):
+    """The exponent of f in n; 0 for f < 2, which no prime is."""
+    if f < 2:
+        return 0
     v = 0
     while n % f == 0:
         v += 1

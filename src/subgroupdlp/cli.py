@@ -144,15 +144,13 @@ def _parse_exponent_spec(spec):
 
 def _parse_element(group, coords):
     """--q: a point x,y on a curve, one integer in any other group."""
-    if group.kind == "curve":  # also through a counting wrapper
-        if len(coords) != 2:
-            raise ValueError("curve points are written as x,y")
-        return group.element(tuple(coords))
-    if len(coords) != 1:
-        raise ValueError("argument --q: %r is not one integer, as %s "
-                         "group elements are written"
-                         % (",".join(map(str, coords)), group.kind))
-    return group.element(coords[0])
+    curve = group.kind == "curve"
+    if len(coords) != 1 + curve:
+        raise ValueError("argument --q: %r is not %s, as %s group elements "
+                         "are written" % (",".join(map(str, coords)),
+                                          "a point x,y" if curve
+                                          else "one integer", group.kind))
+    return group.element(tuple(coords) if curve else coords[0])
 
 
 def _print_csv(header, rows):
@@ -242,6 +240,10 @@ def cmd_solve(args):
 
 def cmd_prob_table(args):
     if args.paper_256:
+        for option in ("d_list", "target_bits_list", "m_exponents"):
+            if getattr(args, option) is not None:
+                raise ValueError("argument --%s: not allowed with argument "
+                                 "--paper-256" % option.replace("_", "-"))
         record = load_builtin("P-256")
         tables = [([P256_TABLE_DIVISORS[i] for i in idx], exps)
                   for idx, exps in _P256_PRESET]
@@ -360,7 +362,8 @@ def build_parser():
     one.add_argument("--curve", help="use this curve's group order: a "
                                      "built-in name, 'desk' or a curve file")
     one.add_argument("--p", type=_integer, help="explicit group order")
-    # one of the two is also required without --paper-256 (cmd_prob_table)
+    # one of the two, and --m-exponents, are required without --paper-256
+    # and refused with it (cmd_prob_table)
     one = p.add_mutually_exclusive_group()
     one.add_argument("--d-list", type=_listed(_integer),
                      help="comma-separated divisors")

@@ -63,7 +63,7 @@ def _sweep_of(key_of, p):
 
 
 class GroupElement:
-    """An element of a CyclicGroup; all arithmetic delegates to the group."""
+    """An element of a CyclicGroup; + and unary - delegate to the group."""
 
     __slots__ = ("group", "data")
 
@@ -79,13 +79,6 @@ class GroupElement:
     def __neg__(self):
         return self.group.negate(self)
 
-    def __rmul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return self.group.scalar_mul(k, self)
-
-    __mul__ = __rmul__
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -95,9 +88,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash((self.group, self.data))
-
-    def encode(self):
-        return self.group.encode(self)
 
     def is_identity(self):
         return self.data == self.group._identity
@@ -224,7 +214,7 @@ class AdditiveOracleGroup(CyclicGroup):
         return (self.order,)
 
     def _contains_data(self, data):
-        return isinstance(data, int) and 0 <= data < self.order
+        return type(data) is int and 0 <= data < self.order
 
     def _add(self, a, b):
         return (a + b) % self.order
@@ -296,7 +286,7 @@ class MultiplicativeGroup(CyclicGroup):
         return (self.modulus, self._gen, self.order)
 
     def _contains_data(self, data):
-        return (isinstance(data, int) and 0 < data < self.modulus
+        return (type(data) is int and 0 < data < self.modulus
                 and pow(data, self.order, self.modulus) == 1)
 
     def _add(self, a, b):
@@ -614,7 +604,7 @@ class CurveGroup(CyclicGroup):
         if data is None:
             return True
         if not (isinstance(data, tuple) and len(data) == 2
-                and all(isinstance(c, int) for c in data)):
+                and all(type(c) is int for c in data)):
             return False
         x, y = data
         if not (0 <= x < self.q and 0 <= y < self.q) or not self._on_curve(data):

@@ -40,7 +40,7 @@ from .field import Residue, derive_seed
 from .groups import AdditiveOracleGroup
 
 __all__ = [
-    "CampaignConfig", "CampaignSuccess", "CampaignResult", "baby_keys",
+    "CampaignConfig", "CampaignSuccess", "CampaignResult",
     "draw_multipliers", "randomized_solve", "empirical_success_rate",
 ]
 
@@ -121,11 +121,6 @@ def _multipliers(p, m, seed):
 def draw_multipliers(p, m, seed):
     """All m multipliers as a list; `randomized_solve` draws them lazily."""
     return list(_multipliers(p, m, seed))
-
-
-def baby_keys(p, d, m):
-    """B, the baby keys per thread of an m-thread campaign: the plan's."""
-    return plan(d, p, m).baby
 
 
 def randomized_solve(instance, H, config):

@@ -125,6 +125,13 @@ def test_verify_record_catches_mutations():
     bad = failed_names(dataclasses.replace(rec, factors=composite))
     assert "listed factors are prime" in bad
 
+    # 1 divides everything, so no count of it in d1 ends: the report must
+    # still come back, with the pair not partitioning the list
+    listed_1 = FactoredInteger(n=rec.p - 1,
+                               factors=[(1, 1)] + rec.factors.factors)
+    assert failed_names(dataclasses.replace(rec, factors=listed_1)) == {
+        "listed factors are prime", "audit pair partitions the factors"}
+
 
 def test_verify_record_shared_factor_pair():
     tiny_ok = CurveRecord(name="tiny", p=31, factors=factor(30), d1=10, d2=3)

@@ -293,6 +293,10 @@ BAD_NUMBERS = [
      "--budget", INTEGER % "many"),
     (("factor", "12x"), "n", INTEGER % "12x"),
     (("factor", "30", "--budget", "0b1"), "--budget", INTEGER % "0b1"),
+    (("solve", "--curve", "desk", "--d", "54", "--q", "1"),
+     "--q", "'1' is not a point x,y, as curve group elements are written"),
+    (("keycheck", "--curve", "desk", "--q", "1"),
+     "--q", "'1' is not a point x,y, as curve group elements are written"),
 ]
 
 
@@ -753,6 +757,13 @@ def test_the_parser_holds_the_rules_between_options():
      "one of the arguments --x --q is required"),
     (("keycheck", "--curve", "P-256", "--x", "1", "--q", "2,3"),
      "argument --q: not allowed with argument --x"),
+    (("prob-table", "--paper-256", "--d-list", "7", "--m-exponents", "1"),
+     "argument --d-list: not allowed with argument --paper-256"),
+    (("prob-table", "--paper-256", "--target-bits-list", "7",
+      "--m-exponents", "1"),
+     "argument --target-bits-list: not allowed with argument --paper-256"),
+    (("prob-table", "--paper-256", "--m-exponents", "1"),
+     "argument --m-exponents: not allowed with argument --paper-256"),
 ])
 def test_both_or_neither_of_two_options_is_one_error_line(run, argv,
                                                            message):

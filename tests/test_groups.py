@@ -36,6 +36,11 @@ def test_oracle_group_is_transparent():
 def test_oracle_group_rejects_composite_order():
     with pytest.raises(ValueError):
         AdditiveOracleGroup(30)
+    # element data is an int: True equals 1 but is no element
+    g = AdditiveOracleGroup(31)
+    with pytest.raises(ValueError):
+        g.element(True)
+    assert not g.contains(groups.GroupElement(g, True))
 
 
 def test_group_structural_equality():
@@ -91,6 +96,10 @@ def test_multiplicative_group_validation():
         MultiplicativeGroup(226, 3, 113)       # ambient modulus composite
     with pytest.raises(ValueError):
         MultiplicativeGroup(227, 1, 113)       # identity generates nothing
+    g = MultiplicativeGroup(227, 147, 113)
+    with pytest.raises(ValueError):
+        g.element(True)                        # equals the identity's 1
+    assert not g.contains(groups.GroupElement(g, True))
 
 
 def test_membership_check_excludes_cosets():
@@ -663,9 +672,11 @@ def test_curve_group_validation_errors():
                                    cofactor=4))
     with pytest.raises(ValueError):
         group.element((0, 0))
-    # coordinates are ints: float copies of the generator's are no point
+    # coordinates are ints: float or bool copies of G's are no point
     desk = CurveGroup(DESK)
-    for data in ((float(DESK.gx), float(DESK.gy)), (DESK.gx, float(DESK.gy))):
+    assert DESK.gx == 1
+    for data in ((float(DESK.gx), float(DESK.gy)), (DESK.gx, float(DESK.gy)),
+                 (True, DESK.gy)):
         with pytest.raises(ValueError):
             desk.element(data)
         assert not desk.contains(groups.GroupElement(desk, data))

@@ -18,9 +18,8 @@ from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, MultiplicativeGroup, desk_curve)
 from subgroupdlp.parallel import (CampaignConfig, CampaignResult,
-                                  CampaignSuccess, baby_keys,
-                                  draw_multipliers, empirical_success_rate,
-                                  randomized_solve)
+                                  CampaignSuccess, draw_multipliers,
+                                  empirical_success_rate, randomized_solve)
 from test_groups import swept_keys
 
 G31 = AdditiveOracleGroup(31)
@@ -53,7 +52,7 @@ def test_worked_example_rerandomization():
     # of step 3, a = 0..ceil(5/3) - 1, which is {1: 0, 8: 1}; the thread's
     # baby keys y*zeta^b*Q are 2, 4, 8, so b = 2 hits a = 1 and the thread
     # charges b + 1 = 3 on top
-    assert baby_keys(31, 5, 1) == 3
+    assert plan(5, 31, 1).baby == 3
     assert result.per_thread_steps == [3]
     assert result.total_steps == 5         # shared giant 2 + thread baby 3
 
@@ -74,7 +73,7 @@ def test_failed_campaign_work_accounting():
     H = subgroup_generator(p, 256)
     # t = 256 * (1 - (255/256)^2) ~ 1.996 expected threads: B = isqrt(128)
     # + 1 = 12 baby keys against a giant table of ceil(256/12) = 22
-    B = baby_keys(p, 256, 2)
+    B = plan(256, p, 2).baby
     assert B == 12
     # find a seeded campaign that fails: m=2 gives ~99% failure odds per seed
     for seed in range(50):
@@ -98,7 +97,7 @@ def test_share_giant_does_not_change_verdicts():
     p = 65537
     instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 999)
     H = subgroup_generator(p, 4096)
-    B = baby_keys(p, 4096, 4)
+    B = plan(4096, p, 4).baby
     for seed in (0, 1, 2, 3, 11):  # seeds 0 and 11 find x
         shared = randomized_solve(instance, H, CampaignConfig(m=4, seed=seed))
         alone = []
@@ -160,7 +159,7 @@ def test_step_capped_campaign_is_the_same_at_any_worker_count():
     H = subgroup_generator(p, 4096)
     members = H.elements()
     instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 4321)
-    assert baby_keys(p, 4096, 24) == 19
+    assert plan(4096, p, 24).baby == 19
     cases = {}
     for seed in range(80):
         config = CampaignConfig(m=24, seed=seed, step_cap=10)
@@ -185,27 +184,27 @@ def test_step_capped_campaign_is_the_same_at_any_worker_count():
             assert got == expected, (name, workers)
 
 
-def test_baby_keys_follow_the_expected_thread_count():
+def test_campaign_plan_baby_follows_the_expected_thread_count():
     # campaign-mult's split: t ~ 31.6 of 64 threads, B = isqrt(8300) + 1
-    assert baby_keys(39 * 2**18 + 1, 2**18, 64) == 92
-    assert baby_keys(65537, 4096, 8) == 26   # the README example
+    assert plan(2**18, 39 * 2**18 + 1, 64).baby == 92
+    assert plan(4096, 65537, 8).baby == 26   # the README example
     # one thread, or a subgroup that holds every unit: t = 1, the
     # balanced n = isqrt(d) + 1
-    assert baby_keys(65537, 4096, 1) == 65
-    assert baby_keys(1999, 1998, 64) == isqrt(1998) + 1
+    assert plan(4096, 65537, 1).baby == 65
+    assert plan(1998, 1999, 64).baby == isqrt(1998) + 1
     # t never exceeds m or (p-1)/d, and B never falls below 1
-    assert baby_keys(1999, 1, 64) == 1
-    assert baby_keys(65537, 256, 10**6) == isqrt(256 // 256) + 1
+    assert plan(1, 1999, 64).baby == 1
+    assert plan(256, 65537, 10**6).baby == isqrt(256 // 256) + 1
 
 
-def _baby_keys_from_expm1(p, d, m):
+def _baby_from_expm1(p, d, m):
     """B from the expected thread count t written out with expm1/log1p."""
     f = d / (p - 1)
     t = 1.0 if f >= 1 else -math.expm1(m * math.log1p(-f)) / f
     return isqrt(int(d / min(max(t, 1.0), m))) + 1
 
 
-def test_baby_keys_match_the_expected_thread_formula():
+def test_campaign_plan_baby_matches_the_expected_thread_formula():
     # the plan reads t from probability.success_exact; on a grid from
     # f ~ 2^-254 to f = 1 and m up to 2^40 it gives the formula's B
     rec = load_builtin("P-256")
@@ -217,7 +216,7 @@ def test_baby_keys_match_the_expected_thread_formula():
         for d in sorted(set(ds[:100] + ds[-100:])):
             for m in (1, 2, 3, 5, 7, 16, 64, 100, 1000, 4096, 10**5,
                       2**20, 2**30, 2**40):
-                assert baby_keys(p, d, m) == _baby_keys_from_expm1(p, d, m), \
+                assert plan(d, p, m).baby == _baby_from_expm1(p, d, m), \
                     (p, d, m)
 
 
@@ -227,7 +226,7 @@ def test_campaign_on_p256_order_with_a_tiny_subgroup():
     record = load_builtin("P-256")
     p = record.p
     assert 1 - (1 - 3 / (p - 1)) ** 64 == 0.0
-    assert baby_keys(p, 3, 64) == 1
+    assert plan(3, p, 64).baby == 1
     H = subgroup_generator(p, 3, generator=record.primitive_root)
     group = AdditiveOracleGroup(p)
     ys = draw_multipliers(p, 64, 5)
@@ -264,7 +263,7 @@ def test_campaign_split_invariants(group):
                 x = rng.randrange(1, p)
                 if seed >= 2:  # plant zeta^k on the middle thread: k in
                     # the giant table's last step, then any k
-                    k = (d - baby_keys(p, d, m) if seed == 2
+                    k = (d - plan(d, p, m).baby if seed == 2
                          else rng.randrange(d)) % d
                     y = draw_multipliers(p, m, seed)[m // 2]
                     x = pow(H.zeta.value, k, p) * pow(y, -1, p) % p
@@ -304,7 +303,7 @@ def test_a_table_whose_step_divides_d_covers_every_member(group):
     # b = 1).  Thread 0 is planted on zeta^k for every k: its first hit is
     # b = -k mod B, on any worker count.
     p, d, m = group.order, 54, 8
-    B = baby_keys(p, d, m)
+    B = plan(d, p, m).baby
     assert B == 3 and d % B == 0
     H = subgroup_generator(p, d)
     y = draw_multipliers(p, m, 0)[0]
@@ -362,7 +361,7 @@ def test_a_thread_of_a_swept_coset_runs_no_sweep(group, d):
     rng = random.Random(d)
     skipped = skipped_before_a_win = 0
     for m in (8, 16, 64):
-        table_keys = -(-d // baby_keys(p, d, m))
+        table_keys = plan(d, p, m).giant
         for seed in range(10):
             x = rng.randrange(1, p)
             counter = CountingGroup(group)  # builds its own giant table
@@ -399,7 +398,7 @@ def test_a_capped_thread_marks_no_coset_swept():
     # a later thread of its coset, which covers another part, still sweeps.
     p, d, m = 65537, 4096, 64
     H = subgroup_generator(p, d)
-    cap = baby_keys(p, d, m) - 1
+    cap = plan(d, p, m).baby - 1
     instance = DlpInstance.from_secret(AdditiveOracleGroup(p), 4321)
     repeated = 0
     for seed in range(10):
@@ -417,7 +416,7 @@ def test_campaigns_on_one_group_build_its_table_once():
     counter = CountingGroup(AdditiveOracleGroup(65537))
     instance = DlpInstance.from_secret(counter, 12345)
     H = subgroup_generator(65537, 4096)
-    table_keys = -(-4096 // baby_keys(65537, 4096, 8))
+    table_keys = plan(4096, 65537, 8).giant
     results = []
     for seed in (1, 2):
         counter.reset()
@@ -447,7 +446,7 @@ def test_single_worker_campaign_does_only_accounted_work():
     counter = CountingGroup(AdditiveOracleGroup(65537))
     instance = DlpInstance.from_secret(counter, 12345)
     H = subgroup_generator(65537, 4096)
-    table_keys = -(-4096 // baby_keys(65537, 4096, 8))
+    table_keys = plan(4096, 65537, 8).giant
     for seed in range(6):
         counter.reset()
         result = randomized_solve(instance, H, CampaignConfig(m=8, seed=seed))
@@ -580,7 +579,7 @@ def test_step_cap_propagates():
     assert result.per_thread_steps == [0, 0, 0]
     # only the shared giant sweep, which the cap does not cover: step
     # B = 10, so a = 0..ceil(256/10) - 1
-    assert baby_keys(65537, 256, 3) == 10
+    assert plan(256, 65537, 3).baby == 10
     assert result.total_steps == 26
 
 
