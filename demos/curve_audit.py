@@ -10,9 +10,8 @@ membership checks are priced and declared infeasible rather than run;
 at desk scale they actually run.
 """
 
-from subgroupdlp import (CurveGroup, audit_key, builtin_names, desk_curve,
-                         factor, load_builtin, record_from_params,
-                         subgroup_generator, verify_record)
+from subgroupdlp import (audit_key, builtin_names, desk_curve, factor,
+                         load_builtin, record_from_params, verify_record)
 
 # Layer 1: the five built-in NIST records.
 for name in builtin_names():
@@ -32,7 +31,7 @@ params = desk_curve()
 record = record_from_params(params, factor(params.order - 1))
 print("desk record: audit pair d1 = %d, d2 = %d" % (record.d1, record.d2))
 
-H37 = subgroup_generator(params.order, 37)
+H37 = record.subgroup(37)
 weak = pow(H37.zeta.value, 11, params.order)  # planted inside the 37-subgroup
 strong = 3                                    # a primitive root mod 1999
 for label, x in (("planted weak key", weak), ("generic key", strong)):
@@ -40,7 +39,7 @@ for label, x in (("planted weak key", weak), ("generic key", strong)):
     print("%s x = %d -> %s" % (label, x, report.recommendation))
 
 # The same verdict from the public point alone, never seeing the scalar.
-group = CurveGroup(params)
+group = record.group
 point = group.scalar_mul(weak, group.generator)
 report = audit_key(record, point=point)
 print("same weak key, point form only -> %s" % report.recommendation)

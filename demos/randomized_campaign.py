@@ -12,17 +12,17 @@ script runs such campaigns at desk scale and checks the observed hit rate
 against the exact formula.
 """
 
-from subgroupdlp import (AdditiveOracleGroup, CampaignConfig, DlpInstance,
-                         draw_multipliers, empirical_success_rate, factor,
-                         randomized_solve, subgroup_generator, success_exact,
+from subgroupdlp import (CampaignConfig, DlpInstance, draw_multipliers,
+                         empirical_success_rate, randomized_solve,
+                         record_from_order, success_exact,
                          success_lower_bound)
 from subgroupdlp.bsgs import plan
 
 p = 65537
 d = 4096          # d/(p-1) = 1/16: each thread has a 1-in-16 chance
 m = 8
-group = AdditiveOracleGroup(p)
-H = subgroup_generator(p, d, factored=factor(p - 1))
+record = record_from_order(p)  # p-1 factored, its primitive root found once
+group, H = record.oracle_group, record.subgroup(d)
 print("p = %d, subgroup order d = %d, %d threads per campaign" % (p, d, m))
 split = plan(d, p, m)  # sized for the threads a campaign expects to run
 print("%d baby keys per thread against a %d-key giant table; exact success "

@@ -11,11 +11,11 @@ keys on the NIST prime curves against their built-in subgroup structure.
 from .bsgs import (DegenerateKeyError, DlpInstance, Found, NotInSubgroup,
                    Undecided, solve_in_subgroup, theorem_budget)
 from .catalog import (CurveRecord, KeyAuditReport, audit_key, builtin_names,
-                      load_builtin, record_from_params, verify_record)
+                      load_builtin, record_from_order, record_from_params,
+                      verify_record)
 from .factoring import (FactoredInteger, SubgroupSpec, divisors, factor,
-                        find_primitive_root, nearest_divisor,
-                        pollard_rho_brent, search_prime_with_divisor,
-                        subgroup_generator)
+                        nearest_divisor, pollard_rho_brent,
+                        search_prime_with_divisor)
 from .field import (MILLER_RABIN_ROUNDS, Residue, derive_seed,
                     is_probable_prime, parse_int)
 from .groups import (AdditiveOracleGroup, CountingGroup, CurveGroup,

@@ -1,10 +1,10 @@
-"""Built-in audit data for the five NIST prime-field curves.
+"""Records of search targets, with the five NIST prime curves built in.
 
-Each record carries the curve's (prime) group order p, the prime
-factorization of p-1, and an audit pair (d1, d2) of coprime subgroup
-orders with d1*d2 = p-1.  Two of the published source tables for this
-data contain arithmetic slips, fixed here so the defining identities
-actually hold (verified by multiplication):
+A record carries a target's prime order p, the factorization of p-1
+and an audit pair (d1, d2) of coprime subgroup orders, d1*d2 = p-1;
+desk, curve files and bare orders get one too.  Two published source
+tables for the built-ins contain arithmetic slips, fixed here so the
+defining identities actually hold (verified by multiplication):
 
 * P-224: the factor 17 belongs in the p-1 list (the published d2 =
   533642580 = 2^2 * 3^6 * 5 * 17 * 2153 already contains it).
@@ -28,8 +28,8 @@ from functools import cached_property
 from math import gcd
 
 from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
-from .factoring import (FactoredInteger, check_divisor, find_primitive_root,
-                        subgroup_generator)
+from .factoring import (FactoredInteger, check_divisor, factor,
+                        find_primitive_root, subgroup_generator)
 from .field import is_probable_prime
 from .groups import AdditiveOracleGroup, CurveGroup
 from .probability import int_log2
@@ -37,8 +37,8 @@ from .probability import int_log2
 __all__ = [
     "CurveRecord", "CheckResult", "ConsistencyReport", "SubgroupCheck",
     "KeyAuditReport", "load_builtin", "builtin_names", "verify_record",
-    "audit_key", "record_from_params", "DEFAULT_AUDIT_BUDGET",
-    "P256_TABLE_DIVISORS",
+    "audit_key", "record_from_params", "record_from_order",
+    "DEFAULT_AUDIT_BUDGET", "P256_TABLE_DIVISORS",
 ]
 
 DEFAULT_AUDIT_BUDGET = 1 << 32
@@ -46,14 +46,14 @@ DEFAULT_AUDIT_BUDGET = 1 << 32
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """Audit-relevant constants for one curve.
+    """Audit-relevant constants for one search target.
 
     q is the field prime when known (None otherwise); params is an optional
-    CurveParams for point arithmetic, never set on built-ins.  `group`,
-    `oracle_group`, `primitive_root` and each `subgroup(d)` are derived on
-    first use and kept for the life of the record, and with the two groups
-    the giant tables that audits build in them; `dataclasses.replace`
-    gives a record that derives them anew.
+    CurveParams for point arithmetic, set on desk and curve files only.
+    `group`, `oracle_group`, `primitive_root` and each `subgroup(d)` are
+    derived on first use and kept for the life of the record, and with the
+    two groups the giant tables that audits build in them;
+    `dataclasses.replace` gives a record that derives them anew.
     """
 
     name: str
@@ -369,17 +369,22 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                           recommendation=recommendation)
 
 
-def record_from_params(params, factored):
-    """Build an auditable record for an external curve.
-
-    `factored` must be the complete factorization of params.order - 1; the
-    audit pair peels the largest prime power off as d2 and keeps the
-    cofactor as d1, echoing the structure of the built-in records.
-    """
-    if not factored.complete or factored.n != params.order - 1:
+def _record(name, p, factored, q=None, params=None):
+    """The record of order p: its audit pair is the largest prime power of
+    p-1 (d2, or 1 for p = 2) and its cofactor (d1), like the built-ins'."""
+    if not factored.complete or factored.n != p - 1:
         raise ValueError("need the complete factorization of order-1")
-    prime_powers = sorted((f ** e, f, e) for f, e in factored.factors)
-    d2 = prime_powers[-1][0]
-    d1 = (params.order - 1) // d2
-    return CurveRecord(name=params.name, p=params.order, factors=factored,
-                       d1=d1, d2=d2, q=params.q, params=params)
+    d2 = max((f ** e for f, e in factored.factors), default=1)
+    return CurveRecord(name=name, p=p, factors=factored, d1=(p - 1) // d2,
+                       d2=d2, q=q, params=params)
+
+
+def record_from_params(params, factored):
+    """The record of a curve; `factored` factors params.order - 1."""
+    return _record(params.name, params.order, factored, params.q, params)
+
+
+def record_from_order(p):
+    """The record of a bare prime order p, for scalar-form work."""
+    AdditiveOracleGroup(p)  # refuses a composite p before p-1 is factored
+    return _record("order %d" % p, p, factor(p - 1))

@@ -29,13 +29,12 @@ import time
 
 from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
 from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
-                      builtin_names, load_builtin, record_from_params,
-                      verify_record)
+                      builtin_names, load_builtin, record_from_order,
+                      record_from_params, verify_record)
 from .factoring import (DEFAULT_RHO_BUDGET, check_divisor, factor,
-                        nearest_divisor, subgroup_generator)
+                        nearest_divisor)
 from .field import parse_int
-from .groups import (AdditiveOracleGroup, CountingGroup, desk_curve,
-                     load_curve_file)
+from .groups import CountingGroup, desk_curve, load_curve_file
 from .parallel import CampaignConfig, randomized_solve
 from .probability import build_table, estimate, int_log2
 
@@ -162,16 +161,16 @@ def _print_csv(header, rows):
 
 def cmd_solve(args):
     if args.oracle_p is not None:
-        base_group = AdditiveOracleGroup(args.oracle_p)
-        factored = factor(base_group.order - 1)
+        record = record_from_order(args.oracle_p)
+        base_group = record.oracle_group
     else:
         record = _find_curve(args.curve)
-        base_group, factored = record.group, record.factors
+        base_group = record.group
     group = CountingGroup(base_group) if args.count_ops else base_group
     p = group.order
     d = (args.d if args.d is not None
-         else nearest_divisor(factored, args.target_bits))
-    H = subgroup_generator(p, d, factored=factored)
+         else nearest_divisor(record.factors, args.target_bits))
+    H = record.subgroup(d)
     if args.x is not None:
         instance = DlpInstance.from_secret(group, args.x)
     else:

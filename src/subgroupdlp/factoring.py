@@ -25,7 +25,8 @@ TRIAL_BOUND = 1 << 16
 # primes, so every run is scanned; 2-vCPU Xeon, Python 3.11.7): runs of
 # 32/64/128/256 primes scan one n in 196/143/112/114 us (675 us prime by
 # prime) and build all products once in 0.59/0.67/0.84/1.17 ms.  64 keeps
-# a one-shot call (build + one scan) at the 32-prime cost, ~0.8 ms.
+# a one-shot call (build + one scan) at the 32-prime cost, ~0.8 ms.  `factor`
+# builds one table per bound, so a small n sieves only up to ~2*isqrt(n).
 TRIAL_RUN = 64
 DEFAULT_RHO_BUDGET = 1 << 24
 _PRIME_TRIES = 100000  # search_prime_with_divisor's draw limit
@@ -34,15 +35,15 @@ _DIVISOR_LIMIT = 1 << 20  # divisors lists no more
 
 
 @functools.cache
-def _trial_runs():
-    """The primes below TRIAL_BOUND as (product, run) pairs of TRIAL_RUN
-    ascending primes each, sieved on first use."""
-    flags = bytearray([1]) * TRIAL_BOUND
+def _trial_runs(bound=TRIAL_BOUND):
+    """The primes below `bound` (>= 2) as (product, run) pairs of TRIAL_RUN
+    ascending primes each, sieved on first use of the bound."""
+    flags = bytearray([1]) * bound
     flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+    for i in range(2, math.isqrt(bound - 1) + 1):
         if flags[i]:
             flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    primes = list(compress(range(TRIAL_BOUND), flags))
+    primes = list(compress(range(bound), flags))
     runs = [primes[i:i + TRIAL_RUN] for i in range(0, len(primes), TRIAL_RUN)]
     return [(math.prod(run), run) for run in runs]
 
@@ -153,11 +154,12 @@ def pollard_rho_brent(n, rng, max_iters=1 << 22):
 def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Factor n >= 1 within a work budget.
 
-    Trial division strips all primes below TRIAL_BOUND; Pollard rho (with
-    at most `rho_budget` >= 0 squarings in total, its polynomials drawn
-    from a generator seeded by n) handles the rest.  A residual the budget
-    cannot split stays in `residual`, not pretending to finish.  The generator
-    is only seeded once rho is needed, so small n cost trial division alone.
+    Trial division strips all primes below the power of two just above
+    isqrt(n), or below TRIAL_BOUND if less; Pollard rho (with at most
+    `rho_budget` >= 0 squarings in total, its polynomials drawn from a
+    generator seeded by n) handles the rest.  A residual the budget cannot
+    split stays in `residual`, not pretending to finish.  The generator is
+    only seeded once rho is needed, so small n cost trial division alone.
     """
     if n < 1:
         raise ValueError("can only factor positive integers, got %d" % n)
@@ -166,7 +168,8 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     rng = None
     counts = {}
     m = n
-    for product, run in _trial_runs():
+    for product, run in _trial_runs(min(TRIAL_BOUND,
+                                        1 << math.isqrt(n).bit_length())):
         if run[0] * run[0] > m:
             break  # every smaller prime is tried: m is 1 or a prime
         if math.gcd(m, product) == 1:

@@ -35,9 +35,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .bsgs import (DlpInstance, Found, NotInSubgroup, _baby_sweep,
                    _check_solvable, giant_encodings, kept_giant, plan,
                    solve_in_subgroup)
-from .factoring import factor, subgroup_generator
+from .catalog import record_from_order
 from .field import Residue, derive_seed
-from .groups import AdditiveOracleGroup
 
 __all__ = [
     "CampaignConfig", "CampaignSuccess", "CampaignResult",
@@ -167,9 +166,8 @@ def empirical_success_rate(p, d, m, trials, seed):
     mod p with fresh x and fresh multipliers each time; the observed rate
     estimates the collision probability that the model predicts.
     """
-    group = AdditiveOracleGroup(p)
-    factored = factor(p - 1)
-    H = subgroup_generator(p, d, factored=factored)
+    record = record_from_order(p)
+    group, H = record.oracle_group, record.subgroup(d)
     key_rng = random.Random(derive_seed(seed, "keys", p, d, m))
     hits = 0
     for t in range(trials):

@@ -50,3 +50,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def desk_curve_params():
     from subgroupdlp import desk_curve
     return desk_curve()
+
+
+@pytest.fixture(scope="session")
+def mid_curve_params():
+    """A 28-bit prime-order curve, between the desk curve and P-256.
+
+    y^2 = x^3 + 75077558x + 162623360 over F_197120467, base point
+    (180193618, 12948563) of prime order n = 197129701, with n - 1 =
+    2^2 * 3^4 * 5^2 * 24337 giving subgroups from 2^8 to 2^17.  Cofactor 1
+    by Hasse: #E lies within 2*sqrt(q) < 28080 of q + 1, so in
+    [197092388, 197148548]; the point of order n (checked by CurveGroup)
+    makes n divide #E, and 2n > 197148548, so #E = n.
+    """
+    from subgroupdlp import CurveParams
+    return CurveParams(q=197120467, a=75077558, b=162623360, gx=180193618,
+                       gy=12948563, order=197129701, cofactor=1, name="mid")

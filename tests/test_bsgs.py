@@ -10,8 +10,9 @@ from subgroupdlp.bsgs import (DegenerateKeyError, DlpInstance, Found,
                               NotInSubgroup, Undecided, _baby_sweep,
                               giant_encodings, kept_giant, plan,
                               solve_in_subgroup, theorem_budget)
-from subgroupdlp.catalog import audit_key, load_builtin
+from subgroupdlp.catalog import audit_key, load_builtin, record_from_params
 from subgroupdlp.factoring import (SubgroupSpec, divisors, factor,
+                                   search_prime_with_divisor,
                                    subgroup_generator)
 from subgroupdlp.field import Residue
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
@@ -213,6 +214,44 @@ def test_backends_agree_at_the_edges():
             for instance in (one, minus_one):
                 assert solve_in_subgroup(instance, H, step_cap=0) == \
                     Undecided(steps=0)
+
+
+def test_backends_agree_on_a_28_bit_curve(mid_curve_params):
+    # the curve's record, the oracle mod its order n and a multiplicative
+    # group of order n run one (x, d, seed) to one verdict and one campaign
+    record = record_from_params(mid_curve_params,
+                                factor(mid_curve_params.order - 1))
+    n = record.p
+    r = search_prime_with_divisor(n, 48, random.Random(n))
+    g = next(g for g in (pow(h, (r - 1) // n, r) for h in range(2, r))
+             if g != 1)
+    groups = (record.group, record.oracle_group,
+              MultiplicativeGroup(r, g, n))
+    rng = random.Random(28)
+    for d in (324, 8100, 24337):  # 2^8.3, 2^13.0, 2^14.6
+        H = record.subgroup(d)
+        m, seed = 16, d
+        y = draw_multipliers(n, m, seed)[m // 2]
+        member = pow(H.zeta.value, rng.randrange(d), n)
+        # a member, a key that thread m/2 (or an earlier one) moves into
+        # H, and a key outside H
+        keys = (member, member * pow(y, -1, n) % n, rng.randrange(2, n))
+        verdicts, campaigns = [], []
+        for x in keys:
+            instances = [DlpInstance.from_secret(group, x)
+                         for group in groups]
+            curve, oracle, mult = (solve_in_subgroup(i, H) for i in instances)
+            assert curve == oracle == mult, (d, x)
+            verdicts.append(type(curve))
+            config = CampaignConfig(m=m, seed=seed)
+            curve, oracle, mult = (randomized_solve(i, H, config)
+                                   for i in instances)
+            assert curve == oracle == mult, (d, x)
+            assert curve.threads_run == oracle.threads_run == mult.threads_run
+            campaigns.append(curve)
+        assert verdicts == [Found, NotInSubgroup, NotInSubgroup], d
+        assert campaigns[1].found
+        assert campaigns[1].success.index <= m // 2
 
 
 @pytest.mark.parametrize("backend", range(3),

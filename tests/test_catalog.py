@@ -9,13 +9,13 @@ from subgroupdlp import catalog
 from subgroupdlp.bsgs import DegenerateKeyError, theorem_budget
 from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
                                  CurveRecord, audit_key, builtin_names,
-                                 load_builtin, record_from_params,
-                                 verify_record)
-from subgroupdlp.factoring import (FactoredInteger, factor,
+                                 load_builtin, record_from_order,
+                                 record_from_params, verify_record)
+from subgroupdlp.factoring import (FactoredInteger, divisors, factor,
                                    find_primitive_root, subgroup_generator)
 from subgroupdlp.field import parse_int
 from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
-                                CurveGroup, desk_curve)
+                                CurveGroup, CurveParams, desk_curve)
 from subgroupdlp.probability import int_log2
 from test_groups import P256
 
@@ -190,6 +190,41 @@ def test_record_from_params_desk_curve():
         record_from_params(params, incomplete)
     with pytest.raises(ValueError):
         record_from_params(params, factor(1999))  # wrong n
+
+
+# y^2 = x^3 + x over F_5: (0, 0) has order 2, and the curve has 4 points
+TWO = CurveParams(q=5, a=1, b=0, gx=0, gy=0, order=2, cofactor=2, name="two")
+
+
+def test_an_order_of_two_audits_the_pair_one_one():
+    # p - 1 = 1 has no prime power to peel off
+    for rec in (record_from_params(TWO, factor(1)), record_from_order(2)):
+        assert (rec.d1, rec.d2) == (1, 1)
+        assert verify_record(rec).passed
+        assert audit_key(rec, x=1).recommendation == "discard"
+    report = audit_key(record_from_params(TWO, factor(1)),
+                       point=CurveGroup(TWO).generator)
+    assert [e.status for e in report.entries] == ["member", "member"]
+
+
+def test_record_from_order_is_a_bare_order():
+    rec = record_from_order(1999)
+    assert (rec.p, rec.d1, rec.d2, rec.q, rec.params) == (1999, 54, 37,
+                                                          None, None)
+    assert rec.factors == factor(1998)
+    assert rec.oracle_group == AdditiveOracleGroup(1999)
+    with pytest.raises(ValueError, match="no point parameters"):
+        rec.group
+    with pytest.raises(ValueError, match="group order 1001 is not prime"):
+        record_from_order(1001)
+
+
+@pytest.mark.parametrize("p", (1999, 65537))
+def test_a_record_s_subgroups_are_the_generator_s(p):
+    rec = record_from_order(p)
+    for d in divisors(factor(p - 1)):
+        assert rec.subgroup(d) == subgroup_generator(p, d,
+                                                     factored=factor(p - 1))
 
 
 def test_audit_scalar_member_is_discarded():

@@ -359,6 +359,28 @@ def test_solve_curve_file_and_point_target(run, tmp_path):
     assert ("Found x = %d" % x) in out
 
 
+def test_an_order_two_curve_audits_and_solves_the_trivial_subgroup(
+        run, tmp_path):
+    # y^2 = x^3 + x over F_5, base point (0, 0) of order 2: p - 1 = 1 has
+    # no prime power, so the record's audit pair is (1, 1)
+    path = tmp_path / "two.curve"
+    path.write_text("q = 5\na = 1\nb = 0\ngx = 0\ngy = 0\norder = 2\n"
+                    "cofactor = 2\nname = two\n")
+    code, out, err = run("keycheck", "--curve", str(path), "--x", "1")
+    assert (code, err) == (0, "")
+    assert out.count("[scalar] member") == 2
+    code, out, err = run("solve", "--curve", str(path), "--d", "1",
+                         "--x", "1")
+    assert (code, err) == (0, "")
+    assert "outcome: Found x = 1  (a = 0, b = 0)" in out
+    for target in ("--oracle-p", "2"), ("--curve", str(path)):
+        code, out, _ = run("solve", *target, "--target-bits", "3",
+                           "--x", "1", "--m", "2")
+        assert code == 0 and "subgroup: d = 1 (log2 0.00), zeta = 1" in out
+    code, out, _ = run("audit", str(path))
+    assert code == 0 and "log2 d1 = 0.00, log2 d2 = 0.00" in out
+
+
 def test_curve_file_resolves_via_data_dir(run, tmp_path, monkeypatch):
     (tmp_path / "desk.curve").write_text(format_curve_params(desk_curve()))
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -170,6 +170,25 @@ def test_factor_by_runs_matches_one_prime_at_a_time():
                 _factor_one_prime_at_a_time(n, rho_budget=budget), (n, budget)
 
 
+def test_factor_at_each_trial_table_s_edge_matches_one_prime_at_a_time():
+    # n is scanned against the primes below the power of two just above
+    # isqrt(n), capped at TRIAL_BOUND; with q the largest prime below 2^k
+    # and r the smallest above it, q^2 and q*r need q from the table of
+    # 2^k or the next, and 2^k*q reads its 2^k from the smallest tables
+    cases = []
+    for k in range(2, 18):
+        q = max(_primes_below(1 << k))
+        r = next(r for r in range((1 << k) + 1, 1 << k + 1)
+                 if is_probable_prime(r))
+        cases += [q * q, q * r, (1 << k) * q, q * q * r,
+                  (1 << 2 * k) - 1, 1 << 2 * k, (1 << 2 * k) + 1]
+    for n in cases:
+        assert factor(n) == _factor_one_prime_at_a_time(n), n
+    for k in range(1, 17):
+        runs = factoring._trial_runs(1 << k)
+        assert [p for _, run in runs for p in run] == _primes_below(1 << k)
+
+
 def test_factor_refuses_a_negative_budget():
     with pytest.raises(ValueError, match="rho budget must be >= 0, got -7"):
         factor(1000000007 * 1000000009, rho_budget=-7)

@@ -359,6 +359,18 @@ def test_comb_matches_plain_multiply_on_p256():
             + [0, 1, group.order - 1, group.order])
 
 
+def test_comb_matches_plain_multiply_on_a_28_bit_curve(mid_curve_params):
+    group = CurveGroup(mid_curve_params)
+    n = group.order
+    rng = random.Random(28)
+    base = group.scalar_mul(rng.randrange(2, n), group.generator)
+    for point in (group.generator, base):
+        table, w = group._comb_table(point.data)
+        assert w == 5  # 28 bits in 6 teeth: each tooth spans 5 columns
+        for k in [rng.randrange(n) for _ in range(40)] + [0, 1, n - 1]:
+            assert group._comb_mul(k, table, w) == group._mul(k, point.data)
+
+
 def test_sweep_keys_of_the_identity_and_other_backends():
     group = CurveGroup(DESK)
     O = group.identity

@@ -6,9 +6,11 @@ the root of an attribute chain), lists it in `__all__`, or is a package
 
 Also: a fresh interpreter that imports the CLI loads no module the
 library does not need (fractions pulls in decimal, ~3 ms of start-up)
-and builds no trial-division runs (the sieve and its run products, ~4 ms,
-wait for the first `factor` call).  And only the search modules, bsgs.py
-and parallel.py, name the search's plan and giant table.
+and builds no trial-division runs (the sieve and its run products, ~2 ms,
+wait for the first `factor` call, and a small n builds only a small
+table).  Only the search modules, bsgs.py and parallel.py, name the
+search's plan and giant table, and only catalog.py and factoring.py
+derive a primitive root or a subgroup.
 """
 
 import ast
@@ -85,10 +87,16 @@ def test_the_scan_sees_an_unread_import():
 SEARCH_OWNED = {"plan", "kept_giant", "giant_encodings", "_baby_sweep"}
 SEARCH_OWNERS = {"src/subgroupdlp/bsgs.py", "src/subgroupdlp/parallel.py"}
 
+# A search target's record derives its primitive root and subgroups: no
+# module of src/ but the record's and factoring's may name the derivation.
+RECORD_OWNED = {"subgroup_generator", "find_primitive_root"}
+RECORD_OWNERS = {"src/subgroupdlp/catalog.py",
+                 "src/subgroupdlp/factoring.py"}
 
-def _search_owned_names(source, rel):
-    """'file:line: name' for each search-owned name `source` imports (under
-    any alias), loads or reads off the bsgs or parallel module."""
+
+def _owned_names(source, rel, owned, modules):
+    """'file:line: name' for each name of `owned` that `source` imports
+    (under any alias), loads or reads off one of `modules`."""
     tree = ast.parse(source, filename=rel)
     hits = []
     for node in ast.walk(tree):
@@ -98,30 +106,45 @@ def _search_owned_names(source, rel):
             hits.append((node.lineno, node.id))
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.value, ast.Name)
-              and node.value.id in ("bsgs", "parallel")):
+              and node.value.id in modules):
             hits.append((node.lineno, node.attr))
     return sorted({"%s:%d: %s" % (rel, line, name) for line, name in hits
-                   if name in SEARCH_OWNED})
+                   if name in owned})
+
+
+def _named_outside(owners, owned, modules):
+    """Each name of `owned` named by a module of src/ outside `owners`."""
+    files = sorted((ROOT / "src").rglob("*.py"))
+    rels = [f.relative_to(ROOT).as_posix() for f in files]
+    assert owners <= set(rels)
+    return [hit for f, rel in zip(files, rels) if rel not in owners
+            for hit in _owned_names(f.read_text(), rel, owned, modules)]
 
 
 def test_only_the_search_names_its_plan_and_table():
-    files = sorted((ROOT / "src").rglob("*.py"))
-    owners = {f.relative_to(ROOT).as_posix() for f in files} & SEARCH_OWNERS
-    assert owners == SEARCH_OWNERS
-    named = [hit for f in files
-             if f.relative_to(ROOT).as_posix() not in SEARCH_OWNERS
-             for hit in _search_owned_names(f.read_text(),
-                                            f.relative_to(ROOT).as_posix())]
-    assert named == []
+    assert _named_outside(SEARCH_OWNERS, SEARCH_OWNED,
+                          ("bsgs", "parallel")) == []
+
+
+def test_only_the_record_derives_subgroups():
+    assert _named_outside(RECORD_OWNERS, RECORD_OWNED,
+                          ("catalog", "factoring")) == []
 
 
 def test_the_ownership_scan_sees_a_plan_named_outside_the_search():
     source = ("from .bsgs import kept_giant, plan as split\n"
               "from . import bsgs\n\n\ndef f(result):\n"
               "    return bsgs._baby_sweep, result.plan.baby, kept_giant\n")
-    assert _search_owned_names(source, "m.py") == [
+    assert _owned_names(source, "m.py", SEARCH_OWNED,
+                        ("bsgs", "parallel")) == [
         "m.py:1: kept_giant", "m.py:1: plan", "m.py:6: _baby_sweep",
         "m.py:6: kept_giant"]
+    source = ("from .factoring import factor, subgroup_generator as sg\n"
+              "from . import factoring\n\n\ndef f(p):\n"
+              "    return factoring.find_primitive_root(p, factor(p - 1))\n")
+    assert _owned_names(source, "m.py", RECORD_OWNED,
+                        ("catalog", "factoring")) == [
+        "m.py:1: subgroup_generator", "m.py:6: find_primitive_root"]
 
 
 def test_the_cli_loads_neither_fractions_nor_decimal():
@@ -131,6 +154,22 @@ def test_the_cli_loads_neither_fractions_nor_decimal():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_small_d_keycheck_builds_no_full_trial_division_table():
+    # factoring d = 3 scans the primes below 2^1, not the 6,542 below 2^16
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import contextlib, io, subgroupdlp.cli as cli, "
+             "subgroupdlp.factoring as f\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    cli.main(['keycheck', '--curve', 'P-256', '--x', '5', "
+             "'--d', '3'])\n"
+             "built = f._trial_runs.cache_info().currsize\n"
+             "f._trial_runs(f.TRIAL_BOUND)\n"
+             "print(built, f._trial_runs.cache_info().hits)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "0"]  # one small table, and then a miss
 
 
 def test_the_cli_builds_no_trial_division_runs_at_import():
