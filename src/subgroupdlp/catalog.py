@@ -1,4 +1,5 @@
-"""Records of search targets, with the five NIST prime curves built in.
+"""Records of search targets, with the five NIST prime curves built in,
+and the divisors and grids of the paper's P-256 probability tables.
 
 A record carries a target's prime order p, the factorization of p-1
 and an audit pair (d1, d2) of coprime subgroup orders, d1*d2 = p-1;
@@ -38,7 +39,7 @@ __all__ = [
     "CurveRecord", "CheckResult", "ConsistencyReport", "SubgroupCheck",
     "KeyAuditReport", "load_builtin", "builtin_names", "verify_record",
     "audit_key", "record_from_params", "record_from_order",
-    "DEFAULT_AUDIT_BUDGET", "P256_TABLE_DIVISORS",
+    "DEFAULT_AUDIT_BUDGET", "P256_TABLE_DIVISORS", "P256_TABLE_GRIDS",
 ]
 
 DEFAULT_AUDIT_BUDGET = 1 << 32
@@ -175,6 +176,12 @@ P256_TABLE_DIVISORS = (
     18207943204577231552993280473847881053586755339746615889955457403,
     2385240559799617333442119742074072418019864949506806681584164919793,
 )
+
+# The paper's three P-256 grids as (divisors, log2 thread counts); each grid
+# crosses even odds of success.  `prob-table --paper-256` prints them.
+P256_TABLE_GRIDS = ((P256_TABLE_DIVISORS[:3], (45, 50, 52, 53, 54, 55, 56)),
+                    (P256_TABLE_DIVISORS[3:4], (41, 42, 43, 44)),
+                    (P256_TABLE_DIVISORS[4:], (33, 34, 35, 36, 37)))
 
 
 def builtin_names():

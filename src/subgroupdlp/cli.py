@@ -28,7 +28,7 @@ import sys
 import time
 
 from .bsgs import DlpInstance, Found, solve_in_subgroup, theorem_budget
-from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS, audit_key,
+from .catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_GRIDS, audit_key,
                       builtin_names, load_builtin, record_from_order,
                       record_from_params, verify_record)
 from .factoring import (DEFAULT_RHO_BUDGET, check_divisor, factor,
@@ -39,13 +39,6 @@ from .parallel import CampaignConfig, randomized_solve
 from .probability import build_table, estimate, int_log2
 
 DATA_DIR_ENV = "SUBGROUPDLP_DATA_DIR"
-
-# the preset grids: (divisor indices into P256_TABLE_DIVISORS, m exponents)
-_P256_PRESET = (
-    ((0, 1, 2), (45, 50, 52, 53, 54, 55, 56)),
-    ((3,), (41, 42, 43, 44)),
-    ((4,), (33, 34, 35, 36, 37)),
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,27 +236,19 @@ def cmd_prob_table(args):
             if getattr(args, option) is not None:
                 raise ValueError("argument --%s: not allowed with argument "
                                  "--paper-256" % option.replace("_", "-"))
-        record = load_builtin("P-256")
-        tables = [([P256_TABLE_DIVISORS[i] for i in idx], exps)
-                  for idx, exps in _P256_PRESET]
-        p = record.p
+        p, tables = load_builtin("P-256").p, P256_TABLE_GRIDS
     else:
-        if args.curve is not None:
-            record = _find_curve(args.curve)
-            p, factored = record.p, record.factors
-        else:
-            p, factored = args.p, None
+        # --target-bits-list reads a record's factors; --d-list factors none
+        record = (_find_curve(args.curve) if args.curve is not None
+                  else record_from_order(args.p)
+                  if args.target_bits_list is not None else None)
+        p = args.p if record is None else record.p
         if args.d_list is not None:
             divisors = args.d_list
             for d in divisors:
                 check_divisor(p, d)
         elif args.target_bits_list is not None:
-            if factored is None:
-                factored = factor(p - 1)
-                if not factored.complete:
-                    raise ValueError("cannot factor p-1 within budget; "
-                                     "pass --d-list instead")
-            divisors = [nearest_divisor(factored, bits)
+            divisors = [nearest_divisor(record.factors, bits)
                         for bits in args.target_bits_list]
         else:
             raise ValueError("one of the arguments --d-list "

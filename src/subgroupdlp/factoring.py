@@ -323,6 +323,8 @@ def search_prime_with_divisor(d, bits, rng):
     p = c*d + 1; used to mint desk-scale moduli whose unit group has a
     planted subgroup of known order.
     """
+    if d < 1:
+        raise ValueError("divisor d must be >= 1, got %d" % d)
     step = 1 if d % 2 == 0 else 2
     lo = (1 << bits - 1) // d + 1
     lo += lo % step

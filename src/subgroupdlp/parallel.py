@@ -166,6 +166,9 @@ def empirical_success_rate(p, d, m, trials, seed):
     mod p with fresh x and fresh multipliers each time; the observed rate
     estimates the collision probability that the model predicts.
     """
+    if trials < 1:
+        raise ValueError("a success rate needs at least one trial "
+                         "(trials >= 1)")
     record = record_from_order(p)
     group, H = record.oracle_group, record.subgroup(d)
     key_rng = random.Random(derive_seed(seed, "keys", p, d, m))

@@ -156,14 +156,11 @@ class ProbabilityTable:
         """Aligned text: log2 d / log2 sqrt(d) headers, one row per log2 m."""
         width = 12
         label = len("log2 sqrt(d)") + 2
-        header_row = (self.rows[0] if self.rows
-                      else [estimate(self.p, d, 1) for d in self.divisors])
         lines = []
-        for header, attr in (("log2 d", "log2_d"),
-                             ("log2 sqrt(d)", "log2_sqrt_d")):
-            cells = "".join(("%.2f" % getattr(est, attr)).rjust(width)
-                            for est in header_row)
-            lines.append(header.ljust(label) + cells)
+        for header, root in (("log2 d", 1), ("log2 sqrt(d)", 2)):
+            lines.append(header.ljust(label) + "".join(
+                ("%.2f" % (int_log2(d) / root)).rjust(width)
+                for d in self.divisors))
         lines.append("log2 m".ljust(label))
         for i, e in enumerate(self.thread_exponents):
             cells = "".join(("%.5f" % est.exact).rjust(width)
@@ -180,7 +177,8 @@ class ProbabilityTable:
 
 def build_table(p, divisors, thread_exponents):
     """AttackEstimate grid over divisors x 2^exponents (either may be empty)."""
-    _check(1, 0, p)  # p alone, since an empty grid has no cell to check it
+    for d in divisors or (1,):  # checked here, since a grid may have no cell
+        _check(d, 0, p)
     for e in thread_exponents:
         if e < 0:
             raise ValueError("thread exponent must be >= 0, got %d" % e)

@@ -8,7 +8,7 @@ import pytest
 from subgroupdlp import catalog
 from subgroupdlp.bsgs import DegenerateKeyError, theorem_budget
 from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
-                                 CurveRecord, audit_key, builtin_names,
+                                 P256_TABLE_GRIDS, CurveRecord, audit_key, builtin_names,
                                  load_builtin, record_from_order,
                                  record_from_params, verify_record)
 from subgroupdlp.factoring import (FactoredInteger, divisors, factor,
@@ -101,6 +101,16 @@ def test_p256_table_divisors_structure():
     want_sqrt = (100.87, 101.37, 101.66, 106.73, 110.25)
     for d, want in zip(P256_TABLE_DIVISORS, want_sqrt):
         assert abs(int_log2(d) / 2 - want) < 0.01
+
+
+def test_p256_table_grids_are_the_papers_three():
+    d1, d2, d3, d4, d5 = P256_TABLE_DIVISORS
+    assert P256_TABLE_GRIDS == (
+        ((d1, d2, d3), (45, 50, 52, 53, 54, 55, 56)),
+        ((d4,), (41, 42, 43, 44)),
+        ((d5,), (33, 34, 35, 36, 37)),
+    )
+    assert "P256_TABLE_GRIDS" in catalog.__all__
 
 
 def test_verify_record_catches_mutations():

@@ -14,9 +14,11 @@ import pytest
 
 from subgroupdlp import catalog, cli
 from subgroupdlp.bsgs import theorem_budget
-from subgroupdlp.catalog import P256_TABLE_DIVISORS, load_builtin
+from subgroupdlp.catalog import (P256_TABLE_DIVISORS, load_builtin,
+                                 record_from_order)
 from subgroupdlp.cli import DATA_DIR_ENV, build_parser, main
-from subgroupdlp.factoring import FactoredInteger, subgroup_generator
+from subgroupdlp.factoring import (FactoredInteger, nearest_divisor,
+                                   subgroup_generator)
 from subgroupdlp.groups import (CountingGroup, CurveGroup, desk_curve,
                                 format_curve_params)
 from subgroupdlp.parallel import draw_multipliers
@@ -464,6 +466,43 @@ def test_prob_table_resolves_curve_names_like_solve(run, tmp_path):
         assert expected[0] == 0 and expected[1]
         for curve in ("desk", str(path)):
             assert run("prob-table", "--curve", curve, *grid) == expected
+
+
+def test_prob_table_reads_a_p_targets_divisors_from_its_record(run):
+    factors = record_from_order(1999).factors
+    divisors = [nearest_divisor(factors, bits) for bits in (3, 5)]
+    assert divisors == [9, 37]
+    grid = ("--m-exponents", "1,2", "--format", "csv")
+    expected = run("prob-table", "--p", "1999", "--d-list",
+                   ",".join(map(str, divisors)), *grid)
+    assert expected[0] == 0 and expected[1]
+    assert run("prob-table", "--p", "1999", "--target-bits-list", "3,5",
+               *grid) == expected
+
+
+def test_prob_table_refuses_a_composite_p_in_the_records_words(run):
+    # --target-bits-list builds the record, which names the group order
+    assert run("prob-table", "--p", "33", "--target-bits-list", "2",
+               "--m-exponents", "1") == (
+        2, "", "error: group order 33 is not prime\n")
+    # --d-list builds no record: the grid refuses p
+    assert run("prob-table", "--p", "33", "--d-list", "2",
+               "--m-exponents", "1") == (2, "", "error: p must be prime\n")
+
+
+def test_an_unfactorable_p_is_refused_by_the_record(run, monkeypatch):
+    # 1999, as if factor gave up on its p-1 = 1998
+    monkeypatch.setattr(catalog, "factor", lambda n: FactoredInteger(
+        n=n, factors=[], residual=n))
+    for argv in (("prob-table", "--p", "1999", "--target-bits-list", "3",
+                  "--m-exponents", "1"),
+                 ("solve", "--oracle-p", "1999", "--d", "37", "--x", "5")):
+        assert run(*argv) == (2, "", "error: need the complete "
+                              "factorization of order-1\n")
+    # a --d-list factors nothing
+    code, out, _ = run("prob-table", "--p", "1999", "--d-list", "37",
+                       "--m-exponents", "1")
+    assert code == 0 and out
 
 
 def test_prob_table_usage_errors(run):

@@ -490,6 +490,14 @@ def test_search_prime_with_divisor_infeasible_width():
         search_prime_with_divisor((1 << 49) + 1, 50, random.Random(0))
 
 
+def test_search_prime_with_divisor_refuses_a_divisor_below_one():
+    # d = 0 divided by zero; d = -4 blamed the bit width
+    for d in (0, -4):
+        with pytest.raises(ValueError,
+                           match=r"^divisor d must be >= 1, got %d$" % d):
+            search_prime_with_divisor(d, 20, random.Random(0))
+
+
 def test_factor_p256_order_minus_one():
     # ~256-bit worked example: completes inside the default budgets
     p = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551

@@ -10,7 +10,8 @@ and builds no trial-division runs (the sieve and its run products, ~2 ms,
 wait for the first `factor` call, and a small n builds only a small
 table).  Only the search modules, bsgs.py and parallel.py, name the
 search's plan and giant table, and only catalog.py and factoring.py
-derive a primitive root or a subgroup.
+derive a primitive root or a subgroup.  The CLI calls `factor` only for a
+curve's order - 1 and for its `factor` command.
 """
 
 import ast
@@ -145,6 +146,48 @@ def test_the_ownership_scan_sees_a_plan_named_outside_the_search():
     assert _owned_names(source, "m.py", RECORD_OWNED,
                         ("catalog", "factoring")) == [
         "m.py:1: subgroup_generator", "m.py:6: find_primitive_root"]
+
+
+# Every other target's factors come from its record: the CLI factors only a
+# curve's order - 1, which record_from_params takes as an argument, and the
+# n of its `factor` command.
+CLI_FACTORERS = {"_find_curve", "cmd_factor"}
+
+
+def _factoring_outside(source, rel, allowed):
+    """'file:line: function' for each use of `factor` (a bare name or
+    factoring.factor) that `source` makes outside the top-level functions
+    named in `allowed`; module-level code counts as '<module>'."""
+    tree = ast.parse(source, filename=rel)
+    hits = []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        if where in allowed and isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "factor")
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "factor"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "factoring")):
+                hits.append("%s:%d: %s" % (rel, node.lineno, where))
+    return hits
+
+
+def test_the_cli_factors_only_curve_orders_and_factors_n():
+    rel = "src/subgroupdlp/cli.py"
+    assert _factoring_outside((ROOT / rel).read_text(), rel,
+                              CLI_FACTORERS) == []
+
+
+def test_the_factoring_scan_sees_a_factor_call_in_another_function():
+    source = ("from .factoring import factor\nfrom . import factoring\n\n\n"
+              "def _find_curve(p):\n    return factor(p - 1)\n\n\n"
+              "def cmd_prob_table(p):\n    return factor(p - 1)\n\n\n"
+              "def cmd_solve(p):\n    return factoring.factor(p - 1)\n\n\n"
+              "BUDGETS = [factor]\n")
+    assert _factoring_outside(source, "m.py", CLI_FACTORERS) == [
+        "m.py:10: cmd_prob_table", "m.py:14: cmd_solve", "m.py:17: <module>"]
 
 
 def test_the_cli_loads_neither_fractions_nor_decimal():

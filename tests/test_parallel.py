@@ -562,6 +562,13 @@ def test_empirical_rate_is_one_when_subgroup_is_everything():
     assert empirical_success_rate(1009, 1008, m=3, trials=50, seed=0) == 1.0
 
 
+def test_empirical_rate_refuses_fewer_than_one_trial():
+    # 0 trials divided by zero and -1 trials read -0.0
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=r"trials >= 1"):
+            empirical_success_rate(1009, 1008, m=3, trials=trials, seed=0)
+
+
 def test_empirical_rate_grows_with_thread_count():
     lo = empirical_success_rate(65537, 256, m=1, trials=200, seed=11)
     hi = empirical_success_rate(65537, 256, m=8, trials=200, seed=11)

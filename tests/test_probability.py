@@ -248,8 +248,23 @@ def test_table_empty_exponent_list():
     text = table.render_text()
     assert len(text.splitlines()) == 3  # two header lines + the m label
     assert "4.00" in text.splitlines()[1]
+    # the headers are read from the divisors, byte for byte as when they
+    # were read from estimates of m = 1
+    assert text == ("log2 d                4.00        8.00\n"
+                    "log2 sqrt(d)          2.00        4.00\n"
+                    "log2 m        ")
+    assert build_table(65537, (), ()).render_text() == (
+        "log2 d        \nlog2 sqrt(d)  \nlog2 m        ")
     assert table.table() == (
         ("log2_d", "log2_m", "lower_bound", "exact", "log2_sqrt_d"), [])
+
+
+def test_an_empty_grid_still_checks_its_divisors_and_p():
+    for bad_d in (0, 65537):
+        with pytest.raises(ValueError, match="need 1 <= d <= p-1"):
+            build_table(65537, (16, bad_d), ())
+    with pytest.raises(ValueError, match="p must be prime"):
+        build_table(65535, (), ())
 
 
 def test_table_csv_round_trips_floats(capsys):
