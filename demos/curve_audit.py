@@ -10,8 +10,8 @@ membership checks are priced and declared infeasible rather than run;
 at desk scale they actually run.
 """
 
-from subgroupdlp import (audit_key, builtin_names, desk_curve, factor,
-                         load_builtin, record_from_params, verify_record)
+from subgroupdlp import (audit_key, builtin_names, desk_curve, load_builtin,
+                         record_from_params, verify_record)
 
 # Layer 1: the five built-in NIST records.
 for name in builtin_names():
@@ -28,7 +28,7 @@ print()
 # Layer 2 at desk scale: a curve of order 1999 whose scalar field has
 # 1999 - 1 = 2 * 3^3 * 37.  Build its record, then audit three keys.
 params = desk_curve()
-record = record_from_params(params, factor(params.order - 1))
+record = record_from_params(params)
 print("desk record: audit pair d1 = %d, d2 = %d" % (record.d1, record.d2))
 
 H37 = record.subgroup(37)

@@ -376,22 +376,23 @@ def audit_key(rec, x=None, point=None, subgroups=None,
                           recommendation=recommendation)
 
 
-def _record(name, p, factored, q=None, params=None):
-    """The record of order p: its audit pair is the largest prime power of
-    p-1 (d2, or 1 for p = 2) and its cofactor (d1), like the built-ins'."""
-    if not factored.complete or factored.n != p - 1:
+def _record(name, p, q=None, params=None):
+    """The record of order p, p-1 factored; like the built-ins', its audit
+    pair is p-1's largest prime power (d2, 1 for p = 2) and its cofactor."""
+    factored = factor(p - 1)
+    if not factored.complete:
         raise ValueError("need the complete factorization of order-1")
     d2 = max((f ** e for f, e in factored.factors), default=1)
     return CurveRecord(name=name, p=p, factors=factored, d1=(p - 1) // d2,
                        d2=d2, q=q, params=params)
 
 
-def record_from_params(params, factored):
-    """The record of a curve; `factored` factors params.order - 1."""
-    return _record(params.name, params.order, factored, params.q, params)
+def record_from_params(params):
+    """The record of a curve, for point-form work."""
+    return _record(params.name, params.order, params.q, params)
 
 
 def record_from_order(p):
     """The record of a bare prime order p, for scalar-form work."""
     AdditiveOracleGroup(p)  # refuses a composite p before p-1 is factored
-    return _record("order %d" % p, p, factor(p - 1))
+    return _record("order %d" % p, p)

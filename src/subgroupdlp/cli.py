@@ -94,7 +94,7 @@ def _find_curve(name_or_path):
     """The CurveRecord of a built-in name, of 'desk' or of a curve file.
 
     The one curve resolver behind solve, prob-table, keycheck and audit;
-    for desk and a file, p-1 is factored here.
+    for desk and a file, the record factors p-1.
     """
     if name_or_path.upper() in builtin_names():
         return load_builtin(name_or_path)
@@ -107,7 +107,7 @@ def _find_curve(name_or_path):
                 "%r is neither a built-in curve (%s, desk) nor a readable "
                 "file" % (name_or_path, ", ".join(builtin_names())))
         params = load_curve_file(path)
-    return record_from_params(params, factor(params.order - 1))
+    return record_from_params(params)
 
 
 def _parse_exponent_spec(spec):

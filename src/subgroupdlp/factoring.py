@@ -188,6 +188,10 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
                 # below the trial bound squared, anything unsplit is prime
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
+            root = math.isqrt(chunk)
+            if root * root == chunk:  # rho would need ~sqrt(root) steps
+                pending += [root, root]
+                continue
             rng = rng or random.Random(n & 0xFFFFFFFF)
             split = pollard_rho_brent(chunk, rng, max_iters=budget) \
                 if budget > 0 else None

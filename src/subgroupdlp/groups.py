@@ -15,18 +15,22 @@ A group's `order` is always a verified (probable) prime p, so scalars live
 in the field Z/pZ and k*P depends only on k mod p.  Encodings are injective
 bytes with a distinguished identity encoding.
 
+A backend writes raw hooks on element data (`_add`, `_mul`, `_contains_data`,
+optionally `_encode` and `_sweep`); CyclicGroup checks and wraps elements
+and hands `_mul` the signed residue of k, the one with |k| <= p/2.
+
 `sweep_keys(P)` serves the BSGS sweeps, which multiply one fixed point
-many times and only look up a key of each product.  It checks and prepares
-P once and returns `sweep(start, ratio, count, probe)`, whose own loop
+many times and only look up a key of each product.  It checks P and
+returns the backend's `_sweep(start, ratio, count, probe)`, whose own loop
 hands the key of (start * ratio^i mod p) * P for each i < count to
 `probe` and yields (i, hit) only for a hit that is not None (0 is one).
-The oracle group's key is the product's int, the last key times the
-ratio: one mulmod per key.  MultiplicativeGroup keys the element's int
-from rows of powers that turn each exponentiation into a few multiplies
-and a reduction; CurveGroup keys encodings from a Lim-Lee comb table,
-built at two field inversions, that makes each multiply ~3x cheaper than
-scalar_mul's sliding window on P-256.  Keys are canonical only within one
-group object.  scalar_mul reads no table.
+The default key is `_encode(_mul(k, P))`; the oracle group's key is the
+product's int, the last key times the ratio: one mulmod per key.
+MultiplicativeGroup keys the element's int from rows of powers that turn
+each exponentiation into a few multiplies and a reduction; CurveGroup keys
+encodings from a Lim-Lee comb table, built at two field inversions, that
+makes each multiply ~3x cheaper than `_mul`'s sliding window on P-256.
+Keys are canonical only within one group object.  scalar_mul reads no table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
@@ -82,9 +86,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        # identity first: the structural == builds _key() tuples
-        return ((self.group is other.group or self.group == other.group)
-                and self.data == other.data)
+        return self.group == other.group and self.data == other.data
 
     def __hash__(self):
         return hash((self.group, self.data))
@@ -99,11 +101,11 @@ class GroupElement:
 class CyclicGroup:
     """Base class: a cyclic group of verified prime order p.
 
-    Subclasses implement scalar_mul, sweep_keys and the raw hooks _add and
-    _contains_data, and set the raw data of the identity and the
-    generator as the attributes `_identity` and `_gen`; this class supplies
-    validation, element wrapping and the default encoding of integer data
-    as `_width` big-endian bytes, which each integer backend sizes.
+    Subclasses implement the raw hooks _add, _mul and _contains_data, and
+    set the raw data of the identity and the generator as `_identity` and
+    `_gen`; a prepared `_sweep` is optional.  This class supplies validation,
+    element wrapping, scalar_mul (`_mul` of k's signed residue), sweep_keys
+    and the default encoding of integer data as `_width` big-endian bytes.
     """
 
     kind = "abstract"
@@ -121,7 +123,8 @@ class CyclicGroup:
     def __eq__(self, other):
         if not isinstance(other, CyclicGroup):
             return NotImplemented
-        return type(self) is type(other) and self._key() == other._key()
+        return other is self or (type(self) is type(other)  # before _key()
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash((type(self).__name__,) + self._key())
@@ -132,9 +135,7 @@ class CyclicGroup:
         return GroupElement(self, data)
 
     def _check(self, element):
-        # identity first: the structural != builds _key() tuples
-        if not isinstance(element, GroupElement) or (
-                element.group is not self and element.group != self):
+        if not isinstance(element, GroupElement) or element.group != self:
             raise ValueError("element does not belong to this group")
 
     @property
@@ -153,7 +154,7 @@ class CyclicGroup:
 
     def contains(self, element):
         return (isinstance(element, GroupElement)
-                and (element.group is self or element.group == self)
+                and element.group == self
                 and self._contains_data(element.data))
 
     # -- group law ------------------------------------------------------------
@@ -168,18 +169,27 @@ class CyclicGroup:
         return self.scalar_mul(-1, e)
 
     def scalar_mul(self, k, e):
-        """k*P for any integer k; k acts through its residue mod the order."""
-        raise NotImplementedError
+        """k*P: `_mul` of the k' = k mod the order with |k'| <= order / 2."""
+        self._check(e)
+        k %= self.order
+        return self._wrap(self._mul(k - self.order if 2 * k > self.order else k,
+                                    e.data))
 
     def sweep_keys(self, e):
-        """Check and prepare e once; return sweep(start, ratio, count, probe).
+        """Check e; return _sweep(e.data), a sweep(start, ratio, count, probe).
 
         For each i < count in turn the sweep calls probe on a key of
         (start * ratio^i mod order) * e and yields (i, hit) if the hit is
         not None, before the next key; keys are equal exactly when those
         points are.
         """
-        raise NotImplementedError
+        self._check(e)
+        return self._sweep(e.data)
+
+    def _sweep(self, data):
+        """The unprepared sweep: k's key is _encode(_mul(k, data))."""
+        return _sweep_of(lambda k: self._encode(self._mul(k, data)),
+                         self.order)
 
     # -- encodings -------------------------------------------------------------
 
@@ -219,16 +229,14 @@ class AdditiveOracleGroup(CyclicGroup):
     def _add(self, a, b):
         return (a + b) % self.order
 
-    def scalar_mul(self, k, e):
-        self._check(e)
-        return self._wrap(k % self.order * e.data % self.order)
+    def _mul(self, k, data):
+        return k * data % self.order
 
-    def sweep_keys(self, e):
-        self._check(e)
+    def _sweep(self, data):
         p = self.order
 
         def sweep(start, ratio, count, probe):
-            k = start * e.data % p
+            k = start * data % p
             for i in range(count):
                 hit = probe(k)
                 if hit is not None:
@@ -259,7 +267,7 @@ class MultiplicativeGroup(CyclicGroup):
 
     `add` is multiplication mod r and `scalar_mul` is exponentiation, so a
     Schnorr-style subgroup plugs into the same solvers as a curve does.
-    scalar_mul is the built-in pow; `sweep_keys` builds the point's power
+    `_mul` is the built-in pow; `_sweep` builds the point's power
     rows once and raises it by a product of row entries (Brickell, Gordon,
     McCurley and Wilson 1992): ceil(bits(p) / POWER_WINDOW) rows of
     2^POWER_WINDOW entries, and rows - 1 multiplies and a reduction mod r
@@ -292,9 +300,8 @@ class MultiplicativeGroup(CyclicGroup):
     def _add(self, a, b):
         return a * b % self.modulus
 
-    def scalar_mul(self, k, e):
-        self._check(e)
-        return self._wrap(pow(e.data, k % self.order, self.modulus))
+    def _mul(self, k, data):  # k reduced: a negative k would cost an inverse
+        return pow(data, k % self.order, self.modulus)
 
     def _power_rows(self, base):
         """Radix-2^POWER_WINDOW power rows of the raw element `base`.
@@ -314,11 +321,10 @@ class MultiplicativeGroup(CyclicGroup):
             base = row[-1] * base % r
         return rows
 
-    def sweep_keys(self, e):
-        self._check(e)
+    def _sweep(self, data):
         p, r = self.order, self.modulus
         w, mask = POWER_WINDOW, (1 << POWER_WINDOW) - 1
-        first, *rest = self._power_rows(e.data)
+        first, *rest = self._power_rows(data)
         # a product is reduced after 8 rows and each further 8, so it stays
         # a few words long: once per key on orders of up to 8 rows
         head, runs = rest[:7], [rest[i:i + 8] for i in range(7, len(rest), 8)]
@@ -470,8 +476,8 @@ class CurveGroup(CyclicGroup):
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
     infinity) as None; `add` and the multiplies run in Jacobian
-    coordinates.  scalar_mul is a width-4 sliding window (`_mul`), as are
-    construction and cofactor membership; `sweep_keys` builds the point's
+    coordinates.  `_mul` is a width-4 sliding window, serving scalar_mul,
+    construction and cofactor membership; `_sweep` builds the point's
     comb table once and multiplies from it (`_comb_mul`).  All of them
     share one doubling and one mixed addition.  Construction validates the
     parameters: q and order prime, nonzero discriminant, cofactor * order
@@ -586,17 +592,10 @@ class CurveGroup(CyclicGroup):
                 X, Y, Z = _add_affine(X, Y, Z, *table[j], a, q)
         return _to_affine_all([(X, Y, Z)], q)[0]
 
-    def scalar_mul(self, k, e):
-        self._check(e)
-        k %= self.order
-        return self._wrap(self._mul(k - self.order if 2 * k > self.order else k,
-                                    e.data))
-
-    def sweep_keys(self, e):
-        self._check(e)
-        if e.data is None:  # the comb has nothing to add: every key is O's
-            return _sweep_of(lambda k: self._encode(None), self.order)
-        table, w = self._comb_table(e.data)
+    def _sweep(self, data):
+        if data is None:  # the comb has nothing to add: every key is O's
+            return super()._sweep(data)
+        table, w = self._comb_table(data)
         return _sweep_of(lambda k: self._encode(self._comb_mul(k, table, w)),
                          self.order)
 

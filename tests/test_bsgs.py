@@ -219,8 +219,7 @@ def test_backends_agree_at_the_edges():
 def test_backends_agree_on_a_28_bit_curve(mid_curve_params):
     # the curve's record, the oracle mod its order n and a multiplicative
     # group of order n run one (x, d, seed) to one verdict and one campaign
-    record = record_from_params(mid_curve_params,
-                                factor(mid_curve_params.order - 1))
+    record = record_from_params(mid_curve_params)
     n = record.p
     r = search_prime_with_divisor(n, 48, random.Random(n))
     g = next(g for g in (pow(h, (r - 1) // n, r) for h in range(2, r))

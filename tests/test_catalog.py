@@ -155,7 +155,7 @@ def test_verify_record_shared_factor_pair():
 
 def test_verify_record_with_params():
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     report = verify_record(rec)
     assert report.passed
     assert any(c.name == "curve params match record" for c in report.checks)
@@ -168,7 +168,7 @@ def test_verify_record_with_params():
 
 def test_verify_record_catches_a_field_prime_the_params_do_not_have():
     params = desk_curve()
-    rec = record_from_params(params, factor(1998))
+    rec = record_from_params(params)
     match = next(c for c in verify_record(rec).checks
                  if c.name == "curve params match record")
     assert match.passed and match.detail == ""
@@ -188,18 +188,17 @@ def test_consistency_report_csv():
     assert ("P-192", "gcd(d1, d2) equals 1", True, "") in rows
 
 
-def test_record_from_params_desk_curve():
+def test_record_from_params_desk_curve(monkeypatch):
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     # order - 1 = 1998 = 2 * 3^3 * 37: largest prime power 37 peels off
     assert (rec.d1, rec.d2) == (54, 37)
     assert rec.p == params.order and rec.q == params.q
     assert rec.params is params
     incomplete = FactoredInteger(n=1998, factors=[(2, 1)], residual=999)
-    with pytest.raises(ValueError):
-        record_from_params(params, incomplete)
-    with pytest.raises(ValueError):
-        record_from_params(params, factor(1999))  # wrong n
+    monkeypatch.setattr(catalog, "factor", lambda n: incomplete)
+    with pytest.raises(ValueError, match="need the complete factorization"):
+        record_from_params(params)
 
 
 # y^2 = x^3 + x over F_5: (0, 0) has order 2, and the curve has 4 points
@@ -208,11 +207,11 @@ TWO = CurveParams(q=5, a=1, b=0, gx=0, gy=0, order=2, cofactor=2, name="two")
 
 def test_an_order_of_two_audits_the_pair_one_one():
     # p - 1 = 1 has no prime power to peel off
-    for rec in (record_from_params(TWO, factor(1)), record_from_order(2)):
+    for rec in (record_from_params(TWO), record_from_order(2)):
         assert (rec.d1, rec.d2) == (1, 1)
         assert verify_record(rec).passed
         assert audit_key(rec, x=1).recommendation == "discard"
-    report = audit_key(record_from_params(TWO, factor(1)),
+    report = audit_key(record_from_params(TWO),
                        point=CurveGroup(TWO).generator)
     assert [e.status for e in report.entries] == ["member", "member"]
 
@@ -239,7 +238,7 @@ def test_a_record_s_subgroups_are_the_generator_s(p):
 
 def test_audit_scalar_member_is_discarded():
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     H37 = subgroup_generator(rec.p, 37, factored=rec.factors)
     x = pow(H37.zeta.value, 5, rec.p)
     report = audit_key(rec, x=x)
@@ -253,7 +252,7 @@ def test_audit_scalar_member_is_discarded():
 
 def test_audit_scalar_non_member_is_kept():
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     root = find_primitive_root(rec.p, rec.factors)
     report = audit_key(rec, x=root.value)
     assert report.recommendation == "keep"
@@ -263,7 +262,7 @@ def test_audit_scalar_non_member_is_kept():
 
 def test_audit_point_form_matches_scalar_form():
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     group = CurveGroup(params)
     H37 = subgroup_generator(rec.p, 37, factored=rec.factors)
     for x in (pow(H37.zeta.value, 11, rec.p), 5, 1998):
@@ -313,7 +312,7 @@ def _multiplies(reports):
 
 def test_point_audits_derive_group_and_root_once_per_record(monkeypatch):
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     group = CurveGroup(params)
     zeta = subgroup_generator(rec.p, 37, factored=rec.factors).zeta.value
     keys = (pow(zeta, 11, rec.p), 5, 1998, pow(zeta, 2, rec.p))
@@ -429,7 +428,7 @@ def test_audit_budget_gate():
     # budget = theorem_budget(d) pays for the giant table and every baby
     # key, so a feasible subgroup always gets a verdict
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     for d in (1, 2, 27, 37, 54, 999, 1998):
         for x in (1, 2, 5, 77, 1000):
             report = audit_key(rec, x=x, budget=theorem_budget(d) - 1,
@@ -448,7 +447,7 @@ def test_audit_budget_gate():
 def test_audit_argument_validation():
     rec = load_builtin("P-192")
     params = desk_curve()
-    desk_rec = record_from_params(params, factor(params.order - 1))
+    desk_rec = record_from_params(params)
     group = CurveGroup(params)
     with pytest.raises(ValueError):
         audit_key(rec)  # neither form

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from subgroupdlp import catalog, cli
+from subgroupdlp import catalog
 from subgroupdlp.bsgs import theorem_budget
 from subgroupdlp.catalog import (P256_TABLE_DIVISORS, load_builtin,
                                  record_from_order)
@@ -57,6 +57,15 @@ def test_solve_non_member(run):
     code, out, _ = run("solve", "--oracle-p", "31", "--d", "5", "--x", "3")
     assert code == 1
     assert "outcome: NotInSubgroup" in out
+
+
+def test_solve_on_an_order_whose_p_minus_1_holds_a_large_prime_squared(run):
+    # p - 1 = 2 * 3 * 23 * (2^61 - 1)^2: factored at the square root
+    code, out, err = run("solve", "--oracle-p",
+                         "733733853673273561206488826731770675339",
+                         "--d", "6", "--x", "5")
+    assert (code, err) == (1, "")
+    assert "outcome: NotInSubgroup" in out and "steps: 8 " in out
 
 
 def test_solve_rejects_bad_divisor(run):
@@ -338,7 +347,7 @@ def test_solve_named_builtin_has_no_points(run):
 def test_an_unfactorable_curve_order_is_refused_by_the_record(
         run, monkeypatch):
     # desk, as if factor gave up on its p-1 = 1998
-    monkeypatch.setattr(cli, "factor", lambda n: FactoredInteger(
+    monkeypatch.setattr(catalog, "factor", lambda n: FactoredInteger(
         n=n, factors=[], residual=n))
     for argv in (("solve", "--curve", "desk", "--d", "27", "--x", "5"),
                  ("keycheck", "--curve", "desk", "--x", "5"),

@@ -126,6 +126,10 @@ def _factor_one_prime_at_a_time(n, rho_budget=factoring.DEFAULT_RHO_BUDGET):
             if chunk < factoring.TRIAL_BOUND ** 2 or is_probable_prime(chunk):
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
+            root = math.isqrt(chunk)
+            if root * root == chunk:
+                pending += [root, root]
+                continue
             rng = rng or random.Random(n & 0xFFFFFFFF)
             split = pollard_rho_brent(chunk, rng, max_iters=budget) \
                 if budget > 0 else None
@@ -206,6 +210,18 @@ def test_factor_reports_honest_residual():
     assert got.verify()
     assert got.product() == p * q
     assert got.format().endswith("= %d" % (p * q))
+
+
+def test_factor_splits_the_square_of_a_large_prime_at_its_root():
+    m61 = 2 ** 61 - 1  # rho would need ~2^30 steps to split m61^2
+    assert factor(m61 ** 2).factors == [(m61, 2)]
+    assert factor(m61 ** 2, rho_budget=0).complete
+    got = factor(733733853673273561206488826731770675339 - 1)
+    assert got.complete and got.factors == [(2, 1), (3, 1), (23, 1), (m61, 2)]
+    assert factor(65537 ** 2, rho_budget=0).factors == [(65537, 2)]
+    # a composite root is split further, each copy in turn
+    q = 1000000007
+    assert factor((q * m61) ** 2).factors == [(q, 2), (m61, 2)]
 
 
 def test_pollard_rho_splits_semiprime():

@@ -802,14 +802,40 @@ def test_group_layer_is_written_once():
         assert "_encode" not in vars(cls)
     with pytest.raises(AttributeError):
         CountingGroup(AdditiveOracleGroup(31)).no_such_attribute
+    backends = [value for value in vars(groups).values()
+                if isinstance(value, type) and issubclass(value, CyclicGroup)
+                and value is not CyclicGroup]
+    assert set(backends) == {AdditiveOracleGroup, MultiplicativeGroup,
+                             CurveGroup}
+    assert _restated_operations(backends + [EvenResidues]) == []
+
+
+# What CyclicGroup writes once for every backend, on top of raw hooks.
+GROUP_OPERATIONS = {"scalar_mul", "sweep_keys", "add", "encode", "negate",
+                    "_check", "_wrap"}
+
+
+def _restated_operations(classes):
+    """'Class.name' for each of GROUP_OPERATIONS that a class defines."""
+    return sorted("%s.%s" % (cls.__name__, name) for cls in classes
+                  for name in GROUP_OPERATIONS & set(vars(cls)))
+
+
+def test_the_operation_scan_sees_a_backend_restating_scalar_mul():
+    class Restating(EvenResidues):
+        def scalar_mul(self, k, e):
+            return super().scalar_mul(k, e)
+
+    assert _restated_operations([EvenResidues, Restating]) == [
+        "Restating.scalar_mul"]
 
 
 class EvenResidues(CyclicGroup):
     """The order-p subgroup 2Z/2pZ of Z/2pZ, written only against the
-    protocol CyclicGroup documents: its raw hooks and its two attributes."""
+    protocol CyclicGroup documents: its raw hooks and its data attributes."""
 
     kind = "even"
-    _identity, _gen = 0, 2
+    _identity, _gen, _width = 0, 2, 1  # one byte encodes 2p for p < 128
 
     def _key(self):
         return (self.order,)
@@ -817,18 +843,12 @@ class EvenResidues(CyclicGroup):
     def _add(self, a, b):
         return (a + b) % (2 * self.order)
 
+    def _mul(self, k, data):
+        return k * data % (2 * self.order)
+
     def _contains_data(self, data):
         return (isinstance(data, int) and 0 <= data < 2 * self.order
                 and data % 2 == 0)
-
-    def scalar_mul(self, k, e):
-        self._check(e)
-        return self._wrap(k % self.order * e.data % (2 * self.order))
-
-    def sweep_keys(self, e):
-        self._check(e)
-        return groups._sweep_of(
-            lambda k: k * e.data % (2 * self.order), self.order)
 
 
 def test_a_backend_needs_only_the_documented_protocol():
@@ -837,8 +857,33 @@ def test_a_backend_needs_only_the_documented_protocol():
     assert (G.data, O.data) == (2, 0) and O.is_identity()
     assert not G.is_identity() and (G + -G).is_identity()
     assert group.element(16) + G == group.scalar_mul(9, G)
+    assert -G == group.scalar_mul(30, G) == group.element(60)
+    # the default sweep keys each multiple by _mul and _encode
+    assert swept_keys(group.sweep_keys(G), 5, 3, 4) == [
+        group.encode(group.scalar_mul(5 * 3 ** i, G)) for i in range(4)]
+    assert swept_keys(group.sweep_keys(O), 5, 3, 2) == [b"\x00"] * 2
     H5 = SubgroupSpec(d=5, zeta=Residue(2, 31))  # <2> = {1,2,4,8,16}
     assert solve_in_subgroup(DlpInstance.from_secret(group, 8), H5) == \
         Found(x=Residue(8, 31), a=1, b=0, steps=5)
     assert solve_in_subgroup(DlpInstance.from_secret(group, 3), H5) == \
         NotInSubgroup(steps=8)
+
+
+def test_mul_sees_the_signed_residue_of_k():
+    seen = []
+
+    class Recording(EvenResidues):
+        def _mul(self, k, data):
+            seen.append(k)
+            return super()._mul(k, data)
+
+    group = Recording(31)
+    G = group.generator
+    for k in (0, 1, 15, 16, 30, 31, 32, 47, -1, -15, -16, 31 * 10 ** 9 + 16):
+        assert group.scalar_mul(k, G) == group.element(2 * k % 62), k
+    assert seen == [0, 1, 15, -15, -1, 0, 1, -15, -1, -15, 15, -15]
+    seen.clear()
+    assert (-G).data == 60 and seen == [-1]
+    # a sweep hands _mul its reduced multiplier
+    assert swept_keys(group.sweep_keys(G), 30, 2, 2) == [b"\x3c", b"\x3a"]
+    assert seen == [-1, 30, 29]

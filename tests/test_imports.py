@@ -148,10 +148,9 @@ def test_the_ownership_scan_sees_a_plan_named_outside_the_search():
         "m.py:1: subgroup_generator", "m.py:6: find_primitive_root"]
 
 
-# Every other target's factors come from its record: the CLI factors only a
-# curve's order - 1, which record_from_params takes as an argument, and the
-# n of its `factor` command.
-CLI_FACTORERS = {"_find_curve", "cmd_factor"}
+# Every target's factors come from its record: the CLI factors only the n
+# of its `factor` command.
+CLI_FACTORERS = {"cmd_factor"}
 
 
 def _factoring_outside(source, rel, allowed):
@@ -174,7 +173,7 @@ def _factoring_outside(source, rel, allowed):
     return hits
 
 
-def test_the_cli_factors_only_curve_orders_and_factors_n():
+def test_the_cli_factors_only_the_n_of_its_factor_command():
     rel = "src/subgroupdlp/cli.py"
     assert _factoring_outside((ROOT / rel).read_text(), rel,
                               CLI_FACTORERS) == []
@@ -182,12 +181,12 @@ def test_the_cli_factors_only_curve_orders_and_factors_n():
 
 def test_the_factoring_scan_sees_a_factor_call_in_another_function():
     source = ("from .factoring import factor\nfrom . import factoring\n\n\n"
+              "def cmd_factor(n):\n    return factor(n)\n\n\n"
               "def _find_curve(p):\n    return factor(p - 1)\n\n\n"
-              "def cmd_prob_table(p):\n    return factor(p - 1)\n\n\n"
               "def cmd_solve(p):\n    return factoring.factor(p - 1)\n\n\n"
               "BUDGETS = [factor]\n")
     assert _factoring_outside(source, "m.py", CLI_FACTORERS) == [
-        "m.py:10: cmd_prob_table", "m.py:14: cmd_solve", "m.py:17: <module>"]
+        "m.py:10: _find_curve", "m.py:14: cmd_solve", "m.py:17: <module>"]
 
 
 def test_the_cli_loads_neither_fractions_nor_decimal():

@@ -20,6 +20,7 @@ from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
 from subgroupdlp.parallel import (CampaignConfig, CampaignResult,
                                   CampaignSuccess, draw_multipliers,
                                   empirical_success_rate, randomized_solve)
+from subgroupdlp.probability import success_exact
 from test_groups import swept_keys
 
 G31 = AdditiveOracleGroup(31)
@@ -523,7 +524,7 @@ def test_a_two_subgroup_audit_prepares_one_sweep_of_q():
     # subgroups; both baby sweeps run the instance's one sweep of Q, so a
     # curve builds one comb table of Q, not one per subgroup
     params = desk_curve()
-    rec = record_from_params(params, factor(params.order - 1))
+    rec = record_from_params(params)
     counter = KeyFunctionCounter(rec.group)
     object.__setattr__(rec, "group", counter)  # the record's cached group
     Q = counter.scalar_mul(1130, counter.generator)
@@ -575,6 +576,26 @@ def test_empirical_rate_grows_with_thread_count():
     # exact rates are 0.0039 and 0.0308; 200 seeded trials separate them
     assert lo < hi
     assert hi < 0.12
+
+
+@pytest.mark.parametrize("d, m, seed", [(54, 25, 1), (27, 50, 2)])
+def test_curve_campaign_rate_within_three_standard_errors(d, m, seed):
+    # the paper's campaign on real curve arithmetic, as acceptance c4 runs it
+    # on the oracle: desk-curve campaigns with fresh keys and multipliers
+    record, trials = record_from_params(desk_curve()), 1000
+    H, rng = record.subgroup(d), random.Random(seed)
+    hits = 0
+    for _ in range(trials):
+        x = rng.randrange(1, record.p)
+        outcome = randomized_solve(
+            DlpInstance.from_secret(record.group, x), H,
+            CampaignConfig(m=m, seed=rng.getrandbits(32)))
+        if outcome.found:
+            assert outcome.success.x.value == x
+            hits += 1
+    exact = success_exact(d, m, record.p)  # 0.496 and 0.494
+    standard_error = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(hits / trials - exact) <= 3.0 * standard_error
 
 
 def test_step_cap_propagates():
