@@ -151,14 +151,23 @@ def pollard_rho_brent(n, rng, max_iters=1 << 22):
     return None
 
 
+def _iroot(n, k):
+    """The integer k-th root of n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
     """Factor n >= 1 within a work budget.
 
     Trial division strips all primes below the power of two just above
     isqrt(n), or below TRIAL_BOUND if less; Pollard rho (with at most
     `rho_budget` >= 0 squarings in total, its polynomials drawn from a
-    generator seeded by n) handles the rest.  A residual the budget cannot
-    split stays in `residual`, not pretending to finish.  The generator is
+    generator seeded by n) handles the rest, after a perfect power is split
+    at its root.  A residual the budget cannot split stays in `residual`,
+    not pretending to finish.  The generator is
     only seeded once rho is needed, so small n cost trial division alone.
     """
     if n < 1:
@@ -188,9 +197,12 @@ def factor(n, rho_budget=DEFAULT_RHO_BUDGET):
                 # below the trial bound squared, anything unsplit is prime
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
-            root = math.isqrt(chunk)
-            if root * root == chunk:  # rho would need ~sqrt(root) steps
-                pending += [root, root]
+            # a k-th power (k <= bits/16: every prime left is above 2^16);
+            # rho would need ~sqrt(root) steps to split it
+            k = next((k for k in range(2, chunk.bit_length() // 16 + 1)
+                      if _iroot(chunk, k) ** k == chunk), 0)
+            if k:
+                pending += [_iroot(chunk, k)] * k
                 continue
             rng = rng or random.Random(n & 0xFFFFFFFF)
             split = pollard_rho_brent(chunk, rng, max_iters=budget) \

@@ -29,8 +29,8 @@ product's int, the last key times the ratio: one mulmod per key.
 MultiplicativeGroup keys the element's int from rows of powers that turn
 each exponentiation into a few multiplies and a reduction; CurveGroup keys
 encodings from a Lim-Lee comb table, built at two field inversions, that
-makes each multiply ~3x cheaper than `_mul`'s sliding window on P-256.
-Keys are canonical only within one group object.  scalar_mul reads no table.
+makes each multiply ~3x cheaper than `_mul`'s one-key comb on P-256.
+Keys are canonical only within one group object.  scalar_mul keeps no table.
 
 `CountingGroup` is a counting layer over any of them: it counts `add` and
 `scalar_mul`, makes each sweep key one of its own scalar_muls and encodes,
@@ -40,7 +40,6 @@ and passes everything else through to the group it wraps.
 demos and tests use, validated by CurveGroup on construction.
 """
 
-import re
 from dataclasses import dataclass
 
 from .field import is_probable_prime, parse_int
@@ -417,10 +416,14 @@ def load_curve_file(path):
 # 3.79 ms of curve math per item at 4, 5, 6 and 7 teeth over 320 items.
 # Interleaved in-process audits of them (2-vCPU Xeon, Python 3.11.7, CPU-time
 # medians of 24 rounds of 80 items) took 6.60, 6.23, 5.32 and 7.00 ms.
+# `_mul` builds a comb for its one key: there a P-256 scalar_mul (4 runs of
+# 200 keys) took 1,394-1,480 us at 4 teeth, 1,739-1,741 us at 6 and no less
+# at 3 or 5, against 1,478-1,526 us for the sliding window it replaced.
 COMB_TEETH = 6
+ONE_SHOT_TEETH = 4
 
 # Jacobian (X, Y, Z) stands for the affine (X/Z^2, Y/Z^3), and for the
-# identity when Z = 0.  `add` and both multiplies are built from these steps.
+# identity when Z = 0.  `add` and the comb are built from these steps.
 
 
 def _double(X, Y, Z, a, q):
@@ -476,13 +479,13 @@ class CurveGroup(CyclicGroup):
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
     infinity) as None; `add` and the multiplies run in Jacobian
-    coordinates.  `_mul` is a width-4 sliding window, serving scalar_mul,
-    construction and cofactor membership; `_sweep` builds the point's
-    comb table once and multiplies from it (`_comb_mul`).  All of them
-    share one doubling and one mixed addition.  Construction validates the
-    parameters: q and order prime, nonzero discriminant, cofactor * order
-    within Hasse's bound ((q + 1 - #E)^2 <= 4q, in integers), base point on
-    curve, order * base = identity.
+    coordinates.  Every multiply reads a Lim-Lee comb: `_mul` (scalar_mul,
+    construction, cofactor membership) builds one of ONE_SHOT_TEETH teeth
+    for its one key, `_sweep` one of COMB_TEETH teeth for all the point's
+    keys.  All share one doubling and one mixed addition.  Construction
+    validates the parameters: q and order prime, nonzero discriminant,
+    cofactor * order within Hasse's bound ((q + 1 - #E)^2 <= 4q, in
+    integers), base point on curve, order * base = identity.
     """
 
     kind = "curve"
@@ -519,83 +522,65 @@ class CurveGroup(CyclicGroup):
 
         Construction and the cofactor membership check need k unreduced:
         there the point is to test whether k kills the point; scalar_mul
-        passes the signed residue of k, so that -P is one window of 1.  A
-        left-to-right sliding window of width 4 over |k| on Jacobian
-        coordinates: P, 2P, ... up to the largest window's multiple (15P
-        at most) are summed first and taken to affine at one shared
-        inversion, then each window is its doublings and one mixed addition
-        of its odd multiple.  One more inversion returns the result,
-        negated for k < 0, to affine.
+        passes the signed residue of k.  |k| * P, or |k| * -P for k < 0, from
+        a comb of ONE_SHOT_TEETH teeth built for |k| alone.
         """
         if data is None or k == 0:
             return None
-        q, a = self.q, self.params.a
-        # windows of |k|: a lone 0, or up to 4 bits that begin and end in 1
-        windows = [(len(bits), int(bits, 2)) for bits
-                   in re.findall("1(?:[01]{0,2}1)?|0", bin(abs(k))[2:])]
-        run = [(*data, 1)]
-        for _ in range(max(j for _, j in windows) - 1):
-            run.append(_add_affine(*run[-1], *data, a, q))
-        multiples = [None] + _to_affine_all(run, q)  # jP up to the top window
-        X, Y, Z = 0, 1, 0
-        for doublings, j in windows:
-            for _ in range(doublings):
-                X, Y, Z = _double(X, Y, Z, a, q)
-            point = multiples[j]  # O for "0" and on tiny curves
-            if point is not None:
-                X, Y, Z = _add_affine(X, Y, Z, *point, a, q)
-        return _to_affine_all([(X, -Y if k < 0 else Y, Z)], q)[0]
+        if k < 0:
+            k, data = -k, (data[0], -data[1] % self.q)
+        return self._comb_mul(
+            k, *self._comb_table(data, ONE_SHOT_TEETH, k.bit_length()))
 
-    def _comb_table(self, data):
+    def _comb_table(self, data, teeth, bits):
         """The comb table of the affine point `data` (Lim and Lee 1994).
 
-        With w = ceil(bits(order) / COMB_TEETH), entry j of the table is
-        the sum of 2^(i*w) * P over the set bits i of j (entry 0 is O).
-        `_comb_mul` then reads k as COMB_TEETH rows of w bits and does w
-        doublings and at most w mixed additions.  The teeth 2^(i*w) * P are
-        doubled in Jacobian, and each entry is a mixed addition to a smaller
-        one; each batch goes to affine at one inversion.  Returns (table, w).
+        With w = ceil(bits / teeth), entry j is the sum of 2^(i*w) * P over
+        the set bits i of j (entry 0 is O).  `_comb_mul` reads a k of up to
+        `bits` bits as `teeth` rows of w bits: w doublings and at most w
+        mixed additions.  The teeth 2^(i*w) * P are doubled in Jacobian, and
+        each entry is a mixed addition to a smaller one; each batch goes to
+        affine at one inversion.  Returns (table, w).
         """
         q, a = self.q, self.params.a
-        w = -(-self.order.bit_length() // COMB_TEETH)
+        w = -(-bits // teeth)
         X, Y, Z = *data, 1
-        teeth = [(X, Y, Z)]
-        for _ in range(COMB_TEETH - 1):
+        tips = [(X, Y, Z)]
+        for _ in range(teeth - 1):
             for _ in range(w):
                 X, Y, Z = _double(X, Y, Z, a, q)
-            teeth.append((X, Y, Z))
-        teeth = _to_affine_all(teeth, q)  # O on small-order curves
+            tips.append((X, Y, Z))
+        tips = _to_affine_all(tips, q)  # O on small-order curves
         sums = [(0, 1, 0)]
-        for j in range(1, 1 << COMB_TEETH):
+        for j in range(1, 1 << teeth):
             top = j.bit_length() - 1
-            rest, tooth = sums[j ^ (1 << top)], teeth[top]
-            sums.append(rest if tooth is None
-                        else _add_affine(*rest, *tooth, a, q))
+            rest, tip = sums[j ^ (1 << top)], tips[top]
+            sums.append(rest if tip is None
+                        else _add_affine(*rest, *tip, a, q))
         return _to_affine_all(sums, q), w
 
     def _comb_mul(self, k, table, w):
-        """k*P for any integer k from P's comb table (see _comb_table).
+        """k*P from P's comb table (see _comb_table) of log2(len(table)) teeth.
 
-        Column c of the comb indexes the table with bit c of each of the
-        COMB_TEETH rows of k mod the order, the top row as the top index
-        bit.  Because k is reduced, each addend and the accumulator before
-        it stand for distinct nonzero multiples whose sum is below the
-        order, so the accumulator never meets the addend or its negative.
+        Column c of the comb indexes the table with bit c of each row of k,
+        the top row as the top index bit, and adds the entry unless it is
+        O.  An entry meets the accumulator or its negative only for a k of
+        at least P's order, and `_add_affine` handles both.
         """
         q, a = self.q, self.params.a
-        bits = format(k % self.order, "0%db" % (COMB_TEETH * w))
+        bits = format(k, "0%db" % ((len(table).bit_length() - 1) * w))
         X, Y, Z = 0, 1, 0
         for c in range(w):
             X, Y, Z = _double(X, Y, Z, a, q)
-            j = int(bits[c::w], 2)
-            if j:
-                X, Y, Z = _add_affine(X, Y, Z, *table[j], a, q)
+            point = table[int(bits[c::w], 2)]
+            if point is not None:
+                X, Y, Z = _add_affine(X, Y, Z, *point, a, q)
         return _to_affine_all([(X, Y, Z)], q)[0]
 
     def _sweep(self, data):
         if data is None:  # the comb has nothing to add: every key is O's
             return super()._sweep(data)
-        table, w = self._comb_table(data)
+        table, w = self._comb_table(data, COMB_TEETH, self.order.bit_length())
         return _sweep_of(lambda k: self._encode(self._comb_mul(k, table, w)),
                          self.order)
 

@@ -153,6 +153,32 @@ def test_verify_record_shared_factor_pair():
     assert "audit pair partitions the factors" in bad
 
 
+PARTITION = "audit pair partitions the factors"
+
+
+@pytest.mark.parametrize("p,listed,d1,d2,failed", [
+    # d1 holds f^(e+1): 2^3 of p - 1 = 2^2 * 3^2
+    (37, None, 8, 9, {"d1 * d2 equals p-1", PARTITION}),
+    (37, None, 8, 1, {"d1 * d2 equals p-1", PARTITION}),
+    # a listed factor 1, once or twice
+    (31, [(1, 1), (2, 1), (3, 1), (5, 1)], 10, 3,
+     {"listed factors are prime", PARTITION}),
+    (31, [(1, 2), (2, 1), (3, 1), (5, 1)], 10, 3,
+     {"listed factors are prime", PARTITION}),
+    # f split across d1 and d2
+    (37, None, 18, 2, {"gcd(d1, d2) equals 1", PARTITION}),
+    (37, None, 6, 6, {"gcd(d1, d2) equals 1", PARTITION}),
+    # a listed f^0 divides neither, so the pair still partitions the list
+    (37, [(2, 2), (3, 2), (5, 0)], 4, 9, {"listed factors are prime"}),
+])
+def test_verify_record_of_a_malformed_pair(p, listed, d1, d2, failed):
+    factors = (factor(p - 1) if listed is None
+               else FactoredInteger(n=p - 1, factors=listed))
+    report = verify_record(CurveRecord(name="tiny", p=p, factors=factors,
+                                       d1=d1, d2=d2))
+    assert {c.name for c in report.checks if not c.passed} == failed
+
+
 def test_verify_record_with_params():
     params = desk_curve()
     rec = record_from_params(params)

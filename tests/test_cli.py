@@ -68,6 +68,15 @@ def test_solve_on_an_order_whose_p_minus_1_holds_a_large_prime_squared(run):
     assert "outcome: NotInSubgroup" in out and "steps: 8 " in out
 
 
+def test_solve_on_an_order_whose_p_minus_1_holds_a_large_prime_cubed(run):
+    # p - 1 = 2 * 3 * 23 * (2^61 - 1)^3: factored at the cube root
+    code, out, err = run("solve", "--oracle-p",
+                         "16918750771159412974264135569541206541410025048"
+                         "80915480439", "--d", "6", "--x", "5")
+    assert (code, err) == (1, "")
+    assert "outcome: NotInSubgroup" in out and "steps: 8 " in out
+
+
 def test_solve_rejects_bad_divisor(run):
     code, out, err = run("solve", "--oracle-p", "31", "--d", "7", "--x", "3")
     assert code == 2 and out == "" and "error:" in err
@@ -691,6 +700,13 @@ def test_factor_command(run):
     code, out, _ = run("factor", "0x1e")
     assert code == 0 and out.strip() == "30 = 2 * 3 * 5"
     assert run("factor", "--", "--12")[0] == 2  # doubled sign
+
+
+def test_factor_command_splits_a_cube_at_its_root(run):
+    m61 = 2 ** 61 - 1
+    code, out, err = run("factor", str(m61 ** 3), "--budget", "0")
+    assert (code, err) == (0, "")
+    assert out.strip() == "%d = %d^3" % (m61 ** 3, m61)
 
 
 def test_factor_incomplete(run):

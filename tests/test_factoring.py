@@ -105,6 +105,15 @@ def _primes_below(bound):
     return [i for i in range(bound) if flags[i]]
 
 
+def _root_by_bisection(n, k):
+    """The largest r with r^k <= n, bit by bit from the top."""
+    r = 0
+    for bit in reversed(range(n.bit_length() // k + 1)):
+        if (r | 1 << bit) ** k <= n:
+            r |= 1 << bit
+    return r
+
+
 def _factor_one_prime_at_a_time(n, rho_budget=factoring.DEFAULT_RHO_BUDGET):
     """factor as it was before trial division walked runs: every prime
     below the trial bound in turn until p*p > m, then the same rho stage."""
@@ -126,9 +135,10 @@ def _factor_one_prime_at_a_time(n, rho_budget=factoring.DEFAULT_RHO_BUDGET):
             if chunk < factoring.TRIAL_BOUND ** 2 or is_probable_prime(chunk):
                 counts[chunk] = counts.get(chunk, 0) + 1
                 continue
-            root = math.isqrt(chunk)
-            if root * root == chunk:
-                pending += [root, root]
+            k = next((k for k in range(2, chunk.bit_length() // 16 + 1)
+                      if _root_by_bisection(chunk, k) ** k == chunk), 0)
+            if k:
+                pending += [_root_by_bisection(chunk, k)] * k
                 continue
             rng = rng or random.Random(n & 0xFFFFFFFF)
             split = pollard_rho_brent(chunk, rng, max_iters=budget) \
@@ -222,6 +232,31 @@ def test_factor_splits_the_square_of_a_large_prime_at_its_root():
     # a composite root is split further, each copy in turn
     q = 1000000007
     assert factor((q * m61) ** 2).factors == [(q, 2), (m61, 2)]
+
+
+def test_factor_splits_every_power_of_a_large_prime_at_its_root():
+    m61 = 2 ** 61 - 1
+    assert factor(m61 ** 3, rho_budget=0).factors == [(m61, 3)]
+    # rho splits off 10^9 + 7 within the budget, then m61^5 is a 5th power
+    got = factor(m61 ** 5 * (10 ** 9 + 7), rho_budget=1 << 18)
+    assert got.complete and got.factors == [(10 ** 9 + 7, 1), (m61, 5)]
+    q = 1000000007
+    for n in (65537 ** 7, (q * m61) ** 6, m61 ** 2 * q ** 3):
+        assert factor(n, rho_budget=0) == _factor_one_prime_at_a_time(
+            n, rho_budget=0), n
+    assert factor(65537 ** 7, rho_budget=0).factors == [(65537, 7)]
+    assert factor((q * m61) ** 6).factors == [(q, 6), (m61, 6)]
+    assert not factor(m61 ** 2 * q ** 3, rho_budget=0).complete
+
+
+def test_root_by_bisection_and_newton_agree():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randrange(1, 600)) | 1
+        k = rng.randrange(2, 40)
+        r = _root_by_bisection(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        assert factoring._iroot(n, k) == r, (n, k)
 
 
 def test_pollard_rho_splits_semiprime():

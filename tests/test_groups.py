@@ -13,7 +13,7 @@ from subgroupdlp.bsgs import (DlpInstance, Found, NotInSubgroup,
 from subgroupdlp.catalog import load_builtin
 from subgroupdlp.factoring import SubgroupSpec, factor, find_primitive_root
 from subgroupdlp.field import Residue, is_probable_prime
-from subgroupdlp.groups import (COMB_TEETH, POWER_WINDOW,
+from subgroupdlp.groups import (COMB_TEETH, ONE_SHOT_TEETH, POWER_WINDOW,
                                 AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, CurveParams, CyclicGroup,
                                 MultiplicativeGroup, desk_curve,
@@ -207,8 +207,8 @@ def test_scalar_mul_matches_affine_reference_on_desk_curve():
     for k in range(-n, 2 * n + 1):
         assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
     # the unreduced multiply behind construction and cofactor membership;
-    # k = n reaches a mixed addition R + jP with R = -jP, and building the
-    # window's multiples reaches P + P
+    # k = n reaches a mixed addition R + E of a comb entry E with R = -E,
+    # and k = 2129 one with R = E
     for k in range(3 * n + 1):
         assert group._mul(k, G.data) == reference_mul(group, k, G).data, k
     O = group.identity
@@ -260,11 +260,15 @@ def keys_agree_with_scalar_mul(group, base, scalars):
 
 
 def comb_agrees_with_plain_multiply(group, base, scalars):
-    """The comb keys of `base` against the plain multiply; returns the
-    comb table."""
-    table, _ = group._comb_table(base.data)
+    """The comb keys of `base` against `reference_mul`, which, unlike
+    scalar_mul, reads no comb; returns the comb table."""
+    table, _ = group._comb_table(base.data, COMB_TEETH,
+                                 group.order.bit_length())
     assert len(table) == 1 << COMB_TEETH
-    keys_agree_with_scalar_mul(group, base, scalars)
+    sweep = group.sweep_keys(base)
+    for k in scalars:
+        assert swept_keys(sweep, k, 1, 1) == [group.encode(reference_mul(
+            group, k, base))], k
     return table
 
 
@@ -310,8 +314,8 @@ def small_order_group(a, b, x, y, order, cofactor):
 
 @pytest.mark.parametrize("curve", [None] + list(SMALL_ORDER_POINTS))
 def test_window_multiply_matches_affine_reference_unreduced(curve):
-    # unreduced and negative k; on these orders some of P, 3P, ..., 15P
-    # are O or repeat, so windows add nothing or meet the accumulator
+    # unreduced and negative k; on these orders some comb entries are O or
+    # repeat, so columns add nothing or meet the accumulator
     group = CurveGroup(DESK) if curve is None else small_order_group(*curve)
     G = group.generator
     n = group.order
@@ -344,8 +348,38 @@ def test_p256_inversions_per_comb_build_sweep_key_and_multiply(monkeypatch):
     assert len(inversions) == 2
     keys = swept_keys(sweep, random.Random(7).getrandbits(256), 3, 10)
     assert len(keys) == 10 and len(inversions) == 2 + 10
-    group.scalar_mul(group.order - 2, G)  # odd multiples, then the result
-    assert len(inversions) == 2 + 10 + 2
+    # a one-shot comb of its own: teeth, entries, then the result
+    group.scalar_mul(group.order - 2, G)
+    assert len(inversions) == 2 + 10 + 3
+
+
+@pytest.mark.parametrize("curve", ["desk", "mid", "P-256"])
+def test_each_curve_multiply_builds_one_comb_sized_to_its_key(
+        curve, mid_curve_params, monkeypatch):
+    group = CurveGroup({"desk": DESK, "mid": mid_curve_params,
+                        "P-256": P256}[curve])
+    G, n = group.generator, group.order
+    builds = []
+    build = CurveGroup._comb_table
+
+    def recording(self, data, teeth, bits):
+        builds.append((teeth, bits))
+        return build(self, data, teeth, bits)
+
+    monkeypatch.setattr(CurveGroup, "_comb_table", recording)
+    for k in (1, -1, n - 1, 12345):
+        residue = k % n - n if 2 * (k % n) > n else k % n
+        builds.clear()
+        group.scalar_mul(k, G)
+        assert builds == [(ONE_SHOT_TEETH, abs(residue).bit_length())], k
+    builds.clear()
+    assert group.scalar_mul(0, G) == group.scalar_mul(n, G) == group.identity
+    assert builds == []
+    assert group._mul(n, G.data) is None
+    assert builds == [(ONE_SHOT_TEETH, n.bit_length())]
+    builds.clear()
+    group.sweep_keys(G)
+    assert builds == [(COMB_TEETH, n.bit_length())]
 
 
 def test_comb_matches_plain_multiply_on_p256():
@@ -365,7 +399,7 @@ def test_comb_matches_plain_multiply_on_a_28_bit_curve(mid_curve_params):
     rng = random.Random(28)
     base = group.scalar_mul(rng.randrange(2, n), group.generator)
     for point in (group.generator, base):
-        table, w = group._comb_table(point.data)
+        table, w = group._comb_table(point.data, COMB_TEETH, n.bit_length())
         assert w == 5  # 28 bits in 6 teeth: each tooth spans 5 columns
         for k in [rng.randrange(n) for _ in range(40)] + [0, 1, n - 1]:
             assert group._comb_mul(k, table, w) == group._mul(k, point.data)
