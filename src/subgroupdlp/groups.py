@@ -28,7 +28,8 @@ The default key is `_encode(_mul(k, P))`; the oracle group's key is the
 product's int, the last key times the ratio: one mulmod per key.
 MultiplicativeGroup keys the element's int from rows of powers that turn
 each exponentiation into a few multiplies and a reduction; CurveGroup keys
-encodings from a Lim-Lee comb table, built at two field inversions, that
+1*P as P's own encoding and every other multiple from a Lim-Lee comb
+table, built at two field inversions at the first key that reads it, that
 makes each multiply ~3x cheaper than `_mul`'s one-key comb on P-256.
 Keys are canonical only within one group object.  scalar_mul keeps no table.
 
@@ -410,15 +411,18 @@ def load_curve_file(path):
 # Rows of a comb; its table holds 2^COMB_TEETH - 1 points.  With w =
 # ceil(256 / teeth), a P-256 key costs w doublings, <= w mixed additions and
 # an inversion, a build (teeth - 1) * w doublings, 2^teeth - teeth - 1
-# additions and two inversions.  A keyaudit-p256 item builds one comb and
-# reads ~4.8 keys.  At timeit minima of 4.0, 5.2 and 22 us per doubling,
-# addition and inversion, this op-count model gives 4.06, 3.79, 3.64 and
-# 3.79 ms of curve math per item at 4, 5, 6 and 7 teeth over 320 items.
-# Interleaved in-process audits of them (2-vCPU Xeon, Python 3.11.7, CPU-time
-# medians of 24 rounds of 80 items) took 6.60, 6.23, 5.32 and 7.00 ms.
-# `_mul` builds a comb for its one key: there a P-256 scalar_mul (4 runs of
-# 200 keys) took 1,394-1,480 us at 4 teeth, 1,739-1,741 us at 6 and no less
-# at 3 or 5, against 1,478-1,526 us for the sliding window it replaced.
+# additions and two inversions.  A keyaudit-p256 item reads ~4.8 keys and,
+# unless Q is its own first hit (~22% of items), builds Q's comb at its
+# second key; the sizing below assumed one build per item.  At timeit
+# minima of 4.0, 5.2 and 22 us per doubling, addition and inversion, this
+# op-count model gives 4.06, 3.79, 3.64 and 3.79 ms of curve math per item
+# at 4, 5, 6 and 7 teeth over 320 items.  Interleaved in-process audits of
+# them (2-vCPU Xeon, Python 3.11.7, CPU-time medians of 24 rounds of 80
+# items) took 6.60, 6.23, 5.32 and 7.00 ms.  `_mul` builds a comb of at most
+# ONE_SHOT_TEETH teeth for its one key, and none for |k| = 1: there a P-256
+# scalar_mul (4 runs of 200 keys) took 1,394-1,480 us at 4 teeth,
+# 1,739-1,741 us at 6 and no less at 3 or 5, against 1,478-1,526 us for the
+# sliding window it replaced.
 COMB_TEETH = 6
 ONE_SHOT_TEETH = 4
 
@@ -479,13 +483,15 @@ class CurveGroup(CyclicGroup):
 
     Elements are stored as affine (x, y) tuples, the identity (the point at
     infinity) as None; `add` and the multiplies run in Jacobian
-    coordinates.  Every multiply reads a Lim-Lee comb: `_mul` (scalar_mul,
-    construction, cofactor membership) builds one of ONE_SHOT_TEETH teeth
-    for its one key, `_sweep` one of COMB_TEETH teeth for all the point's
-    keys.  All share one doubling and one mixed addition.  Construction
-    validates the parameters: q and order prime, nonzero discriminant,
-    cofactor * order within Hasse's bound ((q + 1 - #E)^2 <= 4q, in
-    integers), base point on curve, order * base = identity.
+    coordinates.  Every multiple other than +-P reads a Lim-Lee comb:
+    `_mul` (scalar_mul, construction, cofactor membership) builds one of at
+    most ONE_SHOT_TEETH teeth for its one key, `_sweep` one of COMB_TEETH
+    teeth for all the point's keys, at its first key other than 1*P, whose
+    key is P's own encoding.  All share one doubling and one mixed
+    addition.  Construction validates the parameters: q and order prime,
+    nonzero discriminant, cofactor * order within Hasse's bound
+    ((q + 1 - #E)^2 <= 4q, in integers), base point on curve,
+    order * base = identity.
     """
 
     kind = "curve"
@@ -522,15 +528,19 @@ class CurveGroup(CyclicGroup):
 
         Construction and the cofactor membership check need k unreduced:
         there the point is to test whether k kills the point; scalar_mul
-        passes the signed residue of k.  |k| * P, or |k| * -P for k < 0, from
-        a comb of ONE_SHOT_TEETH teeth built for |k| alone.
+        passes the signed residue of k.  |k| * P, or |k| * -P for k < 0: the
+        point itself for |k| = 1, else from a comb of min(ONE_SHOT_TEETH,
+        bits(|k|)) teeth built for |k| alone.
         """
         if data is None or k == 0:
             return None
         if k < 0:
             k, data = -k, (data[0], -data[1] % self.q)
+        if k == 1:
+            return data
+        bits = k.bit_length()
         return self._comb_mul(
-            k, *self._comb_table(data, ONE_SHOT_TEETH, k.bit_length()))
+            k, *self._comb_table(data, min(ONE_SHOT_TEETH, bits), bits))
 
     def _comb_table(self, data, teeth, bits):
         """The comb table of the affine point `data` (Lim and Lee 1994).
@@ -580,9 +590,18 @@ class CurveGroup(CyclicGroup):
     def _sweep(self, data):
         if data is None:  # the comb has nothing to add: every key is O's
             return super()._sweep(data)
-        table, w = self._comb_table(data, COMB_TEETH, self.order.bit_length())
-        return _sweep_of(lambda k: self._encode(self._comb_mul(k, table, w)),
-                         self.order)
+        comb = None  # P's table, built at the first key other than P's own
+
+        def key_of(k):
+            nonlocal comb
+            if k == 1:
+                return self._encode(data)
+            if comb is None:
+                comb = self._comb_table(data, COMB_TEETH,
+                                        self.order.bit_length())
+            return self._encode(self._comb_mul(k, *comb))
+
+        return _sweep_of(key_of, self.order)
 
     def _contains_data(self, data):
         if data is None:

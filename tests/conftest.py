@@ -66,3 +66,18 @@ def mid_curve_params():
     from subgroupdlp import CurveParams
     return CurveParams(q=197120467, a=75077558, b=162623360, gx=180193618,
                        gy=12948563, order=197129701, cofactor=1, name="mid")
+
+
+@pytest.fixture
+def comb_builds(monkeypatch):
+    """The (teeth, bits) of every CurveGroup._comb_table call, in order."""
+    from subgroupdlp import CurveGroup
+    builds = []
+    build = CurveGroup._comb_table
+
+    def recording(self, data, teeth, bits):
+        builds.append((teeth, bits))
+        return build(self, data, teeth, bits)
+
+    monkeypatch.setattr(CurveGroup, "_comb_table", recording)
+    return builds

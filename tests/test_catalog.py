@@ -14,7 +14,8 @@ from subgroupdlp.catalog import (DEFAULT_AUDIT_BUDGET, P256_TABLE_DIVISORS,
 from subgroupdlp.factoring import (FactoredInteger, divisors, factor,
                                    find_primitive_root, subgroup_generator)
 from subgroupdlp.field import parse_int
-from subgroupdlp.groups import (AdditiveOracleGroup, CountingGroup,
+from subgroupdlp.groups import (COMB_TEETH, ONE_SHOT_TEETH,
+                                AdditiveOracleGroup, CountingGroup,
                                 CurveGroup, CurveParams, desk_curve)
 from subgroupdlp.probability import int_log2
 from test_groups import P256
@@ -299,6 +300,46 @@ def test_audit_point_form_matches_scalar_form():
             [e.status for e in scalar.entries]
         assert all(e.mechanism == "point" for e in point.entries)
         assert all(e.mechanism == "scalar" for e in scalar.entries)
+
+
+def test_a_point_audit_builds_q_s_comb_only_when_q_is_not_its_own_hit(
+        comb_builds):
+    rec = record_from_params(desk_curve())
+    group, p, d = rec.group, rec.p, 37
+    zeta = rec.subgroup(d).zeta.value
+    n = 7  # plan(37): 8 giant keys of zeta^(7a) * P, 8 baby keys of Q's
+
+    def one_shot(x):  # the comb of the verify's scalar_mul(x, P)
+        bits = abs(x - p if 2 * x > p else x).bit_length()
+        return [(min(ONE_SHOT_TEETH, bits), bits)]
+
+    def audited(x):
+        point = group.scalar_mul(x, group.generator)
+        comb_builds.clear()
+        (entry,) = audit_key(rec, point=point, subgroups=(d,)).entries
+        (scalar,) = audit_key(rec, x=x, subgroups=(d,)).entries
+        assert (entry.status, entry.steps) == (scalar.status, scalar.steps)
+        return entry.status, entry.steps
+
+    sweep = (COMB_TEETH, group.order.bit_length())
+    # the first audit builds P's comb for the kept giant table; Q itself
+    # is the first baby key and hits, so Q's comb is never built
+    x = pow(zeta, n, p)
+    assert audited(x) == ("member", n + 2)
+    assert comb_builds == [sweep] + one_shot(x)
+    for a in range(2, n + 1):  # x = zeta^(s*a): the table holds Q itself
+        x = pow(zeta, n * a, p)
+        assert audited(x) == ("member", n + 2), a
+        assert comb_builds == one_shot(x), a
+    for b in (1, 4):  # a later baby key hits: Q's comb is built
+        x = pow(zeta, 3 * n - b, p)
+        assert audited(x) == ("member", n + 2 + b), b
+        assert comb_builds == [sweep] + one_shot(x), b
+    assert theorem_budget(d) == 2 * n + 2
+    for x in (5, 1998):  # non-members sweep all 8 baby keys
+        assert pow(x, d, p) != 1
+        assert audited(x) == ("non-member", 2 * n + 2), x
+        assert comb_builds == [sweep], x
 
 
 def test_audit_point_form_on_p256_matches_scalar_form():

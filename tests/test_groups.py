@@ -259,13 +259,31 @@ def keys_agree_with_scalar_mul(group, base, scalars):
             k, base))], k
 
 
+def reference_keys(group, base, start, ratio, count):
+    """The encodings of (start * ratio^i) * base for i < count, by
+    `reference_mul`."""
+    n = group.order
+    return [group.encode(reference_mul(group, start * pow(ratio, i, n), base))
+            for i in range(count)]
+
+
 def comb_agrees_with_plain_multiply(group, base, scalars):
     """The comb keys of `base` against `reference_mul`, which, unlike
-    scalar_mul, reads no comb; returns the comb table."""
+    scalar_mul, reads no comb; returns the comb table.
+
+    A fresh sweep first runs several keys from start 1, whose first key is
+    `base` itself and whose second builds the comb, then several from a
+    random start, then one key from each k in `scalars`.
+    """
     table, _ = group._comb_table(base.data, COMB_TEETH,
                                  group.order.bit_length())
     assert len(table) == 1 << COMB_TEETH
     sweep = group.sweep_keys(base)
+    rng = random.Random(group.order)
+    ratio, start = rng.randrange(1, group.order), rng.randrange(group.order)
+    for start in (1, start):
+        assert swept_keys(sweep, start, ratio, 6) == reference_keys(
+            group, base, start, ratio, 6), start
     for k in scalars:
         assert swept_keys(sweep, k, 1, 1) == [group.encode(reference_mul(
             group, k, base))], k
@@ -344,10 +362,15 @@ def test_p256_inversions_per_comb_build_sweep_key_and_multiply(monkeypatch):
         return pow(base, exp, mod)
 
     monkeypatch.setattr(groups, "pow", counting_pow, raising=False)
-    sweep = group.sweep_keys(G)  # the comb build: teeth, then entries
-    assert len(inversions) == 2
-    keys = swept_keys(sweep, random.Random(7).getrandbits(256), 3, 10)
-    assert len(keys) == 10 and len(inversions) == 2 + 10
+    sweep = group.sweep_keys(G)  # the comb waits for a key that reads it
+    assert len(inversions) == 0
+    start = random.Random(7).getrandbits(256)
+    # the first key with k != 1 builds the comb (teeth, then entries) and
+    # reads it at one inversion of its own
+    assert len(swept_keys(sweep, start, 3, 1)) == 1
+    assert len(inversions) == 2 + 1
+    keys = swept_keys(sweep, start * 3, 3, 9)
+    assert len(keys) == 9 and len(inversions) == 2 + 10
     # a one-shot comb of its own: teeth, entries, then the result
     group.scalar_mul(group.order - 2, G)
     assert len(inversions) == 2 + 10 + 3
@@ -355,31 +378,71 @@ def test_p256_inversions_per_comb_build_sweep_key_and_multiply(monkeypatch):
 
 @pytest.mark.parametrize("curve", ["desk", "mid", "P-256"])
 def test_each_curve_multiply_builds_one_comb_sized_to_its_key(
-        curve, mid_curve_params, monkeypatch):
+        curve, mid_curve_params, comb_builds):
     group = CurveGroup({"desk": DESK, "mid": mid_curve_params,
                         "P-256": P256}[curve])
     G, n = group.generator, group.order
-    builds = []
-    build = CurveGroup._comb_table
-
-    def recording(self, data, teeth, bits):
-        builds.append((teeth, bits))
-        return build(self, data, teeth, bits)
-
-    monkeypatch.setattr(CurveGroup, "_comb_table", recording)
-    for k in (1, -1, n - 1, 12345):
-        residue = k % n - n if 2 * (k % n) > n else k % n
+    builds = comb_builds
+    for k in (1, -1, n - 1, n + 1):  # the signed residue is +-1: +-P itself
         builds.clear()
-        group.scalar_mul(k, G)
-        assert builds == [(ONE_SHOT_TEETH, abs(residue).bit_length())], k
+        assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
+        assert builds == [], k
+    for k in (2, -2, n - 2, n + 2):  # two teeth of one column each
+        builds.clear()
+        assert group.scalar_mul(k, G) == reference_mul(group, k, G), k
+        assert builds == [(2, 2)], k
+    residue = 12345 % n - n if 2 * (12345 % n) > n else 12345 % n
+    builds.clear()
+    group.scalar_mul(12345, G)
+    assert builds == [(ONE_SHOT_TEETH, abs(residue).bit_length())]
     builds.clear()
     assert group.scalar_mul(0, G) == group.scalar_mul(n, G) == group.identity
+    assert builds == []
+    assert group._mul(1, G.data) == G.data
+    assert group._mul(-1, G.data) == (G.data[0], -G.data[1] % group.q)
     assert builds == []
     assert group._mul(n, G.data) is None
     assert builds == [(ONE_SHOT_TEETH, n.bit_length())]
     builds.clear()
-    group.sweep_keys(G)
+    sweep = group.sweep_keys(G)
+    assert builds == []
+    swept_keys(sweep, 1, 2, 2)  # G's own key, then 2G's from the comb
     assert builds == [(COMB_TEETH, n.bit_length())]
+
+
+@pytest.mark.parametrize("curve", ["desk", "mid", "P-256"])
+def test_a_sweep_builds_its_comb_at_its_first_key_other_than_the_point(
+        curve, mid_curve_params, comb_builds):
+    group = CurveGroup({"desk": DESK, "mid": mid_curve_params,
+                        "P-256": P256}[curve])
+    n, G = group.order, group.generator
+    rng = random.Random(n)
+    base = group.scalar_mul(rng.randrange(2, n), G)
+    start, ratio = rng.randrange(2, n), rng.randrange(2, n)
+    from_one = reference_keys(group, base, 1, ratio, 4)
+    from_start = reference_keys(group, base, start, ratio, 4)
+    comb_builds.clear()
+    sweep = group.sweep_keys(base)
+    assert comb_builds == []
+    # a sweep from start 1 that stops after its first key reads `base` alone
+    assert swept_keys(sweep, 1, ratio, 1) == from_one[:1]
+    hits = sweep(1, ratio, 4, {from_one[0]: "base", from_one[1]: "next"}.get)
+    assert next(hits) == (0, "base")
+    assert comb_builds == []
+    # run on, it builds the comb at its second key, once
+    assert next(hits) == (1, "next")
+    assert comb_builds == [(COMB_TEETH, n.bit_length())]
+    assert list(hits) == []
+    # later calls, from 1 or from another start, read the same comb
+    assert swept_keys(sweep, 1, ratio, 4) == from_one
+    assert swept_keys(sweep, start, ratio, 4) == from_start
+    assert comb_builds == [(COMB_TEETH, n.bit_length())]
+    # another sweep_keys call prepares its own comb, again only when read
+    other = group.sweep_keys(base)
+    assert swept_keys(other, 1, ratio, 1) == from_one[:1]
+    assert comb_builds == [(COMB_TEETH, n.bit_length())]
+    assert swept_keys(other, start, ratio, 4) == from_start
+    assert comb_builds == [(COMB_TEETH, n.bit_length())] * 2
 
 
 def test_comb_matches_plain_multiply_on_p256():
