@@ -20,7 +20,6 @@ $SUBGROUPDLP_DATA_DIR.
 """
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -147,6 +146,8 @@ def _parse_element(group, coords):
 
 def _print_csv(header, rows):
     """The one CSV writer: a header, then rows (None prints as empty)."""
+    import csv  # only --format csv pays for it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -4,8 +4,9 @@ The exponent arithmetic itself is Python's built-in `pow(x, e, p)` and
 `pow(y, -1, p)`, and input is read by the built-in `int(s, base)`; this
 module supplies what the built-ins do not: a Miller-Rabin test for the
 moduli that enter the package, the base (10, or 16 for 0x-prefixed
-input), stable sub-seeds, and `Residue`, the (value, modulus) record that
-results carry.
+input), stable sub-seeds (a SHA-256 digest from the interpreter's
+built-in module, not OpenSSL's), and `Residue`, the (value, modulus)
+record that results carry.
 
 The Miller-Rabin test is memoised (a bounded LRU cache), so every caller
 can prove every modulus it is handed: a catalog constant such as the
@@ -85,10 +86,19 @@ def derive_seed(*parts):
 
     Lets one campaign seed fan out into independent streams (multiplier
     draws, key draws, per-trial campaigns) without correlated state.
-    Only campaigns call it, so hashlib (and OpenSSL) loads here, lazily.
+    The digest is the interpreter's built-in SHA-256 (`_sha256`, or `_sha2`
+    from 3.12), as `random` takes its SHA-512, so no campaign loads
+    OpenSSL; `hashlib` is the fallback of a build without it.  All three
+    give the same bytes.
     """
-    import hashlib
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     text = "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -1,6 +1,7 @@
 """Parsing, primality, seed derivation and the Residue record."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -109,3 +110,14 @@ def test_derive_seed_streams_are_pinned():
     # "0|keys|1009|1008|3": every seeded campaign and trial draws from these
     assert derive_seed(7, "multipliers", 65537, 8) == 3642027975210205699
     assert derive_seed(0, "keys", 1009, 1008, 3) == 6867779023494860642
+
+
+def test_derive_seed_falls_back_to_hashlib(monkeypatch):
+    # a build without the built-in SHA-256 module (_sha256, or _sha2 from
+    # 3.12) hashes through hashlib, to the same bytes
+    for name in ("_sha256", "_sha2"):
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.delitem(sys.modules, "hashlib", raising=False)
+    assert derive_seed(7, "multipliers", 65537, 8) == 3642027975210205699
+    assert derive_seed(0, "keys", 1009, 1008, 3) == 6867779023494860642
+    assert "hashlib" in sys.modules

@@ -11,7 +11,10 @@ wait for the first `factor` call, and a small n builds only a small
 table).  Only the search modules, bsgs.py and parallel.py, name the
 search's plan and giant table, and only catalog.py and factoring.py
 derive a primitive root or a subgroup.  The CLI calls `factor` only for a
-curve's order - 1 and for its `factor` command.
+curve's order - 1 and for its `factor` command.  `src/` imports `hashlib`
+(which loads OpenSSL, ~3.6 MB) only as the last fallback of
+`derive_seed`, for a build without the built-in SHA-256 module, and the
+CLI loads `csv` only to print `--format csv`.
 """
 
 import ast
@@ -187,6 +190,65 @@ def test_the_factoring_scan_sees_a_factor_call_in_another_function():
               "BUDGETS = [factor]\n")
     assert _factoring_outside(source, "m.py", CLI_FACTORERS) == [
         "m.py:10: _find_curve", "m.py:14: cmd_solve", "m.py:17: <module>"]
+
+
+def _imports_hashlib(node):
+    return ((isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "hashlib" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "hashlib"))
+
+
+def _hashlib_imports(source, rel):
+    """'file:line: where' for each import of hashlib in `source` other than
+    `derive_seed`'s last fallback: a statement of an `except ImportError:`
+    handler that tries nothing further; `where` is the top-level function,
+    or '<module>'."""
+    tree = ast.parse(source, filename=rel)
+    fallbacks = set()
+    for top in tree.body:
+        if getattr(top, "name", None) != "derive_seed":
+            continue
+        for handler in ast.walk(top):
+            if (isinstance(handler, ast.ExceptHandler)
+                    and isinstance(handler.type, ast.Name)
+                    and handler.type.id == "ImportError"
+                    and not any(isinstance(n, ast.Try)
+                                for n in ast.walk(handler))):
+                fallbacks.update(id(stmt) for stmt in handler.body)
+    return ["%s:%d: %s" % (rel, node.lineno, getattr(top, "name", "<module>"))
+            for top in tree.body for node in ast.walk(top)
+            if _imports_hashlib(node) and id(node) not in fallbacks]
+
+
+def test_only_derive_seeds_last_fallback_imports_hashlib():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    hits = [hit for f in files for hit in
+            _hashlib_imports(f.read_text(), f.relative_to(ROOT).as_posix())]
+    assert hits == []
+
+
+def test_the_hashlib_scan_sees_an_import_outside_the_last_fallback():
+    source = ("import hashlib.x\n\n\n"
+              "def derive_seed(text):\n"
+              "    try:\n        from hashlib import sha256\n"
+              "    except ImportError:\n"
+              "        try:\n            from _sha2 import sha256\n"
+              "        except ImportError:\n"
+              "            from hashlib import sha256\n"
+              "    return sha256(text).digest()\n\n\n"
+              "def digest(text):\n    import hashlib as h\n"
+              "    return h.sha256(text).digest()\n")
+    assert _hashlib_imports(source, "m.py") == [
+        "m.py:1: <module>", "m.py:6: derive_seed", "m.py:16: digest"]
+
+
+def test_the_cli_loads_no_csv():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, subgroupdlp.cli; print('csv' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_the_cli_loads_neither_fractions_nor_decimal():
